@@ -13,7 +13,12 @@ block, multiplier):
   iterates contract toward the solution set.
 
 ``N = Q' + Q - M'H M`` is block diagonal and measures the per-step
-decrease. Every certificate below evaluates one provable inequality on a
+decrease. The checks need only products with these matrices, evaluated
+matrix-free; dense realisations exist only under ``assemble_metrics(...,
+mode="dense")``. The spectral conditions the checks are gated on come from
+the estimators below, which ``validate_config`` shares.
+
+Every certificate below evaluates one provable inequality on a
 recorded trajectory, with an explicit scale-aware slack for floating-point
 error, and reports the worst margin observed. Checks whose proofs need
 matrix conditions the configuration does not satisfy are skipped with a
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .operators import LinearMap, SymmetricOperator, gram_min_eigenvalue, _power_method
+from .operators import LinearMap, SymmetricOperator, _power_min_eigenvalue, gram_min_eigenvalue
 from .problem import (
     BlockProblem,
     PrimalDualPoint,
@@ -65,7 +70,12 @@ __all__ = [
     "step_inequality_check",
 ]
 
+# Largest total dimension ``assemble_metrics(..., mode="dense")`` accepts.
 DENSE_DIM_CAP = 5000
+
+# Up to this dimension the spectral estimators below use an exact dense
+# eigenvalue; above it, a power-iteration estimate.
+VALIDATION_DENSE_CAP = 1024
 
 EIG_ZERO_TOL = 1e-10
 
@@ -141,20 +151,10 @@ def first_phase_dense(problem: BlockProblem, prox: Sequence[SymmetricOperator],
     return out
 
 
-def _symmetric_min_eig_power(apply_fn, dim: int) -> float:
-    """Smallest eigenvalue of a symmetric operator via two power sweeps."""
-    top = _power_method(apply_fn, dim)
-    if top == 0.0:
-        return 0.0
-    shift = top * (1.0 + 1e-12)
-    residual = _power_method(lambda v: shift * v - apply_fn(v), dim)
-    return shift - residual
-
-
 def first_phase_min_eig_estimate(problem: BlockProblem,
                                  prox: Sequence[SymmetricOperator],
                                  rho: float,
-                                 dense_cap: int) -> tuple[float, str]:
+                                 dense_cap: int = VALIDATION_DENSE_CAP) -> tuple[float, str]:
     """Smallest eigenvalue of the coupled first-phase metric, with method tag."""
     first_dim = sum(block.dim for block in problem.blocks[:-1])
     if problem.num_blocks == 2:
@@ -163,7 +163,7 @@ def first_phase_min_eig_estimate(problem: BlockProblem,
     if first_dim <= dense_cap:
         dense = first_phase_dense(problem, prox, rho)
         return float(np.linalg.eigvalsh(dense)[0]), "dense"
-    value = _symmetric_min_eig_power(
+    value = _power_min_eigenvalue(
         lambda r: first_phase_apply(problem, prox, rho, r), first_dim)
     return value, "power"
 
@@ -171,7 +171,7 @@ def first_phase_min_eig_estimate(problem: BlockProblem,
 def last_condition_min_eig_estimate(problem: BlockProblem,
                                     p_m: SymmetricOperator,
                                     rho: float, gamma: float,
-                                    dense_cap: int) -> tuple[float, str]:
+                                    dense_cap: int = VALIDATION_DENSE_CAP) -> tuple[float, str]:
     """Smallest eigenvalue of ``P_m + (rho/gamma) A_m'A_m``, with method tag."""
     last = problem.blocks[-1]
     coeff = rho / gamma
@@ -182,7 +182,7 @@ def last_condition_min_eig_estimate(problem: BlockProblem,
         am = last.linear_map.dense()
         dense = p_m.dense() + coeff * (am.T @ am)
         return float(np.linalg.eigvalsh(dense)[0]), "dense"
-    value = _symmetric_min_eig_power(
+    value = _power_min_eigenvalue(
         lambda x: p_m.apply(x) + coeff * last.linear_map.adjoint(last.linear_map.apply(x)),
         last.dim)
     return value, "power"
@@ -195,11 +195,11 @@ def last_condition_min_eig_estimate(problem: BlockProblem,
 class MetricMatrices:
     """The certificate metrics for one (problem, config) pair.
 
-    Dense realisations (``g1``, ``q``, ``m_mat``, ``h``, ``n_mat``) are
-    present when the total dimension fits under the cap; the structural
-    (matrix-free) evaluators work either way and are the ones every check
-    uses. ``strict_ok`` records whether the matrix conditions behind the
-    contraction certificates hold for this configuration.
+    Every check uses the structural (matrix-free) evaluators. Dense
+    realisations (``g1``, ``q``, ``m_mat``, ``h``, ``n_mat``) are present
+    only under ``mode="dense"``, and so is ``h_min_eig``. ``strict_ok``
+    records whether the matrix conditions behind the contraction
+    certificates hold for this configuration.
     """
 
     rho: float
@@ -208,16 +208,16 @@ class MetricMatrices:
     maps: tuple[LinearMap, ...]
     block_dims: tuple[int, ...]
     constraint_dim: int
-    dense: dict[str, np.ndarray] | None
     g1_min_eig: float
     g1_method: str
     last_condition_min_eig: float
     last_condition_method: str
     p_m_min_eig: float
     h_min_eig: float | None
-    n_min_eig: float | None
+    n_min_eig: float
     strict_ok: bool
     strict_reason: str | None
+    dense: dict[str, np.ndarray] | None = None
     _problem: BlockProblem = field(repr=False, default=None)
 
     @property
@@ -273,25 +273,23 @@ class MetricMatrices:
 
 
 def assemble_metrics(problem: BlockProblem, config: "SolverConfig",
-                     mode: str = "auto",
-                     dense_cap: int = DENSE_DIM_CAP) -> MetricMatrices:
-    """Build the certificate metrics, densely when the dimension allows.
+                     mode: str = "matrix_free") -> MetricMatrices:
+    """Build the certificate metrics; matrix-free unless ``mode="dense"``.
 
-    The dense path cross-checks the factorization ``Q = H M`` and the two
-    independent constructions of ``N`` (the block-diagonal closed form
-    against ``Q' + Q - M'H M``), and verifies that positive definiteness of
-    the first-phase metric propagates to ``H`` and ``N`` as the theory
-    guarantees. Violations raise ``MetricConsistencyError``; they would mean
-    the assembly itself is wrong.
+    The spectral conditions come from the estimators ``validate_config``
+    uses. ``N`` is block diagonal, so ``n_min_eig`` is
+    ``min(g1, P_m, (2 - gamma)/rho)``; ``h_min_eig`` stays ``None``.
 
-    Parameters
-    ----------
-    mode : {"auto", "dense", "matrix_free"}
-        ``dense`` insists on dense realisations and raises ``ValueError``
-        above the cap; ``auto`` assembles densely when the total dimension
-        fits.
+    ``mode="dense"`` (total dimension up to ``DENSE_DIM_CAP``) materialises
+    Q, M, H and N as a reference for small problems. It cross-checks the
+    factorization ``Q = H M`` and the two independent constructions of
+    ``N`` (the block-diagonal closed form against ``Q' + Q - M'H M``), takes
+    ``h_min_eig`` and ``n_min_eig`` from dense eigendecompositions, and
+    verifies that positive definiteness of the first-phase metric propagates
+    to ``H`` and ``N`` as the theory guarantees. Violations raise
+    ``MetricConsistencyError``; they would mean the assembly itself is wrong.
     """
-    if mode not in ("auto", "dense", "matrix_free"):
+    if mode not in ("dense", "matrix_free"):
         raise ValueError(f"unknown mode {mode!r}")
     rho, gamma = config.rho, config.gamma
     if not 0.0 < gamma < 2.0:
@@ -301,17 +299,20 @@ def assemble_metrics(problem: BlockProblem, config: "SolverConfig",
         raise ValueError(f"{len(prox)} proximal metrics for {problem.num_blocks} blocks")
     maps = tuple(block.linear_map for block in problem.blocks)
     total_dim = problem.total_dim
-    if mode == "dense" and total_dim > dense_cap:
+    if mode == "dense" and total_dim > DENSE_DIM_CAP:
         raise ValueError(
-            f"total dimension {total_dim} exceeds the dense cap {dense_cap}")
-    dense_mode = mode == "dense" or (mode == "auto" and total_dim <= dense_cap)
+            f"total dimension {total_dim} exceeds the dense cap {DENSE_DIM_CAP}")
 
     p_m = prox[-1]
     p_m_min = p_m.min_eigenvalue()
+    g1_min, g1_method = first_phase_min_eig_estimate(problem, prox, rho)
+    last_cond, last_method = last_condition_min_eig_estimate(
+        problem, p_m, rho, gamma)
 
     dense = None
-    h_min = n_min = None
-    if dense_mode:
+    h_min = None
+    n_min = min(g1_min, p_m_min, (2.0 - gamma) / rho)
+    if mode == "dense":
         first = sum(problem.block_dims[:-1])
         last_dim = problem.block_dims[-1]
         ell = problem.constraint_dim
@@ -359,18 +360,9 @@ def assemble_metrics(problem: BlockProblem, config: "SolverConfig",
             raise MetricConsistencyError(
                 f"the two constructions of N disagree (defect {n_defect:.3e})")
 
-        g1_min = float(np.linalg.eigvalsh(g1)[0]) if first else 0.0
-        g1_method = "dense"
-        last_cond = float(np.linalg.eigvalsh(pm_dense + (rho / gamma) * gram_m)[0])
-        last_method = "dense"
         h_min = float(np.linalg.eigvalsh(h)[0])
         n_min = float(np.linalg.eigvalsh(n_mat)[0])
         dense = {"g1": g1, "q": q, "m": m_mat, "h": h, "n": n_mat}
-    else:
-        g1_min, g1_method = first_phase_min_eig_estimate(
-            problem, prox, rho, dense_cap=0)
-        last_cond, last_method = last_condition_min_eig_estimate(
-            problem, p_m, rho, gamma, dense_cap=0)
 
     strict_ok = g1_min > EIG_ZERO_TOL and last_cond > EIG_ZERO_TOL
     strict_reason = None
@@ -385,7 +377,7 @@ def assemble_metrics(problem: BlockProblem, config: "SolverConfig",
         strict_reason = ("configuration outside provable territory: "
                          + "; ".join(pieces))
 
-    if dense_mode and strict_ok:
+    if mode == "dense" and strict_ok:
         # Positive definiteness of the first-phase metric propagates to H
         # and N for any relaxation factor in (0, 2); a violation here would
         # be an assembly bug, not a property of the input.

@@ -146,17 +146,25 @@ def gram_spectral_norm(amap: LinearMap, rel_tol: float = POWER_TOL,
                          rel_tol, max_iter, seed)
 
 
+def _power_min_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
+                          rel_tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER,
+                          seed: int = 0) -> float:
+    """Smallest eigenvalue of a symmetric operator: a power sweep on the
+    operator shifted just past its dominant magnitude. An estimate."""
+    top = _power_method(matvec, dim, rel_tol, max_iter, seed)
+    if top == 0.0:
+        return 0.0
+    shift = top * (1.0 + 1e-12)
+    residual = _power_method(lambda v: shift * v - matvec(v), dim,
+                             rel_tol, max_iter, seed)
+    return shift - residual
+
+
 def gram_min_eigenvalue(amap: LinearMap, rel_tol: float = POWER_TOL,
                         max_iter: int = POWER_MAX_ITER, seed: int = 0) -> float:
     """Smallest eigenvalue of ``A'A``, via a spectral shift of the power method."""
-    shift = gram_spectral_norm(amap, rel_tol, max_iter, seed) * (1.0 + 1e-12)
-    if shift == 0.0:
-        return 0.0
-    top = _power_method(
-        lambda v: shift * v - amap.adjoint(amap.apply(v)),
-        amap.in_dim, rel_tol, max_iter, seed,
-    )
-    return max(shift - top, 0.0)
+    return max(_power_min_eigenvalue(lambda v: amap.adjoint(amap.apply(v)),
+                                     amap.in_dim, rel_tol, max_iter, seed), 0.0)
 
 
 def adjoint_mismatch(amap: LinearMap, trials: int = 10, seed: int = 0) -> float:

@@ -59,10 +59,6 @@ ABSOLUTE_FALLBACK = 1e-14
 
 EIG_ZERO_TOL = 1e-10
 
-# First-phase dimensions up to this get an exact dense eigenvalue check in
-# validate_config; larger ones fall back to power-iteration estimates.
-VALIDATION_DENSE_CAP = 1024
-
 
 class ConfigError(Exception):
     """The solver configuration is unusable for the given problem."""
@@ -215,8 +211,7 @@ def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationRe
     )
 
     first_eig, first_method = _certs.first_phase_min_eig_estimate(
-        problem, config.proximal_metrics, config.rho, dense_cap=VALIDATION_DENSE_CAP
-    )
+        problem, config.proximal_metrics, config.rho)
     first_positive = first_eig > EIG_ZERO_TOL
     if not first_positive:
         warnings.append(
@@ -226,9 +221,7 @@ def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationRe
         )
 
     last_eig, last_method = _certs.last_condition_min_eig_estimate(
-        problem, config.proximal_metrics[-1], config.rho, config.gamma,
-        dense_cap=VALIDATION_DENSE_CAP,
-    )
+        problem, config.proximal_metrics[-1], config.rho, config.gamma)
     if last_eig <= EIG_ZERO_TOL:
         warnings.append(
             "last-block condition P_m + (rho/gamma) A_m'A_m is not certified "

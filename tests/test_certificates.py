@@ -102,6 +102,9 @@ def test_factorization_identities_on_random_configs():
         assert np.abs(recomposed - metrics.n_mat).max() <= 1e-10 * scale
         if metrics.g1_min_eig > 1e-10:
             assert metrics.h_min_eig > 0.0
+        closed_form = min(metrics.g1_min_eig, metrics.p_m_min_eig,
+                          (2.0 - config.gamma) / config.rho)
+        assert abs(closed_form - metrics.n_min_eig) <= 1e-12 * scale
 
 
 def test_weighted_norms_zero_vector(strict_setup):
@@ -118,23 +121,47 @@ def test_weighted_norm_unit_dual():
     assert weighted_norm_sq(metrics, v, "h") == pytest.approx(1.0)
 
 
-def test_weighted_norms_dense_and_matrix_free_agree(strict_setup):
-    problem = strict_setup.problem
-    config = strict_setup.config
-    dense = strict_setup.metrics
-    free = assemble_metrics(problem, config, mode="matrix_free")
+@pytest.fixture(scope="module")
+def strict_dense(strict_setup):
+    return assemble_metrics(strict_setup.problem, strict_setup.config,
+                            mode="dense")
+
+
+def test_weighted_norms_dense_and_matrix_free_agree(strict_setup, strict_dense):
+    free = strict_setup.metrics
+    dense = strict_dense
+    first, last = dense.first_dim, dense.first_dim + dense.block_dims[-1]
+    forms = {"h": dense.h, "n": dense.n_mat,
+             "g1": np.zeros_like(dense.n_mat), "p_m": np.zeros_like(dense.n_mat)}
+    forms["g1"][:first, :first] = dense.g1
+    forms["p_m"][first:last, first:last] = \
+        strict_setup.config.proximal_metrics[-1].dense()
     rng = np.random.default_rng(12)
     for _ in range(5):
         v = rng.standard_normal(dense.total_dim)
-        for which in ("h", "n"):
-            a = weighted_norm_sq(dense, v, which)
-            b = weighted_norm_sq(free, v, which)
-            assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
-        for which in ("q", "m", "h", "n"):
-            left = apply_metric(dense, which, v)
-            right = apply_metric(free, which, v)
-            assert np.linalg.norm(left - right) <= 1e-12 * (
-                1.0 + np.linalg.norm(left))
+        for which, matrix in forms.items():
+            expected = float(v @ matrix @ v)
+            got = weighted_norm_sq(free, v, which)
+            assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
+        for which, matrix in (("q", dense.q), ("m", dense.m_mat),
+                              ("h", dense.h), ("n", dense.n_mat)):
+            expected = matrix @ v
+            got = apply_metric(free, which, v)
+            assert np.linalg.norm(got - expected) <= 1e-12 * (
+                1.0 + np.linalg.norm(expected))
+
+
+def test_default_metrics_take_preconditions_from_validation(strict_setup):
+    metrics = strict_setup.metrics
+    validation = strict_setup.result.validation
+    assert metrics.dense is None and metrics.matrix_free
+    assert metrics.g1_min_eig == validation.first_phase_min_eig
+    # the first-phase dimension (128) is under the exact-eigenvalue cap
+    assert metrics.g1_method == validation.first_phase_method == "dense"
+    assert metrics.last_condition_min_eig == validation.last_condition_min_eig
+    assert metrics.last_condition_method == validation.last_condition_method
+    assert metrics.p_m_min_eig == validation.last_metric_min_eig
+    assert metrics.h_min_eig is None
 
 
 def test_first_phase_min_eig_paths():
@@ -378,11 +405,12 @@ def test_report_serialization(strict_setup):
     assert "iterations_checked" in payload
 
 
-def test_strict_metrics_report_positive_minima(strict_setup):
+def test_strict_metrics_report_positive_minima(strict_setup, strict_dense):
     metrics = strict_setup.metrics
     assert metrics.strict_ok
     assert metrics.g1_min_eig > 0.0
-    assert metrics.h_min_eig > 0.0
     assert metrics.n_min_eig > 0.0
+    assert strict_dense.h_min_eig > 0.0
+    assert strict_dense.n_min_eig > 0.0
     payload = metrics.to_dict()
     assert payload["strict_ok"] is True

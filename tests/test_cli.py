@@ -47,6 +47,17 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     sum_b.pop("wall_seconds")
     assert sum_a == sum_b
 
+    certified = []
+    for out in (tmp_path / "certify_a", tmp_path / "certify_b"):
+        proc = run_cli(["certify", "--n", "6", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        report = json.loads((out / "certificates.json").read_text())
+        summary.pop("wall_seconds")
+        report["summary"].pop("wall_seconds")
+        certified.append((summary, report))
+    assert certified[0] == certified[1]
+
 
 def test_solve_rejects_gamma_out_of_range(tmp_path):
     proc = run_cli(["solve", "--n", "6", "--gamma", "2.5",
