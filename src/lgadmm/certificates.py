@@ -111,6 +111,18 @@ def _pack(point: PrimalDualPoint) -> np.ndarray:
     return np.concatenate([*point.primal, point.dual])
 
 
+def _packed_steps(trajectory: "TrajectoryRecord"):
+    """Yield ``(k, w^k, w^{k+1})`` packed, packing each point once.
+
+    The window slides, so at most two packed points are alive at a time.
+    """
+    current = _pack(trajectory.points[0])
+    for k in range(trajectory.steps):
+        following = _pack(trajectory.points[k + 1])
+        yield k, current, following
+        current = following
+
+
 # ---------------------------------------------------------------------------
 # First-phase coupled metric, shared with solver validation.
 
@@ -125,7 +137,10 @@ def first_phase_apply(problem: BlockProblem, prox: Sequence[SymmetricOperator],
         pieces.append(r[offset:offset + block.dim])
         offset += block.dim
     images = [block.linear_map.apply(x) for block, x in zip(blocks, pieces)]
-    total = np.sum(images, axis=0) if images else np.zeros(problem.constraint_dim)
+    # in place from zero, bitwise as np.sum(images, axis=0) without its stacked copy
+    total = np.zeros(problem.constraint_dim)
+    for image in images:
+        total += image
     out = []
     for i, (block, x) in enumerate(zip(blocks, pieces)):
         out.append(prox[i].apply(x) - rho * block.linear_map.adjoint(total - images[i]))
@@ -409,6 +424,12 @@ def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray) -> np.ndarr
     rho, gamma = metrics.rho, metrics.gamma
     a_m = metrics.maps[-1]
     p_m = metrics.prox[-1]
+    if which == "m":
+        # M is the identity outside the multiplier block: no first-phase product
+        am_x = a_m.apply(xm)
+        return np.concatenate([r, xm, -rho * am_x + gamma * y])
+    if which not in ("h", "n", "q"):
+        raise ValueError(f"unknown metric {which!r}")
     g1_r = (first_phase_apply(problem, metrics.prox, rho, r)
             if r.size else r)
     if which == "h":
@@ -419,15 +440,10 @@ def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray) -> np.ndarr
     elif which == "n":
         out_m = p_m.apply(xm)
         out_y = ((2.0 - gamma) / rho) * y
-    elif which == "q":
+    else:
         am_x = a_m.apply(xm)
         out_m = rho * a_m.adjoint(am_x) + p_m.apply(xm) + (1.0 - gamma) * a_m.adjoint(y)
         out_y = -am_x + y / rho
-    elif which == "m":
-        am_x = a_m.apply(xm)
-        return np.concatenate([r, xm, -rho * am_x + gamma * y])
-    else:
-        raise ValueError(f"unknown metric {which!r}")
     return np.concatenate([g1_r, out_m, out_y])
 
 
@@ -548,15 +564,15 @@ def fejer_check(metrics: MetricMatrices, trajectory: "TrajectoryRecord",
         return _skipped(name, metrics.strict_reason)
     ref = _pack(reference)
     margins = []
-    for k in range(trajectory.steps):
-        wk = _pack(trajectory.points[k])
-        wk1 = _pack(trajectory.points[k + 1])
-        wbar = _pack(trajectory.auxiliaries[k])
-        before = weighted_norm_sq(metrics, wk - ref, "h")
-        decrease = weighted_norm_sq(metrics, wk - wbar, "n")
+    for k, wk, wk1 in _packed_steps(trajectory):
+        if k == 0:
+            before = weighted_norm_sq(metrics, wk - ref, "h")
+        decrease = weighted_norm_sq(metrics, wk - _pack(trajectory.auxiliaries[k]), "n")
         after = weighted_norm_sq(metrics, wk1 - ref, "h")
         margins.append(before - decrease - after
                        + inequality_slack(before, decrease, after))
+        # this step's distance after is the next step's distance before
+        before = after
     return _finish(name, margins)
 
 
@@ -580,11 +596,8 @@ def nonergodic_monotonicity_check(metrics: MetricMatrices,
 
 
 def _h_step_lengths(metrics: MetricMatrices, trajectory: "TrajectoryRecord") -> list[float]:
-    out = []
-    for k in range(trajectory.steps):
-        diff = _pack(trajectory.points[k]) - _pack(trajectory.points[k + 1])
-        out.append(weighted_norm_sq(metrics, diff, "h"))
-    return out
+    return [weighted_norm_sq(metrics, wk - wk1, "h")
+            for _, wk, wk1 in _packed_steps(trajectory)]
 
 
 def nonergodic_rate_check(metrics: MetricMatrices, trajectory: "TrajectoryRecord",
@@ -618,15 +631,23 @@ def nonergodic_rate_check(metrics: MetricMatrices, trajectory: "TrajectoryRecord
 
 
 def ergodic_average(points: Sequence[PrimalDualPoint]) -> PrimalDualPoint:
-    """Plain average of primal-dual points (used on auxiliary sequences)."""
+    """Plain average of primal-dual points (used on auxiliary sequences).
+
+    A running sum in sequence order, started from zero and divided by the
+    count: bitwise equal to ``np.mean`` over the stacked points, in the
+    memory of one point instead of all of them.
+    """
     if not points:
         raise ValueError("cannot average zero points")
-    primal = tuple(
-        np.mean([p.primal[i] for p in points], axis=0)
-        for i in range(len(points[0].primal))
-    )
-    dual = np.mean([p.dual for p in points], axis=0)
-    return PrimalDualPoint(primal, dual)
+    primal = [np.zeros(x.shape) for x in points[0].primal]
+    dual = np.zeros(points[0].dual.shape)
+    for point in points:
+        for total, x in zip(primal, point.primal):
+            total += x
+        dual += point.dual
+    for total in (*primal, dual):
+        total /= len(points)
+    return PrimalDualPoint(tuple(primal), dual)
 
 
 def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
@@ -655,9 +676,10 @@ def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
     for probe in probes:
         check_probe_feasible(problem, probe)
         value = vi_operator(problem, probe)
+        probe_packed = _pack(probe)
         gap = (avg_objective - evaluate_objective(problem, probe)
-               + float((avg_packed - _pack(probe)) @ pack_vi_value(value)))
-        bound = weighted_norm_sq(metrics, _pack(probe) - start_packed, "h") / (2.0 * (t + 1))
+               + float((avg_packed - probe_packed) @ pack_vi_value(value)))
+        bound = weighted_norm_sq(metrics, probe_packed - start_packed, "h") / (2.0 * (t + 1))
         margins.append(bound - gap + inequality_slack(bound, gap))
     return _finish(name, margins, details={"num_probes": len(probes)},
                    iterations=t + 1)
@@ -677,17 +699,18 @@ def cross_term_check(trajectory: "TrajectoryRecord", p_m: SymmetricOperator,
     _require_trajectory(trajectory)
     if p_m.min_eigenvalue() < -EIG_ZERO_TOL:
         return _skipped(name, "last-block proximal metric is not positive semidefinite")
+    points = trajectory.points
     margins = []
     for k in range(1, trajectory.steps):
-        xm_prev = trajectory.points[k - 1].primal[-1]
-        xm_now = trajectory.points[k].primal[-1]
-        xm_next = trajectory.points[k + 1].primal[-1]
-        dy = trajectory.points[k].dual - trajectory.points[k + 1].dual
-        dx = xm_now - xm_next
+        if k == 1:
+            loss = 0.5 * p_m.quad(points[0].primal[-1] - points[1].primal[-1])
+        dx = points[k].primal[-1] - points[k + 1].primal[-1]
+        dy = points[k].dual - points[k + 1].dual
         lhs = float(dx @ a_m.adjoint(dy))
         gain = 0.5 * p_m.quad(dx)
-        loss = 0.5 * p_m.quad(xm_prev - xm_now)
         margins.append(lhs - gain + loss + inequality_slack(lhs, gain, loss))
+        # this step's last-block move is the next step's previous move
+        loss = gain
     return _finish(name, margins)
 
 
@@ -701,29 +724,34 @@ def update_recurrence_check(metrics: MetricMatrices,
     name = "update_recurrence"
     _require_trajectory(trajectory)
     margins = []
-    for k in range(trajectory.steps):
-        wk = _pack(trajectory.points[k])
-        wk1 = _pack(trajectory.points[k + 1])
-        wbar = _pack(trajectory.auxiliaries[k])
-        predicted = wk - apply_metric(metrics, "m", wk - wbar)
+    for k, wk, wk1 in _packed_steps(trajectory):
+        if k == 0:
+            norm_k = float(np.linalg.norm(wk))
+        norm_k1 = float(np.linalg.norm(wk1))
+        predicted = wk - apply_metric(metrics, "m", wk - _pack(trajectory.auxiliaries[k]))
         residual = float(np.linalg.norm(predicted - wk1))
-        scale = 1.0 + max(float(np.linalg.norm(wk)), float(np.linalg.norm(wk1)))
-        margins.append(SLACK_COEFF - residual / scale)
+        margins.append(SLACK_COEFF - residual / (1.0 + max(norm_k, norm_k1)))
+        norm_k = norm_k1
     return _finish(name, margins)
 
 
-def _step_inequality_terms(problem: BlockProblem, metrics: MetricMatrices,
-                           state: "IterationState",
-                           probe: PrimalDualPoint) -> tuple[float, float]:
-    if state.previous is None or state.auxiliary is None:
-        raise ValueError("state does not record a completed step")
-    check_probe_feasible(problem, probe)
-    wbar = state.auxiliary
-    diff = _pack(probe) - _pack(wbar)
-    value = vi_operator(problem, wbar)
-    lhs = (evaluate_objective(problem, probe) - evaluate_objective(problem, wbar)
-           + float(diff @ pack_vi_value(value)))
-    rhs = float(diff @ apply_metric(metrics, "q", _pack(state.previous) - _pack(wbar)))
+def _step_terms(problem: BlockProblem, metrics: MetricMatrices,
+                previous: PrimalDualPoint, auxiliary: PrimalDualPoint) -> tuple:
+    """The parts of the one-step inequality that every probe shares:
+    packed ``w_bar``, ``objective(u_bar)``, ``F(w_bar)`` and ``Q (w^k - w_bar)``."""
+    wbar = _pack(auxiliary)
+    value = vi_operator(problem, auxiliary)
+    return (wbar, evaluate_objective(problem, auxiliary), pack_vi_value(value),
+            apply_metric(metrics, "q", _pack(previous) - wbar))
+
+
+def _probe_terms(step_terms: tuple, probe_objective: float,
+                 probe_packed: np.ndarray) -> tuple[float, float]:
+    """Both sides of the one-step inequality at one feasible probe."""
+    wbar, wbar_objective, f_wbar, q_step = step_terms
+    diff = probe_packed - wbar
+    lhs = probe_objective - wbar_objective + float(diff @ f_wbar)
+    rhs = float(diff @ q_step)
     return lhs, rhs
 
 
@@ -737,7 +765,12 @@ def step_inequality_probe(problem: BlockProblem, metrics: MetricMatrices,
     the inequality says this is nonnegative for every feasible ``w``,
     with no positivity preconditions on the metrics.
     """
-    lhs, rhs = _step_inequality_terms(problem, metrics, state, probe)
+    if state.previous is None or state.auxiliary is None:
+        raise ValueError("state does not record a completed step")
+    check_probe_feasible(problem, probe)
+    lhs, rhs = _probe_terms(
+        _step_terms(problem, metrics, state.previous, state.auxiliary),
+        evaluate_objective(problem, probe), _pack(probe))
     return lhs - rhs
 
 
@@ -751,25 +784,21 @@ def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
     is exact per step, so sampling loses nothing structurally); each margin
     gets the usual scale-aware slack.
     """
-    from .solver import IterationState
-
     name = "step_inequality"
     _require_trajectory(trajectory)
     if trajectory.steps < 1:
         return _finish(name, [])
     count = min(max_samples, trajectory.steps)
     sample = np.unique(np.linspace(0, trajectory.steps - 1, count).astype(int))
+    for probe in probes:
+        check_probe_feasible(problem, probe)
+    probe_terms = [(evaluate_objective(problem, probe), _pack(probe)) for probe in probes]
     margins = []
     for k in sample:
-        state = IterationState(
-            k=int(k) + 1,
-            current=trajectory.points[k + 1],
-            auxiliary=trajectory.auxiliaries[k],
-            previous=trajectory.points[k],
-            first_step_norms=None,
-        )
-        for probe in probes:
-            lhs, rhs = _step_inequality_terms(problem, metrics, state, probe)
+        terms = _step_terms(problem, metrics, trajectory.points[k],
+                            trajectory.auxiliaries[k])
+        for probe_objective, probe_packed in probe_terms:
+            lhs, rhs = _probe_terms(terms, probe_objective, probe_packed)
             margins.append(lhs - rhs + inequality_slack(lhs, rhs))
     details = {"sampled_iterations": [int(k) for k in sample],
                "num_probes": len(probes)}

@@ -24,6 +24,7 @@ win. Exit codes are a stable contract: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 import time
@@ -104,6 +105,11 @@ _DEFAULTS = {
 # the strict value used for certification
 BENCHMARK_SIGMA = 0.5
 CERTIFY_SIGMA = 4.0
+
+# pinned to 1 in sweep workers, so that workers times BLAS threads stays
+# within the cores the pool is sized for
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
 
 _BOOL_WORDS = {
     "true": True, "1": True, "yes": True, "on": True,
@@ -334,14 +340,40 @@ def _spearman(xs: list, ys: list) -> float:
     return float(rx @ ry) / denom if denom else 0.0
 
 
+def _spawn_map(function, tasks: list, workers: int) -> list:
+    """``map`` over a pool of freshly spawned processes with single-threaded BLAS.
+
+    The thread variables are set in this process's environment while the
+    workers start, so each worker's BLAS reads them when it first loads
+    (forked workers would inherit this process's BLAS as it is), and
+    restored afterwards.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(function, tasks))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_gamma_sweep(settings: dict) -> int:
     """Sweep the relaxation factor over a grid with repeated seeds.
 
-    Each (grid value, seed) cell is an independent solve, run in a process
-    pool; per-value means land in ``sweep.csv`` with columns ``gamma``,
-    ``mean_iterations``, ``mean_seconds``, ``mean_objective``, and the
-    sweep configuration plus the rank correlation between the grid and the
-    mean iteration counts land in ``summary.json``.
+    Each (grid value, seed) cell is an independent solve, run in a pool of
+    spawned processes with single-threaded BLAS; per-value means land in
+    ``sweep.csv`` with columns ``gamma``, ``mean_iterations``,
+    ``mean_seconds``, ``mean_objective``, and the sweep configuration plus
+    the rank correlation between the grid and the mean iteration counts
+    land in ``summary.json``. A script that calls this must guard its own
+    entry point with ``if __name__ == "__main__"``, because spawned workers
+    import the main module.
 
     Parameters
     ----------
@@ -364,8 +396,7 @@ def run_gamma_sweep(settings: dict) -> int:
     ]
     workers = settings["workers"] or min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_sweep_cell, tasks))
+        cells = _spawn_map(_sweep_cell, tasks, workers)
     else:
         cells = [_sweep_cell(task) for task in tasks]
 

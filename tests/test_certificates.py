@@ -1,10 +1,14 @@
 """Metric matrices and the runtime inequality checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lgadmm import certificates
 from lgadmm.calibration import build_problem, default_metrics, generate_instance
 from lgadmm.certificates import (
+    SLACK_COEFF,
     ProbeFeasibilityError,
     apply_metric,
     assemble_metrics,
@@ -13,6 +17,7 @@ from lgadmm.certificates import (
     ergodic_average,
     ergodic_gap_check,
     fejer_check,
+    first_phase_apply,
     first_phase_min_eig_estimate,
     inequality_slack,
     last_condition_min_eig_estimate,
@@ -25,7 +30,14 @@ from lgadmm.certificates import (
     weighted_norm_sq,
 )
 from lgadmm.operators import DenseSymmetric, ScaledIdentity
-from lgadmm.problem import PrimalDualPoint, feasible_probe, zeros_point
+from lgadmm.problem import (
+    PrimalDualPoint,
+    evaluate_objective,
+    feasible_probe,
+    pack_vi_value,
+    vi_operator,
+    zeros_point,
+)
 from lgadmm.solver import (
     IterationState,
     SolverConfig,
@@ -164,6 +176,23 @@ def test_default_metrics_take_preconditions_from_validation(strict_setup):
     assert metrics.h_min_eig is None
 
 
+def test_first_phase_apply_matches_stacked_sum(strict_setup):
+    problem = strict_setup.problem
+    prox, rho = strict_setup.config.proximal_metrics, strict_setup.config.rho
+    blocks = problem.blocks[:-1]
+    rng = np.random.default_rng(14)
+    r = rng.standard_normal(sum(block.dim for block in blocks))
+    r[0] = -0.0
+    pieces = np.split(r, np.cumsum([block.dim for block in blocks])[:-1])
+    images = [block.linear_map.apply(x) for block, x in zip(blocks, pieces)]
+    total = np.sum(images, axis=0)
+    expected = np.concatenate([
+        prox[i].apply(x) - rho * block.linear_map.adjoint(total - images[i])
+        for i, (block, x) in enumerate(zip(blocks, pieces))])
+    got = first_phase_apply(problem, prox, rho, r)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_first_phase_min_eig_paths():
     problem, config = two_block_hand_config()
     value, method = first_phase_min_eig_estimate(
@@ -267,6 +296,40 @@ def test_ergodic_average_shapes():
     assert midpoint.dual == pytest.approx(3.0)
     with pytest.raises(ValueError):
         ergodic_average([])
+
+
+def random_points(rng, count, dims):
+    return [PrimalDualPoint(tuple(rng.standard_normal(d) for d in dims[:-1]),
+                            rng.standard_normal(dims[-1]))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("count, dims", [
+    (1, (3, 2, 4)), (2, (1, 1, 1)), (17, (5, 9, 6)), (300, (40, 40, 25))])
+def test_ergodic_average_is_bitwise_mean(count, dims):
+    points = random_points(np.random.default_rng(count), count, dims)
+    for point in points:
+        point.primal[0][0] = -0.0  # np.mean sums from +0.0
+    average = ergodic_average(points)
+    for i in range(len(dims) - 1):
+        expected = np.mean([p.primal[i] for p in points], axis=0)
+        assert average.primal[i].tobytes() == expected.tobytes()
+    expected = np.mean([p.dual for p in points], axis=0)
+    assert average.dual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("count", [10, 400])
+def test_ergodic_average_memory_is_independent_of_length(count):
+    dims = (2000, 2000, 1000)
+    points = random_points(np.random.default_rng(0), count, dims)
+    point_bytes = 8 * sum(dims)
+    tracemalloc.start()
+    try:
+        ergodic_average(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * point_bytes
 
 
 def test_ergodic_average_feasibility_bounded_by_worst(small_problem, small_instance):
@@ -393,6 +456,96 @@ def test_step_inequality_check_rejects_infeasible_probe(strict_setup):
     with pytest.raises(ProbeFeasibilityError):
         step_inequality_check(strict_setup.problem, strict_setup.metrics,
                               strict_setup.trajectory, [bad], max_samples=2)
+
+
+def test_replay_matches_direct_per_step_evaluation(strict_setup):
+    metrics, trajectory = strict_setup.metrics, strict_setup.trajectory
+    problem, reference = strict_setup.problem, strict_setup.reference
+
+    def pack(point):
+        return np.concatenate([*point.primal, point.dual])
+
+    w = [pack(p) for p in trajectory.points]
+    wbar = [pack(p) for p in trajectory.auxiliaries]
+    ref = pack(reference)
+    steps = range(trajectory.steps)
+
+    fejer = []
+    for k in steps:
+        before = weighted_norm_sq(metrics, w[k] - ref, "h")
+        decrease = weighted_norm_sq(metrics, w[k] - wbar[k], "n")
+        after = weighted_norm_sq(metrics, w[k + 1] - ref, "h")
+        fejer.append(before - decrease - after
+                     + inequality_slack(before, decrease, after))
+    lengths = [weighted_norm_sq(metrics, w[k] - w[k + 1], "h") for k in steps]
+    monotone = [lengths[k] - lengths[k + 1] + inequality_slack(lengths[k], lengths[k + 1])
+                for k in range(len(lengths) - 1)]
+    p_m = metrics.prox[-1]
+    xm = [p.primal[-1] for p in trajectory.points]
+    constant = (weighted_norm_sq(metrics, w[0] - ref, "h") / sigma_gamma(metrics.gamma)
+                + p_m.quad(xm[0] - xm[1]))
+    rate = [constant - t * lengths[t] + inequality_slack(constant, t * lengths[t])
+            for t in range(1, len(lengths))]
+    recurrence = []
+    for k in steps:
+        predicted = w[k] - apply_metric(metrics, "m", w[k] - wbar[k])
+        residual = float(np.linalg.norm(predicted - w[k + 1]))
+        scale = 1.0 + max(float(np.linalg.norm(w[k])), float(np.linalg.norm(w[k + 1])))
+        recurrence.append(SLACK_COEFF - residual / scale)
+    cross = []
+    for k in range(1, trajectory.steps):
+        dx = xm[k] - xm[k + 1]
+        dy = trajectory.points[k].dual - trajectory.points[k + 1].dual
+        lhs = float(dx @ metrics.maps[-1].adjoint(dy))
+        gain = 0.5 * p_m.quad(dx)
+        loss = 0.5 * p_m.quad(xm[k - 1] - xm[k])
+        cross.append(lhs - gain + loss + inequality_slack(lhs, gain, loss))
+    probes = [feasible_probe(problem, np.random.default_rng(12)) for _ in range(3)]
+    inequality = []
+    sampled = np.unique(np.linspace(0, trajectory.steps - 1, 7).astype(int))
+    for k in sampled:
+        for probe in probes:
+            diff = pack(probe) - wbar[k]
+            value = vi_operator(problem, trajectory.auxiliaries[k])
+            lhs = (evaluate_objective(problem, probe)
+                   - evaluate_objective(problem, trajectory.auxiliaries[k])
+                   + float(diff @ pack_vi_value(value)))
+            rhs = float(diff @ apply_metric(metrics, "q", w[k] - wbar[k]))
+            inequality.append(lhs - rhs + inequality_slack(lhs, rhs))
+
+    reports = [
+        (fejer_check(metrics, trajectory, reference), fejer),
+        (nonergodic_monotonicity_check(metrics, trajectory), monotone),
+        (nonergodic_rate_check(metrics, trajectory, reference), rate),
+        (update_recurrence_check(metrics, trajectory), recurrence),
+        (cross_term_check(trajectory, p_m, metrics.maps[-1]), cross),
+        (step_inequality_check(problem, metrics, trajectory, probes,
+                               max_samples=7), inequality),
+    ]
+    for report, margins in reports:
+        assert report.iterations_checked == len(margins), report.check
+        assert report.worst_margin == min(margins), report.check
+        assert report.details["worst_index"] == int(np.argmin(margins)), report.check
+    assert reports[2][0].details["tightest_t"] == int(np.argmin(rate)) + 1
+
+
+def test_step_inequality_check_shares_work_across_probes_and_steps(
+        strict_setup, monkeypatch):
+    calls = {"check_probe_feasible": 0, "vi_operator": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(certificates, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(certificates, name, counted)
+    rng = np.random.default_rng(13)
+    probes = [feasible_probe(strict_setup.problem, rng) for _ in range(4)]
+    report = step_inequality_check(strict_setup.problem, strict_setup.metrics,
+                                   strict_setup.trajectory, probes,
+                                   max_samples=6)
+    assert report.passed
+    assert calls == {"check_probe_feasible": len(probes),
+                     "vi_operator": len(report.details["sampled_iterations"])}
 
 
 def test_report_serialization(strict_setup):

@@ -114,6 +114,19 @@ def test_gamma_sweep_single_cell_matches_solve(tmp_path):
     assert summary["all_converged"] is True
 
 
+def test_sweep_pool_workers_start_with_single_threaded_blas(monkeypatch):
+    import pool_probe
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    names = list(cli._BLAS_THREAD_VARIABLES)
+    seen = cli._spawn_map(pool_probe.worker_view, names, 2)
+    # pinned before the worker has imported numpy, so its BLAS reads it
+    assert seen == [("1", False)] * len(names)
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
 def test_gamma_sweep_rejects_grid_outside_range(tmp_path):
     proc = run_cli(["gamma-sweep", "--n", "6", "--gamma-grid", "0.5,2.0",
                     "--out", str(tmp_path / "run")])
