@@ -15,8 +15,11 @@ block, multiplier):
 ``N = Q' + Q - M'H M`` is block diagonal and measures the per-step
 decrease. The checks need only products with these matrices, evaluated
 matrix-free; dense realisations exist only under ``assemble_metrics(...,
-mode="dense")``. The spectral conditions the checks are gated on come from
-the estimators below, which ``validate_config`` shares.
+mode="dense")``. The spectral conditions the checks are gated on (the
+coupled first-phase metric and ``P_m + (rho/gamma) A_m'A_m`` positive
+definite, ``P_m`` positive semidefinite) are read from the
+``ValidationReport`` of ``validate_config``, the one place that computes
+them; this module depends on the solver, never the reverse.
 
 Every certificate below evaluates one provable inequality on a
 recorded trajectory, with an explicit scale-aware slack for floating-point
@@ -27,24 +30,30 @@ recorded reason, never silently passed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .operators import LinearMap, SymmetricOperator, _power_min_eigenvalue, gram_min_eigenvalue
+from .operators import LinearMap, SymmetricOperator
 from .problem import (
     BlockProblem,
     PrimalDualPoint,
-    ViOperatorValue,
     evaluate_objective,
+    pack_point,
     pack_vi_value,
     vi_operator,
 )
-
-if TYPE_CHECKING:
-    from .solver import IterationState, SolverConfig, TrajectoryRecord
+from .solver import (
+    EIG_ZERO_TOL,
+    IterationState,
+    SolverConfig,
+    TrajectoryRecord,
+    ValidationReport,
+    first_phase_apply,
+    first_phase_dense,
+    validate_config,
+)
 
 __all__ = [
     "DENSE_DIM_CAP",
@@ -72,12 +81,6 @@ __all__ = [
 
 # Largest total dimension ``assemble_metrics(..., mode="dense")`` accepts.
 DENSE_DIM_CAP = 5000
-
-# Up to this dimension the spectral estimators below use an exact dense
-# eigenvalue; above it, a power-iteration estimate.
-VALIDATION_DENSE_CAP = 1024
-
-EIG_ZERO_TOL = 1e-10
 
 SLACK_COEFF = 1e-8
 
@@ -107,100 +110,16 @@ def sigma_gamma(gamma: float) -> float:
     return min((2.0 - gamma) / gamma, 1.0)
 
 
-def _pack(point: PrimalDualPoint) -> np.ndarray:
-    return np.concatenate([*point.primal, point.dual])
-
-
-def _packed_steps(trajectory: "TrajectoryRecord"):
+def _packed_steps(problem: BlockProblem, trajectory: TrajectoryRecord):
     """Yield ``(k, w^k, w^{k+1})`` packed, packing each point once.
 
     The window slides, so at most two packed points are alive at a time.
     """
-    current = _pack(trajectory.points[0])
+    current = pack_point(problem, trajectory.points[0])
     for k in range(trajectory.steps):
-        following = _pack(trajectory.points[k + 1])
+        following = pack_point(problem, trajectory.points[k + 1])
         yield k, current, following
         current = following
-
-
-# ---------------------------------------------------------------------------
-# First-phase coupled metric, shared with solver validation.
-
-def first_phase_apply(problem: BlockProblem, prox: Sequence[SymmetricOperator],
-                      rho: float, r: np.ndarray) -> np.ndarray:
-    """Apply the coupled first-phase metric (prox metrics on the diagonal,
-    ``-rho A_i'A_j`` off it) to a concatenated first-phase vector."""
-    blocks = problem.blocks[:-1]
-    pieces = []
-    offset = 0
-    for block in blocks:
-        pieces.append(r[offset:offset + block.dim])
-        offset += block.dim
-    images = [block.linear_map.apply(x) for block, x in zip(blocks, pieces)]
-    # in place from zero, bitwise as np.sum(images, axis=0) without its stacked copy
-    total = np.zeros(problem.constraint_dim)
-    for image in images:
-        total += image
-    out = []
-    for i, (block, x) in enumerate(zip(blocks, pieces)):
-        out.append(prox[i].apply(x) - rho * block.linear_map.adjoint(total - images[i]))
-    return np.concatenate(out)
-
-
-def first_phase_dense(problem: BlockProblem, prox: Sequence[SymmetricOperator],
-                      rho: float) -> np.ndarray:
-    """Materialise the coupled first-phase metric."""
-    blocks = problem.blocks[:-1]
-    dims = [block.dim for block in blocks]
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    out = np.zeros((offsets[-1], offsets[-1]))
-    dense_maps = [block.linear_map.dense() for block in blocks]
-    for i, block in enumerate(blocks):
-        sl = slice(offsets[i], offsets[i + 1])
-        out[sl, sl] = prox[i].dense()
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            cross = -rho * (dense_maps[i].T @ dense_maps[j])
-            out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = cross
-            out[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = cross.T
-    return out
-
-
-def first_phase_min_eig_estimate(problem: BlockProblem,
-                                 prox: Sequence[SymmetricOperator],
-                                 rho: float,
-                                 dense_cap: int = VALIDATION_DENSE_CAP) -> tuple[float, str]:
-    """Smallest eigenvalue of the coupled first-phase metric, with method tag."""
-    first_dim = sum(block.dim for block in problem.blocks[:-1])
-    if problem.num_blocks == 2:
-        # No couplings: the metric is the first block's prox metric itself.
-        return prox[0].min_eigenvalue(), "operator"
-    if first_dim <= dense_cap:
-        dense = first_phase_dense(problem, prox, rho)
-        return float(np.linalg.eigvalsh(dense)[0]), "dense"
-    value = _power_min_eigenvalue(
-        lambda r: first_phase_apply(problem, prox, rho, r), first_dim)
-    return value, "power"
-
-
-def last_condition_min_eig_estimate(problem: BlockProblem,
-                                    p_m: SymmetricOperator,
-                                    rho: float, gamma: float,
-                                    dense_cap: int = VALIDATION_DENSE_CAP) -> tuple[float, str]:
-    """Smallest eigenvalue of ``P_m + (rho/gamma) A_m'A_m``, with method tag."""
-    last = problem.blocks[-1]
-    coeff = rho / gamma
-    bound = p_m.min_eigenvalue() + coeff * gram_min_eigenvalue(last.linear_map)
-    if bound > EIG_ZERO_TOL:
-        return bound, "bound"
-    if last.dim <= dense_cap:
-        am = last.linear_map.dense()
-        dense = p_m.dense() + coeff * (am.T @ am)
-        return float(np.linalg.eigvalsh(dense)[0]), "dense"
-    value = _power_min_eigenvalue(
-        lambda x: p_m.apply(x) + coeff * last.linear_map.adjoint(last.linear_map.apply(x)),
-        last.dim)
-    return value, "power"
 
 
 # ---------------------------------------------------------------------------
@@ -210,30 +129,39 @@ def last_condition_min_eig_estimate(problem: BlockProblem,
 class MetricMatrices:
     """The certificate metrics for one (problem, config) pair.
 
-    Every check uses the structural (matrix-free) evaluators. Dense
-    realisations (``g1``, ``q``, ``m_mat``, ``h``, ``n_mat``) are present
-    only under ``mode="dense"``, and so is ``h_min_eig``. ``strict_ok``
-    records whether the matrix conditions behind the contraction
-    certificates hold for this configuration.
+    Every check uses the structural (matrix-free) evaluators. The spectral
+    preconditions are the ones ``validate_config`` established, kept in
+    ``validation``. Dense realisations (``g1``, ``q``, ``m_mat``, ``h``,
+    ``n_mat``) and ``h_min_eig`` are present only under ``mode="dense"``.
     """
 
-    rho: float
-    gamma: float
-    prox: tuple[SymmetricOperator, ...]
-    maps: tuple[LinearMap, ...]
-    block_dims: tuple[int, ...]
-    constraint_dim: int
-    g1_min_eig: float
-    g1_method: str
-    last_condition_min_eig: float
-    last_condition_method: str
-    p_m_min_eig: float
-    h_min_eig: float | None
+    problem: BlockProblem
+    config: SolverConfig
+    validation: ValidationReport
     n_min_eig: float
-    strict_ok: bool
-    strict_reason: str | None
+    h_min_eig: float | None = None
     dense: dict[str, np.ndarray] | None = None
-    _problem: BlockProblem = field(repr=False, default=None)
+
+    @property
+    def strict_ok(self) -> bool:
+        """Whether the matrix conditions behind the contraction
+        certificates hold for this configuration."""
+        return (self.validation.first_phase_positive
+                and self.validation.last_condition_min_eig > EIG_ZERO_TOL)
+
+    @property
+    def strict_reason(self) -> str | None:
+        if self.strict_ok:
+            return None
+        v = self.validation
+        pieces = []
+        if not v.first_phase_positive:
+            pieces.append(f"coupled first-phase metric min eigenvalue "
+                          f"{v.first_phase_min_eig:.6g} ({v.first_phase_method})")
+        if v.last_condition_min_eig <= EIG_ZERO_TOL:
+            pieces.append(f"last-block condition min eigenvalue "
+                          f"{v.last_condition_min_eig:.6g} ({v.last_condition_method})")
+        return "configuration outside provable territory: " + "; ".join(pieces)
 
     @property
     def matrix_free(self) -> bool:
@@ -261,24 +189,20 @@ class MetricMatrices:
 
     @property
     def first_dim(self) -> int:
-        return sum(self.block_dims[:-1])
+        return sum(self.problem.block_dims[:-1])
 
     @property
     def total_dim(self) -> int:
-        return sum(self.block_dims) + self.constraint_dim
+        return self.problem.total_dim
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         first = self.first_dim
-        last = first + self.block_dims[-1]
+        last = first + self.problem.block_dims[-1]
         return v[:first], v[first:last], v[last:]
 
     def to_dict(self) -> dict:
+        """What the metrics add to ``validation``."""
         return {
-            "g1_min_eig": self.g1_min_eig,
-            "g1_method": self.g1_method,
-            "last_condition_min_eig": self.last_condition_min_eig,
-            "last_condition_method": self.last_condition_method,
-            "p_m_min_eig": self.p_m_min_eig,
             "h_min_eig": self.h_min_eig,
             "n_min_eig": self.n_min_eig,
             "strict_ok": self.strict_ok,
@@ -287,13 +211,13 @@ class MetricMatrices:
         }
 
 
-def assemble_metrics(problem: BlockProblem, config: "SolverConfig",
+def assemble_metrics(problem: BlockProblem, config: SolverConfig,
                      mode: str = "matrix_free") -> MetricMatrices:
     """Build the certificate metrics; matrix-free unless ``mode="dense"``.
 
-    The spectral conditions come from the estimators ``validate_config``
-    uses. ``N`` is block diagonal, so ``n_min_eig`` is
-    ``min(g1, P_m, (2 - gamma)/rho)``; ``h_min_eig`` stays ``None``.
+    The spectral conditions come from ``validate_config``. ``N`` is block
+    diagonal, so ``n_min_eig`` is ``min(g1, P_m, (2 - gamma)/rho)``;
+    ``h_min_eig`` stays ``None``.
 
     ``mode="dense"`` (total dimension up to ``DENSE_DIM_CAP``) materialises
     Q, M, H and N as a reference for small problems. It cross-checks the
@@ -306,111 +230,78 @@ def assemble_metrics(problem: BlockProblem, config: "SolverConfig",
     """
     if mode not in ("dense", "matrix_free"):
         raise ValueError(f"unknown mode {mode!r}")
-    rho, gamma = config.rho, config.gamma
-    if not 0.0 < gamma < 2.0:
-        raise ValueError(f"gamma must lie strictly between 0 and 2, got {gamma}")
-    prox = tuple(config.proximal_metrics)
-    if len(prox) != problem.num_blocks:
-        raise ValueError(f"{len(prox)} proximal metrics for {problem.num_blocks} blocks")
-    maps = tuple(block.linear_map for block in problem.blocks)
     total_dim = problem.total_dim
     if mode == "dense" and total_dim > DENSE_DIM_CAP:
         raise ValueError(
             f"total dimension {total_dim} exceeds the dense cap {DENSE_DIM_CAP}")
+    validation = validate_config(problem, config)
+    rho, gamma = config.rho, config.gamma
+    metrics = MetricMatrices(
+        problem=problem, config=config, validation=validation,
+        n_min_eig=min(validation.first_phase_min_eig,
+                      validation.last_metric_min_eig, (2.0 - gamma) / rho))
+    if mode == "matrix_free":
+        return metrics
 
-    p_m = prox[-1]
-    p_m_min = p_m.min_eigenvalue()
-    g1_min, g1_method = first_phase_min_eig_estimate(problem, prox, rho)
-    last_cond, last_method = last_condition_min_eig_estimate(
-        problem, p_m, rho, gamma)
+    prox = config.proximal_metrics
+    first = metrics.first_dim
+    last_dim = problem.block_dims[-1]
+    ell = problem.constraint_dim
+    fp = slice(0, first)
+    lb = slice(first, first + last_dim)
+    du = slice(first + last_dim, first + last_dim + ell)
 
-    dense = None
-    h_min = None
-    n_min = min(g1_min, p_m_min, (2.0 - gamma) / rho)
-    if mode == "dense":
-        first = sum(problem.block_dims[:-1])
-        last_dim = problem.block_dims[-1]
-        ell = problem.constraint_dim
-        fp = slice(0, first)
-        lb = slice(first, first + last_dim)
-        du = slice(first + last_dim, first + last_dim + ell)
+    g1 = first_phase_dense(problem, prox, rho)
+    am = problem.blocks[-1].linear_map.dense()
+    gram_m = am.T @ am
+    pm_dense = prox[-1].dense()
+    eye_ell = np.eye(ell)
 
-        g1 = first_phase_dense(problem, prox, rho)
-        am = maps[-1].dense()
-        gram_m = am.T @ am
-        pm_dense = p_m.dense()
-        eye_ell = np.eye(ell)
+    q = np.zeros((total_dim, total_dim))
+    q[fp, fp] = g1
+    q[lb, lb] = rho * gram_m + pm_dense
+    q[lb, du] = (1.0 - gamma) * am.T
+    q[du, lb] = -am
+    q[du, du] = eye_ell / rho
 
-        q = np.zeros((total_dim, total_dim))
-        q[fp, fp] = g1
-        q[lb, lb] = rho * gram_m + pm_dense
-        q[lb, du] = (1.0 - gamma) * am.T
-        q[du, lb] = -am
-        q[du, du] = eye_ell / rho
+    m_mat = np.eye(total_dim)
+    m_mat[du, lb] = -rho * am
+    m_mat[du, du] = gamma * eye_ell
 
-        m_mat = np.eye(total_dim)
-        m_mat[du, lb] = -rho * am
-        m_mat[du, du] = gamma * eye_ell
+    h = np.zeros((total_dim, total_dim))
+    h[fp, fp] = g1
+    h[lb, lb] = pm_dense + (rho / gamma) * gram_m
+    h[lb, du] = ((1.0 - gamma) / gamma) * am.T
+    h[du, lb] = ((1.0 - gamma) / gamma) * am
+    h[du, du] = eye_ell / (gamma * rho)
 
-        h = np.zeros((total_dim, total_dim))
-        h[fp, fp] = g1
-        h[lb, lb] = pm_dense + (rho / gamma) * gram_m
-        h[lb, du] = ((1.0 - gamma) / gamma) * am.T
-        h[du, lb] = ((1.0 - gamma) / gamma) * am
-        h[du, du] = eye_ell / (gamma * rho)
+    n_mat = np.zeros((total_dim, total_dim))
+    n_mat[fp, fp] = g1
+    n_mat[lb, lb] = pm_dense
+    n_mat[du, du] = ((2.0 - gamma) / rho) * eye_ell
 
-        n_mat = np.zeros((total_dim, total_dim))
-        n_mat[fp, fp] = g1
-        n_mat[lb, lb] = pm_dense
-        n_mat[du, du] = ((2.0 - gamma) / rho) * eye_ell
+    scale = 1.0 + max(np.abs(q).max(), np.abs(h).max(), np.abs(m_mat).max())
+    factor_defect = np.abs(q - h @ m_mat).max()
+    if factor_defect > 1e-12 * scale:
+        raise MetricConsistencyError(
+            f"Q does not factor as H M (defect {factor_defect:.3e})")
+    n_from_identity = q.T + q - m_mat.T @ h @ m_mat
+    n_defect = np.abs(n_from_identity - n_mat).max()
+    if n_defect > 1e-10 * scale:
+        raise MetricConsistencyError(
+            f"the two constructions of N disagree (defect {n_defect:.3e})")
 
-        scale = 1.0 + max(np.abs(q).max(), np.abs(h).max(), np.abs(m_mat).max())
-        factor_defect = np.abs(q - h @ m_mat).max()
-        if factor_defect > 1e-12 * scale:
-            raise MetricConsistencyError(
-                f"Q does not factor as H M (defect {factor_defect:.3e})")
-        n_from_identity = q.T + q - m_mat.T @ h @ m_mat
-        n_defect = np.abs(n_from_identity - n_mat).max()
-        if n_defect > 1e-10 * scale:
-            raise MetricConsistencyError(
-                f"the two constructions of N disagree (defect {n_defect:.3e})")
-
-        h_min = float(np.linalg.eigvalsh(h)[0])
-        n_min = float(np.linalg.eigvalsh(n_mat)[0])
-        dense = {"g1": g1, "q": q, "m": m_mat, "h": h, "n": n_mat}
-
-    strict_ok = g1_min > EIG_ZERO_TOL and last_cond > EIG_ZERO_TOL
-    strict_reason = None
-    if not strict_ok:
-        pieces = []
-        if g1_min <= EIG_ZERO_TOL:
-            pieces.append(
-                f"coupled first-phase metric min eigenvalue {g1_min:.6g} ({g1_method})")
-        if last_cond <= EIG_ZERO_TOL:
-            pieces.append(
-                f"last-block condition min eigenvalue {last_cond:.6g} ({last_method})")
-        strict_reason = ("configuration outside provable territory: "
-                         + "; ".join(pieces))
-
-    if mode == "dense" and strict_ok:
+    metrics.h_min_eig = float(np.linalg.eigvalsh(h)[0])
+    metrics.n_min_eig = float(np.linalg.eigvalsh(n_mat)[0])
+    metrics.dense = {"g1": g1, "q": q, "m": m_mat, "h": h, "n": n_mat}
+    if metrics.strict_ok and (metrics.h_min_eig <= 0 or metrics.n_min_eig <= 0):
         # Positive definiteness of the first-phase metric propagates to H
         # and N for any relaxation factor in (0, 2); a violation here would
         # be an assembly bug, not a property of the input.
-        if h_min <= 0 or n_min <= 0:
-            raise MetricConsistencyError(
-                f"H or N lost positive definiteness (h {h_min:.3e}, n {n_min:.3e}) "
-                "despite a positive definite first-phase metric")
-
-    return MetricMatrices(
-        rho=rho, gamma=gamma, prox=prox, maps=maps,
-        block_dims=problem.block_dims, constraint_dim=problem.constraint_dim,
-        dense=dense,
-        g1_min_eig=g1_min, g1_method=g1_method,
-        last_condition_min_eig=last_cond, last_condition_method=last_method,
-        p_m_min_eig=p_m_min, h_min_eig=h_min, n_min_eig=n_min,
-        strict_ok=strict_ok, strict_reason=strict_reason,
-        _problem=problem,
-    )
+        raise MetricConsistencyError(
+            f"H or N lost positive definiteness (h {metrics.h_min_eig:.3e}, "
+            f"n {metrics.n_min_eig:.3e}) despite a positive definite first-phase metric")
+    return metrics
 
 
 def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray) -> np.ndarray:
@@ -420,17 +311,17 @@ def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray) -> np.ndarr
     full-space vector.
     """
     r, xm, y = metrics.split(v)
-    problem = metrics._problem
-    rho, gamma = metrics.rho, metrics.gamma
-    a_m = metrics.maps[-1]
-    p_m = metrics.prox[-1]
+    problem, prox = metrics.problem, metrics.config.proximal_metrics
+    rho, gamma = metrics.config.rho, metrics.config.gamma
+    a_m = problem.blocks[-1].linear_map
+    p_m = prox[-1]
     if which == "m":
         # M is the identity outside the multiplier block: no first-phase product
         am_x = a_m.apply(xm)
         return np.concatenate([r, xm, -rho * am_x + gamma * y])
     if which not in ("h", "n", "q"):
         raise ValueError(f"unknown metric {which!r}")
-    g1_r = (first_phase_apply(problem, metrics.prox, rho, r)
+    g1_r = (first_phase_apply(problem, prox, rho, r)
             if r.size else r)
     if which == "h":
         am_x = a_m.apply(xm)
@@ -460,10 +351,11 @@ def weighted_norm_sq(metrics: MetricMatrices, v: np.ndarray, which: str) -> floa
     if which == "g1":
         if not r.size:
             return 0.0
-        return float(r @ first_phase_apply(metrics._problem, metrics.prox,
-                                           metrics.rho, r))
+        config = metrics.config
+        return float(r @ first_phase_apply(metrics.problem, config.proximal_metrics,
+                                           config.rho, r))
     if which == "p_m":
-        return metrics.prox[-1].quad(xm)
+        return metrics.config.proximal_metrics[-1].quad(xm)
     raise ValueError(f"unknown metric {which!r}")
 
 
@@ -548,7 +440,7 @@ def check_probe_feasible(problem: BlockProblem, point: PrimalDualPoint,
                 f"(projection distance {dist:.3e})")
 
 
-def fejer_check(metrics: MetricMatrices, trajectory: "TrajectoryRecord",
+def fejer_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
                 reference: PrimalDualPoint) -> CertificateReport:
     """Per-step contraction toward ``reference`` in the H-norm.
 
@@ -562,12 +454,14 @@ def fejer_check(metrics: MetricMatrices, trajectory: "TrajectoryRecord",
     _require_trajectory(trajectory)
     if not metrics.strict_ok:
         return _skipped(name, metrics.strict_reason)
-    ref = _pack(reference)
+    problem = metrics.problem
+    ref = pack_point(problem, reference)
     margins = []
-    for k, wk, wk1 in _packed_steps(trajectory):
+    for k, wk, wk1 in _packed_steps(problem, trajectory):
         if k == 0:
             before = weighted_norm_sq(metrics, wk - ref, "h")
-        decrease = weighted_norm_sq(metrics, wk - _pack(trajectory.auxiliaries[k]), "n")
+        decrease = weighted_norm_sq(
+            metrics, wk - pack_point(problem, trajectory.auxiliaries[k]), "n")
         after = weighted_norm_sq(metrics, wk1 - ref, "h")
         margins.append(before - decrease - after
                        + inequality_slack(before, decrease, after))
@@ -577,7 +471,7 @@ def fejer_check(metrics: MetricMatrices, trajectory: "TrajectoryRecord",
 
 
 def nonergodic_monotonicity_check(metrics: MetricMatrices,
-                                  trajectory: "TrajectoryRecord") -> CertificateReport:
+                                  trajectory: TrajectoryRecord) -> CertificateReport:
     """The H-weighted step length never increases from one step to the next.
 
     Needs the strict matrix conditions and a positive semidefinite
@@ -587,7 +481,7 @@ def nonergodic_monotonicity_check(metrics: MetricMatrices,
     _require_trajectory(trajectory)
     if not metrics.strict_ok:
         return _skipped(name, metrics.strict_reason)
-    if metrics.p_m_min_eig < -EIG_ZERO_TOL:
+    if metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
         return _skipped(name, "last-block proximal metric is not positive semidefinite")
     steps = _h_step_lengths(metrics, trajectory)
     margins = [steps[k] - steps[k + 1] + inequality_slack(steps[k], steps[k + 1])
@@ -595,12 +489,12 @@ def nonergodic_monotonicity_check(metrics: MetricMatrices,
     return _finish(name, margins)
 
 
-def _h_step_lengths(metrics: MetricMatrices, trajectory: "TrajectoryRecord") -> list[float]:
+def _h_step_lengths(metrics: MetricMatrices, trajectory: TrajectoryRecord) -> list[float]:
     return [weighted_norm_sq(metrics, wk - wk1, "h")
-            for _, wk, wk1 in _packed_steps(trajectory)]
+            for _, wk, wk1 in _packed_steps(metrics.problem, trajectory)]
 
 
-def nonergodic_rate_check(metrics: MetricMatrices, trajectory: "TrajectoryRecord",
+def nonergodic_rate_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
                           reference: PrimalDualPoint) -> CertificateReport:
     """O(1/t) bound on the H-weighted squared step length.
 
@@ -612,14 +506,16 @@ def nonergodic_rate_check(metrics: MetricMatrices, trajectory: "TrajectoryRecord
     _require_trajectory(trajectory)
     if not metrics.strict_ok:
         return _skipped(name, metrics.strict_reason)
-    if metrics.p_m_min_eig < -EIG_ZERO_TOL:
+    if metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
         return _skipped(name, "last-block proximal metric is not positive semidefinite")
     if trajectory.steps < 1:
         return _finish(name, [])
-    sigma = sigma_gamma(metrics.gamma)
-    start_dist = weighted_norm_sq(metrics, _pack(trajectory.points[0]) - _pack(reference), "h")
+    problem, config = metrics.problem, metrics.config
+    sigma = sigma_gamma(config.gamma)
+    start_dist = weighted_norm_sq(metrics, pack_point(problem, trajectory.points[0])
+                                  - pack_point(problem, reference), "h")
     first_move = (trajectory.points[0].primal[-1] - trajectory.points[1].primal[-1])
-    constant = start_dist / sigma + metrics.prox[-1].quad(first_move)
+    constant = start_dist / sigma + config.proximal_metrics[-1].quad(first_move)
     steps = _h_step_lengths(metrics, trajectory)
     margins = []
     for t in range(1, len(steps)):
@@ -669,14 +565,14 @@ def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
         return _skipped(name, metrics.strict_reason)
     if t < 0:
         raise ValueError("t must be a nonnegative step index")
-    avg_packed = _pack(average)
-    start_packed = _pack(start)
+    avg_packed = pack_point(problem, average)
+    start_packed = pack_point(problem, start)
     avg_objective = evaluate_objective(problem, average)
     margins = []
     for probe in probes:
         check_probe_feasible(problem, probe)
         value = vi_operator(problem, probe)
-        probe_packed = _pack(probe)
+        probe_packed = pack_point(problem, probe)
         gap = (avg_objective - evaluate_objective(problem, probe)
                + float((avg_packed - probe_packed) @ pack_vi_value(value)))
         bound = weighted_norm_sq(metrics, probe_packed - start_packed, "h") / (2.0 * (t + 1))
@@ -685,7 +581,7 @@ def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
                    iterations=t + 1)
 
 
-def cross_term_check(trajectory: "TrajectoryRecord", p_m: SymmetricOperator,
+def cross_term_check(trajectory: TrajectoryRecord, p_m: SymmetricOperator,
                      a_m: LinearMap) -> CertificateReport:
     """Lower bound on the cross term between successive last-block moves and
     multiplier moves.
@@ -715,7 +611,7 @@ def cross_term_check(trajectory: "TrajectoryRecord", p_m: SymmetricOperator,
 
 
 def update_recurrence_check(metrics: MetricMatrices,
-                            trajectory: "TrajectoryRecord") -> CertificateReport:
+                            trajectory: TrajectoryRecord) -> CertificateReport:
     """Exact one-step recurrence: ``w^{k+1} = w^k - M (w^k - w_bar^k)``.
 
     An identity, not an inequality; margins are the slack minus the
@@ -723,12 +619,14 @@ def update_recurrence_check(metrics: MetricMatrices,
     """
     name = "update_recurrence"
     _require_trajectory(trajectory)
+    problem = metrics.problem
     margins = []
-    for k, wk, wk1 in _packed_steps(trajectory):
+    for k, wk, wk1 in _packed_steps(problem, trajectory):
         if k == 0:
             norm_k = float(np.linalg.norm(wk))
         norm_k1 = float(np.linalg.norm(wk1))
-        predicted = wk - apply_metric(metrics, "m", wk - _pack(trajectory.auxiliaries[k]))
+        predicted = wk - apply_metric(
+            metrics, "m", wk - pack_point(problem, trajectory.auxiliaries[k]))
         residual = float(np.linalg.norm(predicted - wk1))
         margins.append(SLACK_COEFF - residual / (1.0 + max(norm_k, norm_k1)))
         norm_k = norm_k1
@@ -739,10 +637,10 @@ def _step_terms(problem: BlockProblem, metrics: MetricMatrices,
                 previous: PrimalDualPoint, auxiliary: PrimalDualPoint) -> tuple:
     """The parts of the one-step inequality that every probe shares:
     packed ``w_bar``, ``objective(u_bar)``, ``F(w_bar)`` and ``Q (w^k - w_bar)``."""
-    wbar = _pack(auxiliary)
+    wbar = pack_point(problem, auxiliary)
     value = vi_operator(problem, auxiliary)
     return (wbar, evaluate_objective(problem, auxiliary), pack_vi_value(value),
-            apply_metric(metrics, "q", _pack(previous) - wbar))
+            apply_metric(metrics, "q", pack_point(problem, previous) - wbar))
 
 
 def _probe_terms(step_terms: tuple, probe_objective: float,
@@ -756,7 +654,7 @@ def _probe_terms(step_terms: tuple, probe_objective: float,
 
 
 def step_inequality_probe(problem: BlockProblem, metrics: MetricMatrices,
-                          state: "IterationState",
+                          state: IterationState,
                           probe: PrimalDualPoint) -> float:
     """Margin of the one-step mixed variational inequality at a probe point.
 
@@ -770,12 +668,12 @@ def step_inequality_probe(problem: BlockProblem, metrics: MetricMatrices,
     check_probe_feasible(problem, probe)
     lhs, rhs = _probe_terms(
         _step_terms(problem, metrics, state.previous, state.auxiliary),
-        evaluate_objective(problem, probe), _pack(probe))
+        evaluate_objective(problem, probe), pack_point(problem, probe))
     return lhs - rhs
 
 
 def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
-                          trajectory: "TrajectoryRecord",
+                          trajectory: TrajectoryRecord,
                           probes: Sequence[PrimalDualPoint],
                           max_samples: int = 25) -> CertificateReport:
     """Evaluate the one-step mixed inequality on sampled iterations.
@@ -792,7 +690,8 @@ def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
     sample = np.unique(np.linspace(0, trajectory.steps - 1, count).astype(int))
     for probe in probes:
         check_probe_feasible(problem, probe)
-    probe_terms = [(evaluate_objective(problem, probe), _pack(probe)) for probe in probes]
+    probe_terms = [(evaluate_objective(problem, probe), pack_point(problem, probe))
+                   for probe in probes]
     margins = []
     for k in sample:
         terms = _step_terms(problem, metrics, trajectory.points[k],

@@ -67,6 +67,7 @@ from .solver import (
     SolveResult,
     SolverConfig,
     solve,
+    validate_config,
     write_trajectory_csv,
 )
 
@@ -373,7 +374,8 @@ def run_gamma_sweep(settings: dict) -> int:
     the rank correlation between the grid and the mean iteration counts
     land in ``summary.json``. A script that calls this must guard its own
     entry point with ``if __name__ == "__main__"``, because spawned workers
-    import the main module.
+    import the main module. Under ``strict`` every grid value is validated
+    before any cell runs.
 
     Parameters
     ----------
@@ -385,9 +387,16 @@ def run_gamma_sweep(settings: dict) -> int:
     int
         Process exit code, 0 on success.
     """
+    grid = tuple(settings["gamma_grid"])
+    if settings["strict"]:
+        # the spectral facts depend on n, rho, gamma and the metrics, not the seed
+        instance = generate_instance(settings["n"], settings["seed"])
+        problem = build_problem(instance)
+        for gamma in grid:
+            validate_config(problem, _solver_config(
+                settings, gamma, BENCHMARK_SIGMA, instance, strict=True, record=False))
     out = settings["out"]
     os.makedirs(out, exist_ok=True)
-    grid = tuple(settings["gamma_grid"])
     seeds = [settings["seed"] + r for r in range(settings["repeat"])]
     tasks = [
         (settings["n"], seed, settings["rho"], gamma, settings["tol"],

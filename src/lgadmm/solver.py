@@ -17,18 +17,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .operators import ScaledIdentity, SymmetricOperator
+from .operators import (
+    ScaledIdentity,
+    SymmetricOperator,
+    _power_min_eigenvalue,
+    gram_min_eigenvalue,
+)
 from .problem import (
     BlockProblem,
     PrimalDualPoint,
     check_point,
     constraint_residual,
     evaluate_objective,
-    pack_point,
 )
 
 __all__ = [
@@ -58,6 +62,10 @@ __all__ = [
 ABSOLUTE_FALLBACK = 1e-14
 
 EIG_ZERO_TOL = 1e-10
+
+# Up to this dimension the spectral estimators below use an exact dense
+# eigenvalue; above it, a power-iteration estimate.
+VALIDATION_DENSE_CAP = 1024
 
 
 class ConfigError(Exception):
@@ -176,6 +184,87 @@ class ValidationReport:
         }
 
 
+# ---------------------------------------------------------------------------
+# Spectral preconditions: the coupled first-phase metric and the last-block
+# condition, estimated once by ``validate_config``.
+
+def first_phase_apply(problem: BlockProblem, prox: Sequence[SymmetricOperator],
+                      rho: float, r: np.ndarray) -> np.ndarray:
+    """Apply the coupled first-phase metric (prox metrics on the diagonal,
+    ``-rho A_i'A_j`` off it) to a concatenated first-phase vector."""
+    blocks = problem.blocks[:-1]
+    pieces = []
+    offset = 0
+    for block in blocks:
+        pieces.append(r[offset:offset + block.dim])
+        offset += block.dim
+    images = [block.linear_map.apply(x) for block, x in zip(blocks, pieces)]
+    # in place from zero, bitwise as np.sum(images, axis=0) without its stacked copy
+    total = np.zeros(problem.constraint_dim)
+    for image in images:
+        total += image
+    out = []
+    for i, (block, x) in enumerate(zip(blocks, pieces)):
+        out.append(prox[i].apply(x) - rho * block.linear_map.adjoint(total - images[i]))
+    return np.concatenate(out)
+
+
+def first_phase_dense(problem: BlockProblem, prox: Sequence[SymmetricOperator],
+                      rho: float) -> np.ndarray:
+    """Materialise the coupled first-phase metric."""
+    blocks = problem.blocks[:-1]
+    dims = [block.dim for block in blocks]
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    out = np.zeros((offsets[-1], offsets[-1]))
+    dense_maps = [block.linear_map.dense() for block in blocks]
+    for i, block in enumerate(blocks):
+        sl = slice(offsets[i], offsets[i + 1])
+        out[sl, sl] = prox[i].dense()
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            cross = -rho * (dense_maps[i].T @ dense_maps[j])
+            out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = cross
+            out[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = cross.T
+    return out
+
+
+def first_phase_min_eig_estimate(problem: BlockProblem,
+                                 prox: Sequence[SymmetricOperator],
+                                 rho: float,
+                                 dense_cap: int = VALIDATION_DENSE_CAP) -> tuple[float, str]:
+    """Smallest eigenvalue of the coupled first-phase metric, with method tag."""
+    first_dim = sum(block.dim for block in problem.blocks[:-1])
+    if problem.num_blocks == 2:
+        # No couplings: the metric is the first block's prox metric itself.
+        return prox[0].min_eigenvalue(), "operator"
+    if first_dim <= dense_cap:
+        dense = first_phase_dense(problem, prox, rho)
+        return float(np.linalg.eigvalsh(dense)[0]), "dense"
+    value = _power_min_eigenvalue(
+        lambda r: first_phase_apply(problem, prox, rho, r), first_dim)
+    return value, "power"
+
+
+def last_condition_min_eig_estimate(problem: BlockProblem,
+                                    p_m: SymmetricOperator,
+                                    rho: float, gamma: float,
+                                    dense_cap: int = VALIDATION_DENSE_CAP) -> tuple[float, str]:
+    """Smallest eigenvalue of ``P_m + (rho/gamma) A_m'A_m``, with method tag."""
+    last = problem.blocks[-1]
+    coeff = rho / gamma
+    bound = p_m.min_eigenvalue() + coeff * gram_min_eigenvalue(last.linear_map)
+    if bound > EIG_ZERO_TOL:
+        return bound, "bound"
+    if last.dim <= dense_cap:
+        am = last.linear_map.dense()
+        dense = p_m.dense() + coeff * (am.T @ am)
+        return float(np.linalg.eigvalsh(dense)[0]), "dense"
+    value = _power_min_eigenvalue(
+        lambda x: p_m.apply(x) + coeff * last.linear_map.adjoint(last.linear_map.apply(x)),
+        last.dim)
+    return value, "power"
+
+
 def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationReport:
     """Check the configuration against the problem and the theory conditions.
 
@@ -185,8 +274,6 @@ def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationRe
     definite, ``P_m + (rho/gamma) A_m'A_m`` positive definite) are reported,
     and additionally raise under ``strict_theory_mode``.
     """
-    from . import certificates as _certs
-
     gamma_ok = 0.0 < config.gamma < 2.0
     if not gamma_ok:
         raise ConfigError(
@@ -210,7 +297,7 @@ def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationRe
         for metric in config.proximal_metrics[:-1]
     )
 
-    first_eig, first_method = _certs.first_phase_min_eig_estimate(
+    first_eig, first_method = first_phase_min_eig_estimate(
         problem, config.proximal_metrics, config.rho)
     first_positive = first_eig > EIG_ZERO_TOL
     if not first_positive:
@@ -220,7 +307,7 @@ def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationRe
             "convergence certificates are not provable for this configuration"
         )
 
-    last_eig, last_method = _certs.last_condition_min_eig_estimate(
+    last_eig, last_method = last_condition_min_eig_estimate(
         problem, config.proximal_metrics[-1], config.rho, config.gamma)
     if last_eig <= EIG_ZERO_TOL:
         warnings.append(
@@ -263,14 +350,11 @@ class StepReport:
     ``successive_change`` holds one entry per block plus one for the
     multiplier: the change relative to the first step's change, or the
     absolute change where the first step's change vanished.
-    ``h_norm_step`` is ``||w^k - w^{k+1}||_H`` when a certificate norm was
-    attached, else ``None``.
     """
 
     feasibility_residual: float
     successive_change: tuple[float, ...]
     objective: float
-    h_norm_step: float | None = None
 
 
 @dataclass(frozen=True)
@@ -291,12 +375,12 @@ class IterationState:
 
 @dataclass
 class TrajectoryRecord:
-    """Full iterate history: ``points[k] = w^k``, ``auxiliaries[k]`` its
-    auxiliary companion, ``reports[k]`` the diagnostics of step ``k``."""
+    """Full iterate history: ``points[k] = w^k`` and ``auxiliaries[k]`` its
+    auxiliary companion; the diagnostics of step ``k`` are
+    ``SolveResult.reports[k]``."""
 
     points: list[PrimalDualPoint]
     auxiliaries: list[PrimalDualPoint]
-    reports: list[StepReport]
 
     @property
     def steps(self) -> int:
@@ -417,15 +501,9 @@ def auxiliary_point(problem: BlockProblem, config: SolverConfig,
     return PrimalDualPoint(tuple(fresh_primal), dual)
 
 
-def step(problem: BlockProblem, config: SolverConfig, state: IterationState,
-         h_quad: Callable[[np.ndarray], float] | None = None,
-         ) -> tuple[IterationState, StepReport]:
-    """Advance one full sweep and report diagnostics.
-
-    ``h_quad``, when given, evaluates the certificate quadratic form on a
-    packed difference vector; the report then carries the weighted step
-    length.
-    """
+def step(problem: BlockProblem, config: SolverConfig,
+         state: IterationState) -> tuple[IterationState, StepReport]:
+    """Advance one full sweep and report diagnostics."""
     fresh_first = first_phase_update(problem, config, state)
     fresh_last = last_block_update(problem, config, state, fresh_first)
     fresh_primal = (*fresh_first, fresh_last)
@@ -449,16 +527,10 @@ def step(problem: BlockProblem, config: SolverConfig, state: IterationState,
         for change, denom in zip(changes, denominators)
     )
 
-    h_norm_step = None
-    if h_quad is not None:
-        diff = pack_point(problem, state.current) - pack_point(problem, fresh_point)
-        h_norm_step = math.sqrt(max(h_quad(diff), 0.0))
-
     report = StepReport(
         feasibility_residual=float(np.linalg.norm(constraint_residual(problem, fresh_point))),
         successive_change=successive,
         objective=evaluate_objective(problem, fresh_point),
-        h_norm_step=h_norm_step,
     )
     fresh_state = IterationState(
         k=state.k + 1,
@@ -470,8 +542,8 @@ def step(problem: BlockProblem, config: SolverConfig, state: IterationState,
     return fresh_state, report
 
 
-def solve(problem: BlockProblem, config: SolverConfig, start: PrimalDualPoint,
-          h_quad: Callable[[np.ndarray], float] | None = None) -> SolveResult:
+def solve(problem: BlockProblem, config: SolverConfig,
+          start: PrimalDualPoint) -> SolveResult:
     """Run the scheme from ``start`` until the stopping rule or the budget.
 
     The stopping measure is the largest, over blocks and multiplier, of the
@@ -482,18 +554,17 @@ def solve(problem: BlockProblem, config: SolverConfig, start: PrimalDualPoint,
     check_point(problem, start)
     validation = validate_config(problem, config)
     state = IterationState.initial(start)
-    trajectory = (TrajectoryRecord([state.current], [], [])
+    trajectory = (TrajectoryRecord([state.current], [])
                   if config.record_trajectory else None)
     reports: list[StepReport] = []
     epsilon = math.inf
     converged = False
     for _ in range(config.max_iterations):
-        state, report = step(problem, config, state, h_quad)
+        state, report = step(problem, config, state)
         reports.append(report)
         if trajectory is not None:
             trajectory.points.append(state.current)
             trajectory.auxiliaries.append(state.auxiliary)
-            trajectory.reports.append(report)
         epsilon = max(report.successive_change)
         if epsilon < config.tolerance:
             converged = True
@@ -517,12 +588,11 @@ def write_trajectory_csv(reports: Sequence[StepReport], num_blocks: int,
 
     header = ["k", "feasibility_residual", "objective"]
     header += [f"rel_change_block_{i + 1}" for i in range(num_blocks)]
-    header += ["rel_change_multiplier", "h_norm_step"]
+    header.append("rel_change_multiplier")
     lines = [",".join(header)]
     for k, report in enumerate(reports, start=1):
         row = [str(k), format_float(report.feasibility_residual),
                format_float(report.objective)]
         row += [format_float(c) for c in report.successive_change]
-        row.append("" if report.h_norm_step is None else format_float(report.h_norm_step))
         lines.append(",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")

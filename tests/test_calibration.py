@@ -291,3 +291,24 @@ def test_dump_requires_uniform_bounds(tmp_path):
         h_upper=0.1 * np.ones((3, 3)))
     with pytest.raises(ValueError):
         dump_instance(lopsided, str(tmp_path))
+
+
+def test_closed_form_oracle_is_the_linearized_prox_step():
+    # A_i'A_i = 2I, so the metric sigma I is tau I - rho A_i'A_i with
+    # tau = sigma + 2 rho: the paper's linearized step, here tau = 6
+    instance = generate_instance(20, seed=0)
+    problem = build_problem(instance)
+    rho, sigma = 1.0, 4.0
+    tau = sigma + 2.0 * rho
+    c = instance.c.reshape(-1)
+    rng = np.random.default_rng(5)
+    for block in problem.blocks:
+        amap = block.linear_map
+        target = rng.standard_normal(problem.constraint_dim)
+        center = rng.standard_normal(block.dim)
+        got = block.subproblem_oracle(target, center, rho,
+                                      ScaledIdentity(block.dim, sigma))
+        linearized = block.projection(
+            (c + tau * center - rho * amap.adjoint(amap.apply(center) - target))
+            / (1.0 + tau))
+        assert np.abs(got - linearized).max() <= 1e-12

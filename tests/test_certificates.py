@@ -17,10 +17,7 @@ from lgadmm.certificates import (
     ergodic_average,
     ergodic_gap_check,
     fejer_check,
-    first_phase_apply,
-    first_phase_min_eig_estimate,
     inequality_slack,
-    last_condition_min_eig_estimate,
     nonergodic_monotonicity_check,
     nonergodic_rate_check,
     sigma_gamma,
@@ -42,6 +39,9 @@ from lgadmm.solver import (
     IterationState,
     SolverConfig,
     TrajectoryRecord,
+    first_phase_apply,
+    first_phase_min_eig_estimate,
+    last_condition_min_eig_estimate,
     solve,
 )
 from lgadmm.synthetic import random_config, random_problem
@@ -112,9 +112,10 @@ def test_factorization_identities_on_random_configs():
         recomposed = (metrics.q.T + metrics.q
                       - metrics.m_mat.T @ metrics.h @ metrics.m_mat)
         assert np.abs(recomposed - metrics.n_mat).max() <= 1e-10 * scale
-        if metrics.g1_min_eig > 1e-10:
+        validation = metrics.validation
+        if validation.first_phase_min_eig > 1e-10:
             assert metrics.h_min_eig > 0.0
-        closed_form = min(metrics.g1_min_eig, metrics.p_m_min_eig,
+        closed_form = min(validation.first_phase_min_eig, validation.last_metric_min_eig,
                           (2.0 - config.gamma) / config.rho)
         assert abs(closed_form - metrics.n_min_eig) <= 1e-12 * scale
 
@@ -142,7 +143,7 @@ def strict_dense(strict_setup):
 def test_weighted_norms_dense_and_matrix_free_agree(strict_setup, strict_dense):
     free = strict_setup.metrics
     dense = strict_dense
-    first, last = dense.first_dim, dense.first_dim + dense.block_dims[-1]
+    first, last = dense.first_dim, dense.first_dim + dense.problem.block_dims[-1]
     forms = {"h": dense.h, "n": dense.n_mat,
              "g1": np.zeros_like(dense.n_mat), "p_m": np.zeros_like(dense.n_mat)}
     forms["g1"][:first, :first] = dense.g1
@@ -167,13 +168,12 @@ def test_default_metrics_take_preconditions_from_validation(strict_setup):
     metrics = strict_setup.metrics
     validation = strict_setup.result.validation
     assert metrics.dense is None and metrics.matrix_free
-    assert metrics.g1_min_eig == validation.first_phase_min_eig
+    assert metrics.validation == validation
     # the first-phase dimension (128) is under the exact-eigenvalue cap
-    assert metrics.g1_method == validation.first_phase_method == "dense"
-    assert metrics.last_condition_min_eig == validation.last_condition_min_eig
-    assert metrics.last_condition_method == validation.last_condition_method
-    assert metrics.p_m_min_eig == validation.last_metric_min_eig
+    assert validation.first_phase_method == "dense"
     assert metrics.h_min_eig is None
+    assert set(metrics.to_dict()) == {"h_min_eig", "n_min_eig", "strict_ok",
+                                      "strict_reason", "matrix_free"}
 
 
 def test_first_phase_apply_matches_stacked_sum(strict_setup):
@@ -242,7 +242,7 @@ def test_fejer_contraction_on_strict_run(strict_setup):
 
 def test_fejer_vacuous_on_single_point_trajectory(strict_setup):
     start = strict_setup.trajectory.points[0]
-    tiny = TrajectoryRecord(points=[start], auxiliaries=[], reports=[])
+    tiny = TrajectoryRecord(points=[start], auxiliaries=[])
     report = fejer_check(strict_setup.metrics, tiny, strict_setup.reference)
     assert report.passed
     assert report.iterations_checked == 0
@@ -268,6 +268,36 @@ def test_checks_skip_outside_strict_conditions():
     assert report.skipped
     assert report.passed is None
     assert "first-phase metric" in report.skipped_reason
+
+
+def test_rate_checks_skip_on_indefinite_last_metric():
+    # coupled first-phase metric and P_m + (rho/gamma) A_m'A_m positive
+    # definite, P_m itself slightly indefinite
+    problem = random_problem(11, num_blocks=3, dims=(2, 2, 3), constraint_dim=6)
+    p_m = ScaledIdentity(3, -0.01)
+
+    def config(**options):
+        return SolverConfig(rho=1.0, gamma=1.0,
+                            proximal_metrics=(ScaledIdentity(2, 3.0),
+                                              ScaledIdentity(2, 3.0), p_m),
+                            **options)
+
+    recorded = config(max_iterations=200, tolerance=1e-300, record_trajectory=True)
+    trajectory = solve(problem, recorded, zeros_point(problem)).trajectory
+    reference = solve(problem, config(max_iterations=100_000, tolerance=1e-8),
+                      zeros_point(problem)).final
+    metrics = assemble_metrics(problem, recorded)
+    assert metrics.strict_ok
+    assert metrics.validation.last_metric_min_eig == -0.01
+    for report in (nonergodic_monotonicity_check(metrics, trajectory),
+                   nonergodic_rate_check(metrics, trajectory, reference),
+                   cross_term_check(trajectory, p_m, problem.blocks[-1].linear_map)):
+        assert report.skipped, report.check
+        assert "positive semidefinite" in report.skipped_reason
+    for report in (fejer_check(metrics, trajectory, reference),
+                   update_recurrence_check(metrics, trajectory)):
+        assert report.passed, report.check
+        assert report.iterations_checked == trajectory.steps
 
 
 def test_step_monotonicity_on_strict_run(strict_setup):
@@ -390,7 +420,7 @@ def test_cross_term_bound_on_strict_run(strict_setup):
 def test_cross_term_stationary_equality(strict_setup):
     point = strict_setup.trajectory.points[0]
     stationary = TrajectoryRecord(points=[point, point, point],
-                                  auxiliaries=[point, point], reports=[])
+                                  auxiliaries=[point, point])
     report = cross_term_check(stationary,
                               strict_setup.config.proximal_metrics[-1],
                               strict_setup.problem.blocks[-1].linear_map)
@@ -412,8 +442,7 @@ def test_update_recurrence_detects_corruption(strict_setup):
     points[mid] = PrimalDualPoint(
         tuple(part + 10.0 for part in original.primal), original.dual + 10.0)
     corrupted = TrajectoryRecord(points=points,
-                                 auxiliaries=list(trajectory.auxiliaries),
-                                 reports=[])
+                                 auxiliaries=list(trajectory.auxiliaries))
     report = update_recurrence_check(strict_setup.metrics, corrupted)
     assert report.passed is False
 
@@ -480,9 +509,11 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
     lengths = [weighted_norm_sq(metrics, w[k] - w[k + 1], "h") for k in steps]
     monotone = [lengths[k] - lengths[k + 1] + inequality_slack(lengths[k], lengths[k + 1])
                 for k in range(len(lengths) - 1)]
-    p_m = metrics.prox[-1]
+    p_m = strict_setup.config.proximal_metrics[-1]
+    a_m = problem.blocks[-1].linear_map
     xm = [p.primal[-1] for p in trajectory.points]
-    constant = (weighted_norm_sq(metrics, w[0] - ref, "h") / sigma_gamma(metrics.gamma)
+    constant = (weighted_norm_sq(metrics, w[0] - ref, "h")
+                / sigma_gamma(strict_setup.config.gamma)
                 + p_m.quad(xm[0] - xm[1]))
     rate = [constant - t * lengths[t] + inequality_slack(constant, t * lengths[t])
             for t in range(1, len(lengths))]
@@ -496,7 +527,7 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
     for k in range(1, trajectory.steps):
         dx = xm[k] - xm[k + 1]
         dy = trajectory.points[k].dual - trajectory.points[k + 1].dual
-        lhs = float(dx @ metrics.maps[-1].adjoint(dy))
+        lhs = float(dx @ a_m.adjoint(dy))
         gain = 0.5 * p_m.quad(dx)
         loss = 0.5 * p_m.quad(xm[k - 1] - xm[k])
         cross.append(lhs - gain + loss + inequality_slack(lhs, gain, loss))
@@ -518,7 +549,7 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
         (nonergodic_monotonicity_check(metrics, trajectory), monotone),
         (nonergodic_rate_check(metrics, trajectory, reference), rate),
         (update_recurrence_check(metrics, trajectory), recurrence),
-        (cross_term_check(trajectory, p_m, metrics.maps[-1]), cross),
+        (cross_term_check(trajectory, p_m, a_m), cross),
         (step_inequality_check(problem, metrics, trajectory, probes,
                                max_samples=7), inequality),
     ]
@@ -561,7 +592,7 @@ def test_report_serialization(strict_setup):
 def test_strict_metrics_report_positive_minima(strict_setup, strict_dense):
     metrics = strict_setup.metrics
     assert metrics.strict_ok
-    assert metrics.g1_min_eig > 0.0
+    assert metrics.validation.first_phase_min_eig > 0.0
     assert metrics.n_min_eig > 0.0
     assert strict_dense.h_min_eig > 0.0
     assert strict_dense.n_min_eig > 0.0

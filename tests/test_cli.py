@@ -133,6 +133,16 @@ def test_gamma_sweep_rejects_grid_outside_range(tmp_path):
     assert proc.returncode == 2
 
 
+def test_gamma_sweep_strict_rejects_benchmark_metrics(tmp_path):
+    out = tmp_path / "run"
+    proc = run_cli(["gamma-sweep", "--n", "6", "--gamma-grid", "1.0",
+                    "--repeat", "1", "--workers", "1", "--strict",
+                    "--out", str(out)])
+    assert proc.returncode == 2
+    assert "strict theory mode" in proc.stderr
+    assert not (out / "sweep.csv").exists()
+
+
 def test_baseline_compare_artifacts(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(["baseline-compare", "--n", "10", "--out", str(out)])
