@@ -16,7 +16,7 @@ unrelaxed residual with the old last block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -359,13 +359,18 @@ class StepReport:
 
 @dataclass(frozen=True)
 class IterationState:
-    """Iterate ``w^k`` plus what the next step and the certificates need."""
+    """Iterate ``w^k`` plus what the next step and the certificates need.
+
+    ``epsilon`` is the stopping measure of the step that produced
+    ``current`` (infinite before any step).
+    """
 
     k: int
     current: PrimalDualPoint
     auxiliary: PrimalDualPoint | None
     previous: PrimalDualPoint | None
     first_step_norms: tuple[float, ...] | None
+    epsilon: float = math.inf
 
     @classmethod
     def initial(cls, start: PrimalDualPoint) -> "IterationState":
@@ -389,6 +394,10 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of ``solve``. ``state`` is the final iteration state with
+    ``previous`` and ``auxiliary`` dropped (so ``state.current is final``);
+    passing it back to ``solve`` continues the run."""
+
     final: PrimalDualPoint
     iterations: int
     converged: bool
@@ -397,6 +406,7 @@ class SolveResult:
     trajectory: TrajectoryRecord | None
     reports: tuple[StepReport, ...]
     validation: ValidationReport
+    state: IterationState
 
 
 def _apply_oracle(problem: BlockProblem, config: SolverConfig, index: int,
@@ -538,46 +548,55 @@ def step(problem: BlockProblem, config: SolverConfig,
         auxiliary=auxiliary,
         previous=state.current,
         first_step_norms=denominators,
+        epsilon=max(successive),
     )
     return fresh_state, report
 
 
 def solve(problem: BlockProblem, config: SolverConfig,
-          start: PrimalDualPoint) -> SolveResult:
+          start: PrimalDualPoint | IterationState) -> SolveResult:
     """Run the scheme from ``start`` until the stopping rule or the budget.
 
     The stopping measure is the largest, over blocks and multiplier, of the
     successive change divided by the corresponding first step's change
     (absolute where that first change vanished); the run stops when it drops
     below ``config.tolerance``.
+
+    ``start`` is either a point, from which a fresh run begins at ``k = 0``,
+    or the ``state`` of an earlier ``SolveResult`` on the same problem, which
+    the run continues. A continued run under a config that differs only in
+    ``tolerance``, ``max_iterations`` or ``record_trajectory`` ends with
+    exactly the iterate, ``iterations`` and ``final_epsilon`` of a fresh run
+    under that config, because the stopping measure is tested before each
+    step and ``max_iterations`` caps the absolute index ``k``, not the
+    number of new steps. ``reports`` (and the trajectory, which starts at
+    the state's ``current``) hold only the steps this call made.
     """
-    check_point(problem, start)
+    state = (start if isinstance(start, IterationState)
+             else IterationState.initial(start))
+    check_point(problem, state.current)
     validation = validate_config(problem, config)
-    state = IterationState.initial(start)
     trajectory = (TrajectoryRecord([state.current], [])
                   if config.record_trajectory else None)
     reports: list[StepReport] = []
-    epsilon = math.inf
-    converged = False
-    for _ in range(config.max_iterations):
+    converged = state.epsilon < config.tolerance
+    while not converged and state.k < config.max_iterations:
         state, report = step(problem, config, state)
         reports.append(report)
         if trajectory is not None:
             trajectory.points.append(state.current)
             trajectory.auxiliaries.append(state.auxiliary)
-        epsilon = max(report.successive_change)
-        if epsilon < config.tolerance:
-            converged = True
-            break
+        converged = state.epsilon < config.tolerance
     return SolveResult(
         final=state.current,
         iterations=state.k,
         converged=converged,
         stop_reason="tolerance" if converged else "iteration_limit",
-        final_epsilon=epsilon,
+        final_epsilon=state.epsilon,
         trajectory=trajectory,
         reports=tuple(reports),
         validation=validation,
+        state=replace(state, previous=None, auxiliary=None),
     )
 
 

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from lgadmm import DivergenceError
-from lgadmm import cli
+from lgadmm import DivergenceError, PrimalDualPoint
+from lgadmm import cli, solver
 
 
 def run_cli(args, cwd=None):
@@ -190,6 +190,31 @@ def test_certify_negative_control_fails(tmp_path):
     assert summary["negative_control"] is True
     assert summary["corrupted_iteration"] is not None
     assert len(summary["failed_checks"]) >= 1
+
+
+def test_certify_reference_continues_the_strict_run(tmp_path, monkeypatch):
+    steps = []
+    solves = []
+    counted_step, counted_solve = solver.step, cli.solve
+
+    def step(*args, **kwargs):
+        steps.append(1)
+        return counted_step(*args, **kwargs)
+
+    def solve(problem, config, start):
+        result = counted_solve(problem, config, start)
+        solves.append((config, start, result))
+        return result
+
+    monkeypatch.setattr(solver, "step", step)
+    monkeypatch.setattr(cli, "solve", solve)
+    assert cli.main(["certify", "--n", "6", "--out", str(tmp_path / "run")]) == 0
+    (strict_config, strict_start, strict), (_, reference_start, reference) = solves
+    assert strict_config.record_trajectory
+    assert isinstance(strict_start, PrimalDualPoint)
+    assert reference_start is strict.state
+    assert strict.iterations < reference.iterations
+    assert len(steps) == reference.iterations
 
 
 def test_unknown_command_is_usage_error():

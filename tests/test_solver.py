@@ -1,6 +1,7 @@
 """Solver loop: phase updates, multiplier, auxiliary point, stopping rule."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,7 @@ def test_solve_calibration_converges():
     assert result.final_epsilon < 1e-6
 
 
-def test_solve_iteration_limit_reported():
+def test_solve_iteration_limit_reported(monkeypatch):
     instance = generate_instance(4, seed=1)
     problem = build_problem(instance)
     config = SolverConfig(rho=1.0, gamma=1.0,
@@ -289,6 +290,19 @@ def test_solve_iteration_limit_reported():
     assert not result.converged
     assert result.stop_reason == "iteration_limit"
     assert result.iterations == 3
+    assert result.state.k == 3
+    assert result.state.current is result.final
+    assert result.state.epsilon == result.final_epsilon
+    assert result.state.previous is None
+    assert result.state.auxiliary is None
+
+    # resuming at the budget stops without stepping
+    monkeypatch.setattr("lgadmm.solver.step", None)
+    again = solve(problem, config, result.state)
+    assert not again.converged and again.stop_reason == "iteration_limit"
+    assert again.iterations == 3
+    assert again.reports == ()
+    assert again.final_epsilon == result.final_epsilon
 
 
 def test_near_stationary_iterates_are_nearly_feasible():
@@ -345,6 +359,58 @@ def test_record_trajectory_lengths():
     assert result.trajectory.steps == result.iterations == 7
     assert len(result.trajectory.points) == 8
     assert len(result.trajectory.auxiliaries) == 7
+
+
+def strict_and_reference_configs(instance):
+    """The strict certify configuration and its tighter reference twin."""
+    strict = SolverConfig(rho=1.0, gamma=1.5,
+                          proximal_metrics=default_metrics(instance, scale=4.0),
+                          max_iterations=2_000, tolerance=1e-8,
+                          strict_theory_mode=True, record_trajectory=True)
+    reference = replace(strict, max_iterations=20_000, tolerance=1e-10,
+                        record_trajectory=False)
+    return strict, reference
+
+
+def test_resumed_reference_equals_fresh_solve():
+    instance = generate_instance(6, seed=2)
+    problem = build_problem(instance)
+    strict_config, reference_config = strict_and_reference_configs(instance)
+    strict = solve(problem, strict_config, zeros_point(problem))
+
+    def recorded_bytes():
+        return [x.tobytes()
+                for p in strict.trajectory.points + strict.trajectory.auxiliaries
+                for x in (*p.primal, p.dual)]
+
+    recorded = recorded_bytes()
+    resumed = solve(problem, reference_config, strict.state)
+    fresh = solve(problem, reference_config, zeros_point(problem))
+    assert strict.converged and 0 < strict.iterations < resumed.iterations
+    assert resumed.iterations == fresh.iterations
+    assert resumed.final_epsilon == fresh.final_epsilon
+    assert resumed.converged is fresh.converged is True
+    assert len(resumed.reports) == resumed.iterations - strict.iterations
+    for a, b in zip((*resumed.final.primal, resumed.final.dual),
+                    (*fresh.final.primal, fresh.final.dual)):
+        assert np.array_equal(a, b)
+    assert recorded_bytes() == recorded
+
+
+def test_resume_when_tolerance_already_met_takes_no_step(monkeypatch):
+    instance = generate_instance(6, seed=2)
+    problem = build_problem(instance)
+    strict_config, _ = strict_and_reference_configs(instance)
+    strict = solve(problem, strict_config, zeros_point(problem))
+    assert strict.converged
+    monkeypatch.setattr("lgadmm.solver.step", None)
+    again = solve(problem, replace(strict_config, tolerance=1e-6), strict.state)
+    assert again.converged and again.stop_reason == "tolerance"
+    assert again.iterations == strict.iterations
+    assert again.reports == ()
+    assert again.final is strict.final
+    assert len(again.trajectory.points) == 1
+    assert again.trajectory.points[0] is strict.final
 
 
 def nan_block():
