@@ -46,11 +46,11 @@ from .problem import (
 )
 from .solver import (
     EIG_ZERO_TOL,
+    FirstPhaseProduct,
     IterationState,
     SolverConfig,
     TrajectoryRecord,
     ValidationReport,
-    first_phase_apply,
     first_phase_dense,
     validate_config,
 )
@@ -110,16 +110,23 @@ def sigma_gamma(gamma: float) -> float:
     return min((2.0 - gamma) / gamma, 1.0)
 
 
+def _pack_into(point: PrimalDualPoint, out: np.ndarray) -> np.ndarray:
+    """``pack_point`` written into ``out``."""
+    return np.concatenate([*point.primal, point.dual], out=out)
+
+
 def _packed_steps(problem: BlockProblem, trajectory: TrajectoryRecord):
     """Yield ``(k, w^k, w^{k+1})`` packed, packing each point once.
 
-    The window slides, so at most two packed points are alive at a time.
+    The window slides over two buffers allocated once, so the yielded
+    arrays are overwritten when the generator advances.
     """
     current = pack_point(problem, trajectory.points[0])
+    following = np.empty_like(current)
     for k in range(trajectory.steps):
-        following = pack_point(problem, trajectory.points[k + 1])
+        _pack_into(trajectory.points[k + 1], following)
         yield k, current, following
-        current = following
+        current, following = following, current
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +148,8 @@ class MetricMatrices:
     n_min_eig: float
     h_min_eig: float | None = None
     dense: dict[str, np.ndarray] | None = None
+    # buffers of ``apply_metric``, made on its first call
+    _scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def strict_ok(self) -> bool:
@@ -304,38 +313,76 @@ def assemble_metrics(problem: BlockProblem, config: SolverConfig,
     return metrics
 
 
-def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray) -> np.ndarray:
+def _product_scratch(metrics: MetricMatrices) -> tuple:
+    """``(first-phase product, constraint-space buffer, last-block buffer)``,
+    made once per ``MetricMatrices``."""
+    if metrics._scratch is None:
+        problem, config = metrics.problem, metrics.config
+        metrics._scratch = (
+            FirstPhaseProduct(problem, config.proximal_metrics, config.rho),
+            np.empty(problem.constraint_dim), np.empty(problem.block_dims[-1]))
+    return metrics._scratch
+
+
+def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Structural (matrix-free) product of one certificate matrix with ``v``.
 
     ``which`` is one of ``"q"``, ``"m"``, ``"h"``, ``"n"``; ``v`` is a packed
-    full-space vector.
+    full-space vector. The product is written into ``out`` when given (which
+    must not overlap ``v``). The intermediates go to buffers that ``metrics``
+    keeps, so repeated products allocate nothing beyond ``out``; one
+    ``MetricMatrices`` is therefore not safe to share between threads.
     """
+    if which not in ("h", "m", "n", "q"):
+        raise ValueError(f"unknown metric {which!r}")
+    if out is None:
+        out = np.empty(metrics.total_dim)
     r, xm, y = metrics.split(v)
-    problem, prox = metrics.problem, metrics.config.proximal_metrics
+    out_r, out_m, out_y = metrics.split(out)
+    first_phase, image, back = _product_scratch(metrics)
     rho, gamma = metrics.config.rho, metrics.config.gamma
-    a_m = problem.blocks[-1].linear_map
-    p_m = prox[-1]
+    a_m = metrics.problem.blocks[-1].linear_map
+    p_m = metrics.config.proximal_metrics[-1]
     if which == "m":
         # M is the identity outside the multiplier block: no first-phase product
-        am_x = a_m.apply(xm)
-        return np.concatenate([r, xm, -rho * am_x + gamma * y])
-    if which not in ("h", "n", "q"):
-        raise ValueError(f"unknown metric {which!r}")
-    g1_r = (first_phase_apply(problem, prox, rho, r)
-            if r.size else r)
+        out_r[:] = r
+        out_m[:] = xm
+        # -rho * A_m x_m + gamma * y
+        a_m.apply(xm, out=image)
+        np.multiply(-rho, image, out=image)
+        np.multiply(gamma, y, out=out_y)
+        np.add(image, out_y, out=out_y)
+        return out
+    if r.size:
+        first_phase.apply(r, out=out_r)
     if which == "h":
-        am_x = a_m.apply(xm)
-        out_m = (p_m.apply(xm) + (rho / gamma) * a_m.adjoint(am_x)
-                 + ((1.0 - gamma) / gamma) * a_m.adjoint(y))
-        out_y = ((1.0 - gamma) / gamma) * am_x + y / (gamma * rho)
+        # P_m x_m + (rho/gamma) A_m'A_m x_m + ((1 - gamma)/gamma) A_m'y
+        p_m.apply(xm, out=out_m)
+        a_m.apply(xm, out=image)
+        np.multiply(rho / gamma, a_m.adjoint(image, out=back), out=back)
+        np.add(out_m, back, out=out_m)
+        np.multiply((1.0 - gamma) / gamma, a_m.adjoint(y, out=back), out=back)
+        np.add(out_m, back, out=out_m)
+        # ((1 - gamma)/gamma) A_m x_m + y/(gamma rho)
+        np.multiply((1.0 - gamma) / gamma, image, out=out_y)
+        np.divide(y, gamma * rho, out=image)
+        np.add(out_y, image, out=out_y)
     elif which == "n":
-        out_m = p_m.apply(xm)
-        out_y = ((2.0 - gamma) / rho) * y
+        p_m.apply(xm, out=out_m)
+        np.multiply((2.0 - gamma) / rho, y, out=out_y)
     else:
-        am_x = a_m.apply(xm)
-        out_m = rho * a_m.adjoint(am_x) + p_m.apply(xm) + (1.0 - gamma) * a_m.adjoint(y)
-        out_y = -am_x + y / rho
-    return np.concatenate([g1_r, out_m, out_y])
+        # rho A_m'A_m x_m + P_m x_m + (1 - gamma) A_m'y
+        a_m.apply(xm, out=image)
+        np.multiply(rho, a_m.adjoint(image, out=back), out=out_m)
+        np.add(out_m, p_m.apply(xm, out=back), out=out_m)
+        np.multiply(1.0 - gamma, a_m.adjoint(y, out=back), out=back)
+        np.add(out_m, back, out=out_m)
+        # -A_m x_m + y/rho
+        np.negative(image, out=out_y)
+        np.divide(y, rho, out=image)
+        np.add(out_y, image, out=out_y)
+    return out
 
 
 def weighted_norm_sq(metrics: MetricMatrices, v: np.ndarray, which: str) -> float:
@@ -351,12 +398,17 @@ def weighted_norm_sq(metrics: MetricMatrices, v: np.ndarray, which: str) -> floa
     if which == "g1":
         if not r.size:
             return 0.0
-        config = metrics.config
-        return float(r @ first_phase_apply(metrics.problem, config.proximal_metrics,
-                                           config.rho, r))
+        return float(r @ _product_scratch(metrics)[0].apply(r))
     if which == "p_m":
         return metrics.config.proximal_metrics[-1].quad(xm)
     raise ValueError(f"unknown metric {which!r}")
+
+
+def _quad_into(metrics: MetricMatrices, which: str, v: np.ndarray,
+               out: np.ndarray) -> float:
+    """``weighted_norm_sq(metrics, v, which)`` for H or N, with the product
+    written into ``out``."""
+    return float(v @ apply_metric(metrics, which, v, out=out))
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +508,15 @@ def fejer_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         return _skipped(name, metrics.strict_reason)
     problem = metrics.problem
     ref = pack_point(problem, reference)
+    diff, product = np.empty_like(ref), np.empty_like(ref)
     margins = []
     for k, wk, wk1 in _packed_steps(problem, trajectory):
         if k == 0:
-            before = weighted_norm_sq(metrics, wk - ref, "h")
-        decrease = weighted_norm_sq(
-            metrics, wk - pack_point(problem, trajectory.auxiliaries[k]), "n")
-        after = weighted_norm_sq(metrics, wk1 - ref, "h")
+            before = _quad_into(metrics, "h", np.subtract(wk, ref, out=diff), product)
+        # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
+        _pack_into(trajectory.auxiliaries[k], diff)
+        decrease = _quad_into(metrics, "n", np.subtract(wk, diff, out=diff), product)
+        after = _quad_into(metrics, "h", np.subtract(wk1, ref, out=diff), product)
         margins.append(before - decrease - after
                        + inequality_slack(before, decrease, after))
         # this step's distance after is the next step's distance before
@@ -490,7 +544,8 @@ def nonergodic_monotonicity_check(metrics: MetricMatrices,
 
 
 def _h_step_lengths(metrics: MetricMatrices, trajectory: TrajectoryRecord) -> list[float]:
-    return [weighted_norm_sq(metrics, wk - wk1, "h")
+    diff, product = np.empty(metrics.total_dim), np.empty(metrics.total_dim)
+    return [_quad_into(metrics, "h", np.subtract(wk, wk1, out=diff), product)
             for _, wk, wk1 in _packed_steps(metrics.problem, trajectory)]
 
 
@@ -620,14 +675,17 @@ def update_recurrence_check(metrics: MetricMatrices,
     name = "update_recurrence"
     _require_trajectory(trajectory)
     problem = metrics.problem
+    diff, product = np.empty(metrics.total_dim), np.empty(metrics.total_dim)
     margins = []
     for k, wk, wk1 in _packed_steps(problem, trajectory):
         if k == 0:
             norm_k = float(np.linalg.norm(wk))
         norm_k1 = float(np.linalg.norm(wk1))
-        predicted = wk - apply_metric(
-            metrics, "m", wk - pack_point(problem, trajectory.auxiliaries[k]))
-        residual = float(np.linalg.norm(predicted - wk1))
+        # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
+        _pack_into(trajectory.auxiliaries[k], diff)
+        apply_metric(metrics, "m", np.subtract(wk, diff, out=diff), out=product)
+        predicted = np.subtract(wk, product, out=product)
+        residual = float(np.linalg.norm(np.subtract(predicted, wk1, out=predicted)))
         margins.append(SLACK_COEFF - residual / (1.0 + max(norm_k, norm_k1)))
         norm_k = norm_k1
     return _finish(name, margins)

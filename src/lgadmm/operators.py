@@ -37,12 +37,14 @@ class LinearMap(abc.ABC):
     out_dim: int
 
     @abc.abstractmethod
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return ``A x``."""
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return ``A x``, written into ``out`` when given (which must not
+        overlap ``x``)."""
 
     @abc.abstractmethod
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Return ``A' y``."""
+    def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return ``A' y``, written into ``out`` when given (which must not
+        overlap ``y``)."""
 
     def dense(self) -> np.ndarray:
         """Materialise the matrix column by column. Small dimensions only."""
@@ -60,11 +62,11 @@ class DenseMap(LinearMap):
         self._matrix = matrix
         self.out_dim, self.in_dim = matrix.shape
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix @ x
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(self._matrix, x, out=out)
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._matrix.T @ y
+    def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(self._matrix.T, y, out=out)
 
     def dense(self) -> np.ndarray:
         return self._matrix.copy()
@@ -86,20 +88,29 @@ class BlockSignMap(LinearMap):
         self.in_dim = int(block_dim)
         self.out_dim = len(self.signs) * self.in_dim
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.out_dim)
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(self.out_dim)
         d = self.in_dim
         for slot, s in enumerate(self.signs):
             if s:
-                out[slot * d : (slot + 1) * d] = s * x
+                np.multiply(s, x, out=out[slot * d : (slot + 1) * d])
+            else:
+                out[slot * d : (slot + 1) * d] = 0.0
         return out
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.in_dim)
+    def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(self.in_dim)
+        out[:] = 0.0
         d = self.in_dim
         for slot, s in enumerate(self.signs):
-            if s:
-                out += s * y[slot * d : (slot + 1) * d]
+            # the sum from zero of s * y_slot: IEEE subtraction is addition of
+            # the exact negation, so subtracting for s = -1 is bitwise the same
+            if s == 1:
+                np.add(out, y[slot * d : (slot + 1) * d], out=out)
+            elif s == -1:
+                np.subtract(out, y[slot * d : (slot + 1) * d], out=out)
         return out
 
     def dense(self) -> np.ndarray:
@@ -186,8 +197,9 @@ class SymmetricOperator(abc.ABC):
     dim: int
 
     @abc.abstractmethod
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return ``P x``."""
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return ``P x``, written into ``out`` when given (which must not
+        overlap ``x``)."""
 
     def quad(self, x: np.ndarray) -> float:
         """Return ``x' P x``."""
@@ -209,8 +221,8 @@ class ScaledIdentity(SymmetricOperator):
         self.dim = int(dim)
         self.scale = float(scale)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * x
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(self.scale, x, out=out)
 
     def quad(self, x: np.ndarray) -> float:
         return self.scale * float(x @ x)
@@ -235,8 +247,8 @@ class DenseSymmetric(SymmetricOperator):
         self._matrix = 0.5 * (matrix + matrix.T)
         self.dim = matrix.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix @ x
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(self._matrix, x, out=out)
 
     def dense(self) -> np.ndarray:
         return self._matrix.copy()
@@ -261,8 +273,9 @@ class LinearizedMetric(SymmetricOperator):
         self.gram_norm = float(gram_norm)
         self.dim = amap.in_dim
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.tau * x - self.rho * self.amap.adjoint(self.amap.apply(x))
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.subtract(self.tau * x,
+                           self.rho * self.amap.adjoint(self.amap.apply(x)), out=out)
 
     def dense(self) -> np.ndarray:
         d = self.amap.dense()

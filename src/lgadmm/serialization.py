@@ -28,13 +28,24 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    The file gets the mode ``open(path, "w")`` gives a new file, 0666 less
+    the umask, instead of the 0600 of ``mkstemp``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp_path, 0o666 & ~_umask())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

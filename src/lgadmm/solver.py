@@ -188,25 +188,60 @@ class ValidationReport:
 # Spectral preconditions: the coupled first-phase metric and the last-block
 # condition, estimated once by ``validate_config``.
 
+class FirstPhaseProduct:
+    """Products with the coupled first-phase metric (prox metrics on the
+    diagonal, ``-rho A_i'A_j`` off it).
+
+    The intermediates (one constraint-space image per block, their sum, the
+    adjoint input, one adjoint image per block) live in buffers allocated
+    once, so a caller that applies the metric many times allocates nothing
+    per product. An instance is therefore not safe to share between threads.
+    """
+
+    def __init__(self, problem: BlockProblem, prox: Sequence[SymmetricOperator],
+                 rho: float):
+        self.blocks = problem.blocks[:-1]
+        self.prox = tuple(prox[:len(self.blocks)])
+        self.rho = rho
+        offsets = np.cumsum([0] + [block.dim for block in self.blocks])
+        self._pieces = [slice(start, stop) for start, stop in zip(offsets, offsets[1:])]
+        self.dim = int(offsets[-1])
+        self._images = [np.empty(problem.constraint_dim) for _ in self.blocks]
+        self._total = np.empty(problem.constraint_dim)
+        self._others = np.empty(problem.constraint_dim)
+        self._backs = [np.empty(block.dim) for block in self.blocks]
+
+    def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return the product with the concatenated first-phase vector ``r``,
+        written into ``out`` when given (which must not overlap ``r``)."""
+        if out is None:
+            out = np.empty(self.dim)
+        pieces = self._pieces
+        for block, piece, image in zip(self.blocks, pieces, self._images):
+            block.linear_map.apply(r[piece], out=image)
+        # in place from zero, bitwise as np.sum(images, axis=0) without its stacked copy
+        total = self._total
+        total[:] = 0.0
+        for image in self._images:
+            np.add(total, image, out=total)
+        for i, (block, piece) in enumerate(zip(self.blocks, pieces)):
+            # prox_i x_i - rho * A_i'(total - A_i x_i)
+            np.subtract(total, self._images[i], out=self._others)
+            back = block.linear_map.adjoint(self._others, out=self._backs[i])
+            np.multiply(self.rho, back, out=back)
+            self.prox[i].apply(r[piece], out=out[piece])
+            np.subtract(out[piece], back, out=out[piece])
+        return out
+
+
 def first_phase_apply(problem: BlockProblem, prox: Sequence[SymmetricOperator],
-                      rho: float, r: np.ndarray) -> np.ndarray:
-    """Apply the coupled first-phase metric (prox metrics on the diagonal,
-    ``-rho A_i'A_j`` off it) to a concatenated first-phase vector."""
-    blocks = problem.blocks[:-1]
-    pieces = []
-    offset = 0
-    for block in blocks:
-        pieces.append(r[offset:offset + block.dim])
-        offset += block.dim
-    images = [block.linear_map.apply(x) for block, x in zip(blocks, pieces)]
-    # in place from zero, bitwise as np.sum(images, axis=0) without its stacked copy
-    total = np.zeros(problem.constraint_dim)
-    for image in images:
-        total += image
-    out = []
-    for i, (block, x) in enumerate(zip(blocks, pieces)):
-        out.append(prox[i].apply(x) - rho * block.linear_map.adjoint(total - images[i]))
-    return np.concatenate(out)
+                      rho: float, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the coupled first-phase metric to a concatenated first-phase
+    vector, writing into ``out`` when given (which must not overlap ``r``).
+
+    Allocates its intermediates per call; keep a ``FirstPhaseProduct`` to
+    apply the same metric many times."""
+    return FirstPhaseProduct(problem, prox, rho).apply(r, out)
 
 
 def first_phase_dense(problem: BlockProblem, prox: Sequence[SymmetricOperator],
@@ -240,8 +275,7 @@ def first_phase_min_eig_estimate(problem: BlockProblem,
     if first_dim <= dense_cap:
         dense = first_phase_dense(problem, prox, rho)
         return float(np.linalg.eigvalsh(dense)[0]), "dense"
-    value = _power_min_eigenvalue(
-        lambda r: first_phase_apply(problem, prox, rho, r), first_dim)
+    value = _power_min_eigenvalue(FirstPhaseProduct(problem, prox, rho).apply, first_dim)
     return value, "power"
 
 

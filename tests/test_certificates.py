@@ -26,7 +26,7 @@ from lgadmm.certificates import (
     update_recurrence_check,
     weighted_norm_sq,
 )
-from lgadmm.operators import DenseSymmetric, ScaledIdentity
+from lgadmm.operators import BlockSignMap, DenseSymmetric, ScaledIdentity
 from lgadmm.problem import (
     PrimalDualPoint,
     evaluate_objective,
@@ -191,6 +191,52 @@ def test_first_phase_apply_matches_stacked_sum(strict_setup):
         for i, (block, x) in enumerate(zip(blocks, pieces))])
     got = first_phase_apply(problem, prox, rho, r)
     assert got.tobytes() == expected.tobytes()
+    out = np.full(r.size, np.nan)
+    assert first_phase_apply(problem, prox, rho, r, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+def _reference_apply_metric(metrics, which, v):
+    """``apply_metric`` written with allocating products and one concatenation."""
+    r, xm, y = metrics.split(v)
+    problem, prox = metrics.problem, metrics.config.proximal_metrics
+    rho, gamma = metrics.config.rho, metrics.config.gamma
+    a_m, p_m = problem.blocks[-1].linear_map, prox[-1]
+    am_x = a_m.apply(xm)
+    if which == "m":
+        return np.concatenate([r, xm, -rho * am_x + gamma * y])
+    g1_r = first_phase_apply(problem, prox, rho, r)
+    if which == "h":
+        out_m = (p_m.apply(xm) + (rho / gamma) * a_m.adjoint(am_x)
+                 + ((1.0 - gamma) / gamma) * a_m.adjoint(y))
+        out_y = ((1.0 - gamma) / gamma) * am_x + y / (gamma * rho)
+    elif which == "n":
+        out_m = p_m.apply(xm)
+        out_y = ((2.0 - gamma) / rho) * y
+    else:
+        out_m = rho * a_m.adjoint(am_x) + p_m.apply(xm) + (1.0 - gamma) * a_m.adjoint(y)
+        out_y = -am_x + y / rho
+    return np.concatenate([g1_r, out_m, out_y])
+
+
+def test_apply_metric_out_is_bitwise_the_allocating_product(strict_setup):
+    # calibration (sign maps, scaled identities) and a dense random problem
+    problem = random_problem(31, num_blocks=4, constraint_dim=5)
+    dense = assemble_metrics(problem, random_config(np.random.default_rng(31), problem))
+    rng = np.random.default_rng(32)
+    for metrics in (strict_setup.metrics, dense):
+        v = rng.standard_normal(metrics.total_dim)
+        signed_zeros = v.copy()
+        signed_zeros[::3] = -0.0
+        signed_zeros[1::3] = 0.0
+        for vector in (v, signed_zeros):
+            for which in ("q", "m", "h", "n"):
+                out = np.full(metrics.total_dim, np.nan)
+                assert apply_metric(metrics, which, vector, out=out) is out
+                expected = _reference_apply_metric(metrics, which, vector)
+                for got in (out, apply_metric(metrics, which, vector)):
+                    assert np.array_equal(got, expected)
+                    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_first_phase_min_eig_paths():
@@ -598,3 +644,41 @@ def test_strict_metrics_report_positive_minima(strict_setup, strict_dense):
     assert strict_dense.n_min_eig > 0.0
     payload = metrics.to_dict()
     assert payload["strict_ok"] is True
+
+
+def _owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
+    # Every map product of the four trajectory checks writes into a buffer
+    # and reads from buffers that outlive one step, so the number of
+    # distinct buffers does not grow with the trajectory.
+    calls = []
+    for name in ("apply", "adjoint"):
+        def recording(self, v, out=None, _original=getattr(BlockSignMap, name)):
+            # keeping the arrays alive keeps a freed buffer's address from being reused
+            calls.append((v, out))
+            return _original(self, v, out=out)
+        monkeypatch.setattr(BlockSignMap, name, recording)
+
+    def distinct_buffers(steps):
+        trajectory = strict_setup.trajectory
+        prefix = TrajectoryRecord(points=trajectory.points[:steps + 1],
+                                  auxiliaries=trajectory.auxiliaries[:steps])
+        metrics = assemble_metrics(strict_setup.problem, strict_setup.config)
+        calls.clear()
+        for report in (fejer_check(metrics, prefix, strict_setup.reference),
+                       update_recurrence_check(metrics, prefix),
+                       nonergodic_monotonicity_check(metrics, prefix),
+                       nonergodic_rate_check(metrics, prefix, strict_setup.reference)):
+            assert report.passed
+        assert calls and all(out is not None for _, out in calls)
+        return (len({id(_owner(out)) for _, out in calls}),
+                len({id(_owner(v)) for v, _ in calls}), len(calls))
+
+    short, long = distinct_buffers(10), distinct_buffers(200)
+    assert long[2] > 10 * short[2]
+    assert long[:2] == short[:2]

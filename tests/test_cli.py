@@ -234,3 +234,23 @@ def test_divergence_maps_to_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve", explode)
     code = cli.main(["solve", "--n", "6", "--out", str(tmp_path / "run")])
     assert code == 3
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_cli_artifacts_get_the_mode_open_gives(tmp_path, umask):
+    # mkstemp creates 0600 files; the atomic rename must not keep that mode
+    out = tmp_path / "run"
+    previous = os.umask(umask)
+    try:
+        code = cli.main(["certify", "--n", "4", "--out", str(out)])
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    assert code == 0
+    expected = os.stat(tmp_path / "plain.txt").st_mode & 0o777
+    assert expected == 0o666 & ~umask
+    names = sorted(os.listdir(out))
+    assert {"summary.json", "certificates.json", "c_matrix.txt"} <= set(names)
+    assert {name: os.stat(out / name).st_mode & 0o777 for name in names} == \
+        {name: expected for name in names}

@@ -136,3 +136,56 @@ def test_as_metric_dispatch():
     assert as_metric(operator, 2) is operator
     with pytest.raises(ValueError):
         as_metric(np.eye(3), 4)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _parity_inputs(rng, dim):
+    """A random vector, and one with signed zeros in it."""
+    x = rng.standard_normal(dim)
+    zeros = x.copy()
+    zeros[::3] = -0.0
+    zeros[1::3] = 0.0
+    return x, zeros
+
+
+def _sign_map_adjoint_from_zero(amap, y):
+    # the sum from zero of s * y_slot, written the allocating way
+    out = np.zeros(amap.in_dim)
+    d = amap.in_dim
+    for slot, s in enumerate(amap.signs):
+        if s:
+            out += s * y[slot * d:(slot + 1) * d]
+    return out
+
+
+def test_out_products_are_bitwise_the_allocating_ones():
+    # out= must not change a bit, signed zeros included; a NaN-filled out
+    # shows that every entry is written
+    rng = np.random.default_rng(21)
+    maps = [DenseMap(rng.standard_normal((6, 4))),
+            BlockSignMap((1, 1, 0), 4), BlockSignMap((-1, 0, 1), 4),
+            BlockSignMap((0, -1, -1), 4)]
+    for amap in maps:
+        for x in _parity_inputs(rng, amap.in_dim):
+            out = np.full(amap.out_dim, np.nan)
+            assert amap.apply(x, out=out) is out
+            assert _same_bits(out, amap.apply(x))
+        for y in _parity_inputs(rng, amap.out_dim):
+            out = np.full(amap.in_dim, np.nan)
+            assert amap.adjoint(y, out=out) is out
+            assert _same_bits(out, amap.adjoint(y))
+            if isinstance(amap, BlockSignMap):
+                assert _same_bits(out, _sign_map_adjoint_from_zero(amap, y))
+    g = rng.standard_normal((4, 4))
+    sign_map = BlockSignMap((1, -1), 4)
+    operators = [ScaledIdentity(4, 2.5), DenseSymmetric(g @ g.T),
+                 LinearizedMetric(sign_map, rho=1.5, tau=4.0,
+                                  gram_norm=gram_spectral_norm(sign_map))]
+    for op in operators:
+        for x in _parity_inputs(rng, op.dim):
+            out = np.full(op.dim, np.nan)
+            assert op.apply(x, out=out) is out
+            assert _same_bits(out, op.apply(x))
