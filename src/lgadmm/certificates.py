@@ -148,8 +148,18 @@ class MetricMatrices:
     n_min_eig: float
     h_min_eig: float | None = None
     dense: dict[str, np.ndarray] | None = None
-    # buffers of ``apply_metric``, made on its first call
-    _scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the (first phase, last block, multiplier) slices of a packed vector
+        # and the buffers of ``apply_metric`` and ``weighted_norm_sq``
+        dims = self.problem.block_dims
+        first, last = sum(dims[:-1]), sum(dims)
+        self._slices = (slice(0, first), slice(first, last), slice(last, None))
+        self._first_phase = FirstPhaseProduct(
+            self.problem, self.config.proximal_metrics, self.config.rho)
+        self._image = np.empty(self.problem.constraint_dim)
+        self._back = np.empty(dims[-1])
+        self._product = np.empty(self.problem.total_dim)
 
     @property
     def strict_ok(self) -> bool:
@@ -198,16 +208,15 @@ class MetricMatrices:
 
     @property
     def first_dim(self) -> int:
-        return sum(self.problem.block_dims[:-1])
+        return self._slices[0].stop
 
     @property
     def total_dim(self) -> int:
         return self.problem.total_dim
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        first = self.first_dim
-        last = first + self.problem.block_dims[-1]
-        return v[:first], v[first:last], v[last:]
+        first, last, multiplier = self._slices
+        return v[first], v[last], v[multiplier]
 
     def to_dict(self) -> dict:
         """What the metrics add to ``validation``."""
@@ -253,12 +262,8 @@ def assemble_metrics(problem: BlockProblem, config: SolverConfig,
         return metrics
 
     prox = config.proximal_metrics
-    first = metrics.first_dim
-    last_dim = problem.block_dims[-1]
     ell = problem.constraint_dim
-    fp = slice(0, first)
-    lb = slice(first, first + last_dim)
-    du = slice(first + last_dim, first + last_dim + ell)
+    fp, lb, du = metrics._slices
 
     g1 = first_phase_dense(problem, prox, rho)
     am = problem.blocks[-1].linear_map.dense()
@@ -313,17 +318,6 @@ def assemble_metrics(problem: BlockProblem, config: SolverConfig,
     return metrics
 
 
-def _product_scratch(metrics: MetricMatrices) -> tuple:
-    """``(first-phase product, constraint-space buffer, last-block buffer)``,
-    made once per ``MetricMatrices``."""
-    if metrics._scratch is None:
-        problem, config = metrics.problem, metrics.config
-        metrics._scratch = (
-            FirstPhaseProduct(problem, config.proximal_metrics, config.rho),
-            np.empty(problem.constraint_dim), np.empty(problem.block_dims[-1]))
-    return metrics._scratch
-
-
 def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Structural (matrix-free) product of one certificate matrix with ``v``.
@@ -340,7 +334,7 @@ def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray,
         out = np.empty(metrics.total_dim)
     r, xm, y = metrics.split(v)
     out_r, out_m, out_y = metrics.split(out)
-    first_phase, image, back = _product_scratch(metrics)
+    image, back = metrics._image, metrics._back
     rho, gamma = metrics.config.rho, metrics.config.gamma
     a_m = metrics.problem.blocks[-1].linear_map
     p_m = metrics.config.proximal_metrics[-1]
@@ -355,7 +349,7 @@ def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray,
         np.add(image, out_y, out=out_y)
         return out
     if r.size:
-        first_phase.apply(r, out=out_r)
+        metrics._first_phase.apply(r, out=out_r)
     if which == "h":
         # P_m x_m + (rho/gamma) A_m'A_m x_m + ((1 - gamma)/gamma) A_m'y
         p_m.apply(xm, out=out_m)
@@ -389,26 +383,21 @@ def weighted_norm_sq(metrics: MetricMatrices, v: np.ndarray, which: str) -> floa
     """Quadratic form ``v' W v`` for ``W`` in {H, N, G1, P_m}.
 
     ``v`` is always a packed full-space vector; the first-phase and
-    last-block forms act on the corresponding slice of it.
+    last-block forms act on the corresponding slice of it. An H or N
+    product goes to a buffer that ``metrics`` keeps, so ``v`` must not be
+    that buffer.
     """
     which = which.lower()
     if which in ("h", "n"):
-        return float(v @ apply_metric(metrics, which, v))
+        return float(v @ apply_metric(metrics, which, v, out=metrics._product))
     r, xm, _ = metrics.split(v)
     if which == "g1":
         if not r.size:
             return 0.0
-        return float(r @ _product_scratch(metrics)[0].apply(r))
+        return float(r @ metrics._first_phase.apply(r))
     if which == "p_m":
         return metrics.config.proximal_metrics[-1].quad(xm)
     raise ValueError(f"unknown metric {which!r}")
-
-
-def _quad_into(metrics: MetricMatrices, which: str, v: np.ndarray,
-               out: np.ndarray) -> float:
-    """``weighted_norm_sq(metrics, v, which)`` for H or N, with the product
-    written into ``out``."""
-    return float(v @ apply_metric(metrics, which, v, out=out))
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +497,15 @@ def fejer_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         return _skipped(name, metrics.strict_reason)
     problem = metrics.problem
     ref = pack_point(problem, reference)
-    diff, product = np.empty_like(ref), np.empty_like(ref)
+    diff = np.empty_like(ref)
     margins = []
     for k, wk, wk1 in _packed_steps(problem, trajectory):
         if k == 0:
-            before = _quad_into(metrics, "h", np.subtract(wk, ref, out=diff), product)
+            before = weighted_norm_sq(metrics, np.subtract(wk, ref, out=diff), "h")
         # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
         _pack_into(trajectory.auxiliaries[k], diff)
-        decrease = _quad_into(metrics, "n", np.subtract(wk, diff, out=diff), product)
-        after = _quad_into(metrics, "h", np.subtract(wk1, ref, out=diff), product)
+        decrease = weighted_norm_sq(metrics, np.subtract(wk, diff, out=diff), "n")
+        after = weighted_norm_sq(metrics, np.subtract(wk1, ref, out=diff), "h")
         margins.append(before - decrease - after
                        + inequality_slack(before, decrease, after))
         # this step's distance after is the next step's distance before
@@ -544,8 +533,8 @@ def nonergodic_monotonicity_check(metrics: MetricMatrices,
 
 
 def _h_step_lengths(metrics: MetricMatrices, trajectory: TrajectoryRecord) -> list[float]:
-    diff, product = np.empty(metrics.total_dim), np.empty(metrics.total_dim)
-    return [_quad_into(metrics, "h", np.subtract(wk, wk1, out=diff), product)
+    diff = np.empty(metrics.total_dim)
+    return [weighted_norm_sq(metrics, np.subtract(wk, wk1, out=diff), "h")
             for _, wk, wk1 in _packed_steps(metrics.problem, trajectory)]
 
 

@@ -17,18 +17,22 @@ Four subcommands drive the calibration benchmark end to end:
     when any check fails.
 
 Options can come from flags or from a ``key=value`` config file; flags
-win. Exit codes are a stable contract: 0 success, 2 configuration error,
-3 divergence, 4 certificate failure.
+win. Each option is declared once, in ``_OPTIONS``, and one parser reads
+both its flag and its config-file value. Exit codes are a stable
+contract: 0 success, 2 configuration error, 3 divergence, 4 certificate
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import multiprocessing
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Sequence
 
 import numpy as np
 
@@ -66,9 +70,9 @@ from .solver import (
     OracleError,
     SolveResult,
     SolverConfig,
+    StepReport,
     solve,
     validate_config,
-    write_trajectory_csv,
 )
 
 __all__ = [
@@ -122,47 +126,54 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad gamma grid {text!r}: {exc}") from None
+        raise ValueError(f"bad gamma grid {text!r}: {exc}") from None
     if not values:
-        raise ConfigError("gamma grid is empty")
+        raise ValueError("gamma grid is empty")
     return values
-
-
-def _grid_argument(text: str) -> tuple[float, ...]:
-    try:
-        return _parse_grid(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_bool(text: str) -> bool:
     try:
         return _BOOL_WORDS[text.strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected a boolean, got {text!r}") from None
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-# config-file parsers per option; grid and booleans need special handling
-_FILE_PARSERS = {
-    "n": int,
-    "seed": int,
-    "rho": float,
-    "gamma": float,
-    "tol": float,
-    "max_iter": int,
-    "repeat": int,
-    "workers": int,
-    "probes": int,
-    "strict": _parse_bool,
-    "negative_control": _parse_bool,
-    "gamma_grid": _parse_grid,
-    "out": str,
+# option -> (parser of its flag and config-file text, help); a subcommand
+# takes the options its _DEFAULTS entry names, and a boolean is a bare flag
+_OPTIONS = {
+    "n": (int, "matrix order of the instance"),
+    "seed": (int, "instance seed"),
+    "rho": (float, "penalty parameter"),
+    "gamma": (float, "relaxation factor"),
+    "tol": (float, "stopping tolerance"),
+    "max_iter": (int, "iteration cap"),
+    "strict": (_parse_bool, "refuse configurations the theory does not cover"),
+    "gamma_grid": (_parse_grid, "comma separated relaxation factors"),
+    "repeat": (int, "seeds per grid value (seed..seed+repeat-1)"),
+    "workers": (int, "worker processes (default: one per core)"),
+    "probes": (int, "number of feasible probe points"),
+    "negative_control": (_parse_bool,
+                         "corrupt the trajectory to prove checks fail"),
+    "out": (str, "output directory"),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parse_option(key: str, text: str, where: str):
+    try:
+        return _OPTIONS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict:
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
@@ -174,19 +185,16 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FILE_PARSERS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _FILE_PARSERS[key](value.strip())
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        values[key] = _parse_option(key, value.strip(), f"{path}:{lineno}")
     return values
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
     """Layer hard defaults, then the config file, then explicit flags."""
     settings = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
+    if args.config:
         file_values = _read_config_file(args.config)
         unknown = set(file_values) - set(settings)
         if unknown:
@@ -194,10 +202,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
                 f"config keys not used by {args.command}: {sorted(unknown)}"
             )
         settings.update(file_values)
-    for key in settings:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
+    for key in _DEFAULTS[args.command]:
+        text = getattr(args, key)
+        if text is not None:
+            settings[key] = _parse_option(key, text, _flag(key))
     settings["command"] = args.command
     _check_settings(settings)
     return settings
@@ -268,6 +276,35 @@ def _summary_core(settings: dict, gamma: float, result: SolveResult,
     }
 
 
+def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    """One CSV artifact: floats with 17 significant digits, booleans in
+    lower case, ints as written, ``None`` as an empty cell."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, float):
+            return format_float(value)
+        return str(value)
+
+    lines = [",".join(header)]
+    lines += [",".join(cell(value) for value in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_trajectory_csv(path: str, reports: Sequence[StepReport],
+                          num_blocks: int) -> None:
+    """Per-iteration diagnostics, one row per step."""
+    header = ["k", "feasibility_residual", "objective",
+              *(f"rel_change_block_{i + 1}" for i in range(num_blocks)),
+              "rel_change_multiplier"]
+    _write_csv(path, header, [
+        (k, report.feasibility_residual, report.objective,
+         *report.successive_change)
+        for k, report in enumerate(reports, start=1)])
+
+
 def run_solve(settings: dict) -> int:
     """Solve one calibration instance and write its artifacts.
 
@@ -293,8 +330,8 @@ def run_solve(settings: dict) -> int:
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     objective = evaluate_objective(problem, result.final)
 
-    write_trajectory_csv(result.reports, problem.num_blocks,
-                         os.path.join(out, "trajectory.csv"))
+    _write_trajectory_csv(os.path.join(out, "trajectory.csv"), result.reports,
+                          problem.num_blocks)
     summary = _summary_core(settings, settings["gamma"], result, objective, seconds)
     summary["validation"] = result.validation.to_dict()
     atomic_write_json(os.path.join(out, "summary.json"), summary)
@@ -419,13 +456,9 @@ def run_gamma_sweep(settings: dict) -> int:
             "mean_objective": float(np.mean([c["objective"] for c in rows])),
         })
 
-    header = "gamma,mean_iterations,mean_seconds,mean_objective"
-    lines = [header]
-    for row in per_gamma:
-        lines.append(",".join(format_float(row[key]) for key in
-                              ("gamma", "mean_iterations", "mean_seconds",
-                               "mean_objective")))
-    atomic_write_text(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    header = ("gamma", "mean_iterations", "mean_seconds", "mean_objective")
+    _write_csv(os.path.join(out, "sweep.csv"), header,
+               [[row[key] for key in header] for row in per_gamma])
 
     spearman = _spearman([row["gamma"] for row in per_gamma],
                          [row["mean_iterations"] for row in per_gamma])
@@ -494,29 +527,15 @@ def run_baseline_compare(settings: dict) -> int:
         })
 
     labels = [str(run["gamma"]).replace(".", "_") for run in runs]
-    lines = ["k," + ",".join(f"objective_gamma_{label}" for label in labels)]
-    for k in range(max(len(run["curve"]) for run in runs)):
-        cells = [format_float(run["curve"][k]) if k < len(run["curve"]) else ""
-                 for run in runs]
-        lines.append(f"{k + 1}," + ",".join(cells))
-    atomic_write_text(os.path.join(out, "compare_curves.csv"),
-                      "\n".join(lines) + "\n")
-
-    header = ("gamma,iterations,seconds,objective,final_epsilon,"
-              "converged,monotone_after_burn_in")
-    rows = [header]
-    for run in runs:
-        rows.append(",".join([
-            format_float(run["gamma"]),
-            str(run["iterations"]),
-            format_float(run["seconds"]),
-            format_float(run["objective"]),
-            format_float(run["final_epsilon"]),
-            str(run["converged"]).lower(),
-            str(run["monotone_after_burn_in"]).lower(),
-        ]))
-    atomic_write_text(os.path.join(out, "compare_summary.csv"),
-                      "\n".join(rows) + "\n")
+    # a run that stopped earlier leaves its column empty from then on
+    curves = itertools.zip_longest(*(run["curve"] for run in runs))
+    _write_csv(os.path.join(out, "compare_curves.csv"),
+               ["k", *(f"objective_gamma_{label}" for label in labels)],
+               [(k, *values) for k, values in enumerate(curves, start=1)])
+    header = ("gamma", "iterations", "seconds", "objective", "final_epsilon",
+              "converged", "monotone_after_burn_in")
+    _write_csv(os.path.join(out, "compare_summary.csv"), header,
+               [[run[key] for key in header] for run in runs])
 
     first, second = runs
     gap_scale = max(abs(first["objective"]), abs(second["objective"]), 1e-30)
@@ -640,64 +659,35 @@ def run_certify(settings: dict) -> int:
     return 4 if failed else 0
 
 
-_RUNNERS = {
-    "solve": run_solve,
-    "gamma-sweep": run_gamma_sweep,
-    "baseline-compare": run_baseline_compare,
-    "certify": run_certify,
+_COMMANDS = {
+    "solve": (run_solve, "run one instance"),
+    "gamma-sweep": (run_gamma_sweep, "sweep the relaxation factor"),
+    "baseline-compare": (run_baseline_compare,
+                         "same instance at relaxation 1.0 and 1.9"),
+    "certify": (run_certify, "strict run plus every certificate check"),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, help="matrix order of the instance")
-    sub.add_argument("--seed", type=int, help="instance seed")
-    sub.add_argument("--rho", type=float, help="penalty parameter")
-    sub.add_argument("--tol", type=float, help="stopping tolerance")
-    sub.add_argument("--max-iter", type=int, dest="max_iter",
-                     help="iteration cap")
-    sub.add_argument("--strict", action="store_const", const=True,
-                     help="refuse configurations the theory does not cover")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--config", help="key=value defaults file (flags win)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with one flag per key of its ``_DEFAULTS``.
+
+    Flags keep their text (a bare boolean flag stores ``"true"``), which
+    ``_merge_settings`` parses as it parses a config-file value.
+    """
     parser = argparse.ArgumentParser(
         prog="lgadmm",
         description="Calibration benchmark harness for the multi-block "
                     "relaxed splitting solver.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    solve_cmd = commands.add_parser("solve", help="run one instance")
-    _add_common(solve_cmd)
-    solve_cmd.add_argument("--gamma", type=float, help="relaxation factor")
-
-    sweep_cmd = commands.add_parser("gamma-sweep",
-                                    help="sweep the relaxation factor")
-    _add_common(sweep_cmd)
-    sweep_cmd.add_argument("--gamma-grid", type=_grid_argument,
-                           dest="gamma_grid",
-                           help="comma separated relaxation factors")
-    sweep_cmd.add_argument("--repeat", type=int,
-                           help="seeds per grid value (seed..seed+repeat-1)")
-    sweep_cmd.add_argument("--workers", type=int,
-                           help="worker processes (default: one per core)")
-
-    compare_cmd = commands.add_parser(
-        "baseline-compare",
-        help="same instance at relaxation 1.0 and 1.9")
-    _add_common(compare_cmd)
-
-    certify_cmd = commands.add_parser(
-        "certify", help="strict run plus every certificate check")
-    _add_common(certify_cmd)
-    certify_cmd.add_argument("--gamma", type=float, help="relaxation factor")
-    certify_cmd.add_argument("--probes", type=int,
-                             help="number of feasible probe points")
-    certify_cmd.add_argument("--negative-control", action="store_const",
-                             const=True, dest="negative_control",
-                             help="corrupt the trajectory to prove checks fail")
+    for command, (_, command_help) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=command_help)
+        for key in _DEFAULTS[command]:
+            parse, option_help = _OPTIONS[key]
+            bare = (dict(action="store_const", const="true")
+                    if parse is _parse_bool else {})
+            sub.add_argument(_flag(key), dest=key, help=option_help, **bare)
+        sub.add_argument("--config", help="key=value defaults file (flags win)")
     return parser
 
 
@@ -719,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _merge_settings(args)
-        return _RUNNERS[args.command](settings)
+        return _COMMANDS[args.command][0](settings)
     except (ConfigError, BlockProblemError, CertificateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -28,24 +27,19 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename.
 
-    The file gets the mode ``open(path, "w")`` gives a new file, 0666 less
-    the umask, instead of the 0600 of ``mkstemp``."""
+    The temporary file is created under a fresh name by ``open(..., "x")``,
+    so it gets the mode any new file gets, 0666 less the umask, and the
+    process umask is never touched."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    handle = open(tmp_path, "x")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
-        os.chmod(tmp_path, 0o666 & ~_umask())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -54,7 +54,6 @@ __all__ = [
     "solve",
     "identity_metrics",
     "zero_metrics",
-    "write_trajectory_csv",
 ]
 
 # Below this, a first-step norm is treated as zero and the component's
@@ -632,20 +631,3 @@ def solve(problem: BlockProblem, config: SolverConfig,
         validation=validation,
         state=replace(state, previous=None, auxiliary=None),
     )
-
-
-def write_trajectory_csv(reports: Sequence[StepReport], num_blocks: int,
-                         path: str) -> None:
-    """Write per-iteration diagnostics as CSV (17 significant digits)."""
-    from .serialization import atomic_write_text, format_float
-
-    header = ["k", "feasibility_residual", "objective"]
-    header += [f"rel_change_block_{i + 1}" for i in range(num_blocks)]
-    header.append("rel_change_multiplier")
-    lines = [",".join(header)]
-    for k, report in enumerate(reports, start=1):
-        row = [str(k), format_float(report.feasibility_residual),
-               format_float(report.objective)]
-        row += [format_float(c) for c in report.successive_change]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")

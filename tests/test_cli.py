@@ -1,12 +1,17 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from lgadmm import DivergenceError, PrimalDualPoint
 from lgadmm import cli, solver
+from util import scalar_zero_problem
 
 
 def run_cli(args, cwd=None):
@@ -238,7 +243,7 @@ def test_divergence_maps_to_exit_3(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_cli_artifacts_get_the_mode_open_gives(tmp_path, umask):
-    # mkstemp creates 0600 files; the atomic rename must not keep that mode
+    # the atomic rename must leave each artifact the mode a plain open gives
     out = tmp_path / "run"
     previous = os.umask(umask)
     try:
@@ -254,3 +259,136 @@ def test_cli_artifacts_get_the_mode_open_gives(tmp_path, umask):
     assert {"summary.json", "certificates.json", "c_matrix.txt"} <= set(names)
     assert {name: os.stat(out / name).st_mode & 0o777 for name in names} == \
         {name: expected for name in names}
+
+
+# A value other than the default for every option, as it is written in a
+# flag or a config file, and what it parses to.
+OPTION_TEXTS = {
+    "n": ("7", 7),
+    "seed": ("3", 3),
+    "rho": ("2.5", 2.5),
+    "gamma": ("1.25", 1.25),
+    "tol": ("1e-5", 1e-5),
+    "max_iter": ("42", 42),
+    "strict": ("yes", True),
+    "gamma_grid": ("0.5,1.5", (0.5, 1.5)),
+    "repeat": ("3", 3),
+    "workers": ("2", 2),
+    "probes": ("4", 4),
+    "negative_control": ("on", True),
+    "out": ("elsewhere", "elsewhere"),
+}
+
+
+def merged(argv):
+    return cli._merge_settings(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", sorted(cli._DEFAULTS))
+def test_flag_and_config_file_give_the_same_settings(tmp_path, command):
+    assert set(cli._DEFAULTS[command]) <= set(OPTION_TEXTS)
+    for key, default in cli._DEFAULTS[command].items():
+        text, value = OPTION_TEXTS[key]
+        assert value != default
+        flag = "--" + key.replace("_", "-")
+        from_flag = merged([command, flag] if isinstance(value, bool)
+                           else [command, flag, text])
+        config_file = tmp_path / f"{key}.conf"
+        config_file.write_text(f"{key} = {text}\n")
+        from_file = merged([command, "--config", str(config_file)])
+        assert from_flag == from_file == dict(cli._DEFAULTS[command],
+                                              command=command, **{key: value})
+
+
+@pytest.mark.parametrize("command", sorted(cli._DEFAULTS))
+def test_help_lists_exactly_the_default_keys(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config"} | {
+        "--" + key.replace("_", "-") for key in cli._DEFAULTS[command]}
+
+
+def test_bad_values_are_reported_alike_from_flags_and_files(tmp_path, capsys):
+    config_file = tmp_path / "bad.conf"
+    config_file.write_text("gamma_grid = 0.5,zz\n")
+    assert cli.main(["gamma-sweep", "--config", str(config_file)]) == 2
+    from_file = capsys.readouterr().err
+    assert cli.main(["gamma-sweep", "--gamma-grid", "0.5,zz"]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_file == f"error: {config_file}:1: bad value for gamma_grid: " \
+        "bad gamma grid '0.5,zz': could not convert string to float: 'zz'\n"
+    assert from_flag == from_file.replace(f"{config_file}:1", "--gamma-grid")
+
+
+def test_read_config_file_closes_its_file(tmp_path):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("n = 6\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli._read_config_file(str(config_file)) == {"n": 6}
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def running_example():
+    """Three scalar blocks, no objectives, identity maps, zero right side."""
+    problem = scalar_zero_problem(num_blocks=3)
+    config = solver.SolverConfig(
+        rho=1.0, gamma=1.0, proximal_metrics=solver.identity_metrics(problem))
+    start = PrimalDualPoint(
+        (np.array([1.0]), np.array([1.0]), np.array([1.0])), np.zeros(1))
+    return problem, solver.solve(problem, config, start)
+
+
+def test_trajectory_csv_columns(tmp_path):
+    problem, result = running_example()
+    path = tmp_path / "trajectory.csv"
+    cli._write_trajectory_csv(str(path), result.reports, problem.num_blocks)
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == [
+        "k", "feasibility_residual", "objective", "rel_change_block_1",
+        "rel_change_block_2", "rel_change_block_3", "rel_change_multiplier"]
+    assert len(lines) == len(result.reports) + 1
+    assert all(cell for line in lines[1:] for cell in line.split(","))
+    for k, (line, report) in enumerate(zip(lines[1:], result.reports), start=1):
+        count, *cells = line.split(",")
+        assert count == str(k)
+        assert [float(cell) for cell in cells] == [
+            report.feasibility_residual, report.objective,
+            *report.successive_change]
+
+
+def test_csv_cells_follow_one_rule(tmp_path):
+    rng = np.random.default_rng(5)
+    floats = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1e-300, -1.7976931348623157e308,
+              2.0, *(rng.standard_normal(50) * 10.0 ** rng.integers(-30, 30, 50))]
+    path = tmp_path / "cells.csv"
+    cli._write_csv(str(path), ["x", "flag", "count", "missing"],
+                   [(x, bool(x > 0), i, None) for i, x in enumerate(floats)])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,flag,count,missing"
+    for i, (line, x) in enumerate(zip(lines[1:], floats)):
+        cell, flag, count, missing = line.split(",")
+        assert float(cell) == x and np.signbit(float(cell)) == np.signbit(x)
+        assert flag == ("true" if x > 0 else "false")
+        assert (count, missing) == (str(i), "")
+    assert len(lines) == len(floats) + 1
+
+
+def test_compare_curves_leave_the_shorter_run_empty(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["baseline-compare", "--n", "10", "--out", str(out)]) == 0
+    summary = [line.split(",") for line in
+               (out / "compare_summary.csv").read_text().splitlines()[1:]]
+    assert [row[5] for row in summary] == ["true", "true"]
+    assert {row[6] for row in summary} <= {"true", "false"}
+    lengths = [int(row[1]) for row in summary]
+    assert lengths[1] < lengths[0]
+    rows = [line.split(",") for line in
+            (out / "compare_curves.csv").read_text().splitlines()[1:]]
+    assert len(rows) == max(lengths)
+    for k, row in enumerate(rows, start=1):
+        assert row[0] == str(k)
+        for length, cell in zip(lengths, row[1:]):
+            assert (cell != "") == (k <= length)

@@ -33,6 +33,22 @@ def test_atomic_write_text_leaves_no_temp_files(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["note.txt"]
 
 
+def test_atomic_write_text_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # reading the umask means setting it, which changes the mode of files
+    # other threads create meanwhile; a write must not need it
+    def umask(mask):
+        raise AssertionError("atomic_write_text changed the process umask")
+
+    with open(tmp_path / "plain.txt", "w"):
+        pass
+    monkeypatch.setattr(os, "umask", umask)
+    target = tmp_path / "note.txt"
+    atomic_write_text(str(target), "payload")
+    assert target.read_text() == "payload"
+    assert os.stat(target).st_mode == os.stat(tmp_path / "plain.txt").st_mode
+    assert sorted(os.listdir(tmp_path)) == ["note.txt", "plain.txt"]
+
+
 def test_atomic_write_text_creates_parent_directories(tmp_path):
     target = tmp_path / "a" / "b" / "note.txt"
     atomic_write_text(str(target), "deep")

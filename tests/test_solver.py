@@ -31,7 +31,6 @@ from lgadmm.solver import (
     solve,
     step,
     validate_config,
-    write_trajectory_csv,
     zero_metrics,
 )
 from util import chain_problem, quadratic_spec, scalar_zero_problem
@@ -332,19 +331,6 @@ def test_strict_run_h_norm_steps_never_increase(strict_setup):
         lengths.append(weighted_norm_sq(metrics, diff, "h"))
     for before, after in zip(lengths, lengths[1:]):
         assert after <= before + 1e-10 * (1.0 + before)
-
-
-def test_trajectory_csv_columns(tmp_path):
-    problem, config = running_example()
-    result = solve(problem, config, RUNNING_EXAMPLE_START)
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(result.reports, problem.num_blocks, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",") == [
-        "k", "feasibility_residual", "objective", "rel_change_block_1",
-        "rel_change_block_2", "rel_change_block_3", "rel_change_multiplier"]
-    assert len(lines) == len(result.reports) + 1
-    assert all(cell for line in lines[1:] for cell in line.split(","))
 
 
 def test_record_trajectory_lengths():
