@@ -161,19 +161,22 @@ def stacked_maps(n: int) -> StackedMaps:
 
 def verify_stacked_maps(maps: StackedMaps, rng: np.random.Generator | None = None,
                         tol: float = 1e-12) -> float:
-    """Probe the structural Gram products; returns the worst defect.
+    """Check the structural Gram products; returns the worst probe defect.
 
-    ``A_i'A_i v = 2 v`` and ``A_i'A_j v = -v`` must hold for random probes.
-    Raises ``ValueError`` beyond ``tol``.
+    ``A_i.gram(A_j)`` must be 2 for ``i = j`` and -1 otherwise, and must
+    match ``A_i'A_j`` on random probes up to ``tol``, else ``ValueError``.
     """
     rng = rng or np.random.default_rng(0)
     trio = (maps.a1, maps.a2, maps.a3)
     worst = 0.0
     for i, ai in enumerate(trio):
         for j, aj in enumerate(trio):
+            gram = ai.gram(aj)
+            if gram != (2.0 if i == j else -1.0):
+                raise ValueError(f"stacked maps {i + 1} and {j + 1} have "
+                                 f"structural Gram {gram}")
             v = rng.standard_normal(ai.in_dim)
-            expected = 2.0 * v if i == j else -v
-            defect = float(np.max(np.abs(ai.adjoint(aj.apply(v)) - expected)))
+            defect = float(np.max(np.abs(ai.adjoint(aj.apply(v)) - gram * v)))
             worst = max(worst, defect)
     if worst > tol:
         raise ValueError(f"stacked maps lost their structural Gram products "
@@ -186,15 +189,16 @@ def calibration_block_oracle(c: np.ndarray, amap: BlockSignMap, projection):
 
     Solves ``min 0.5 ||X - C||^2 + (rho/2) ||A X - target||^2
     + (sigma/2) ||X - center||^2`` over the copy's constraint set. Because
-    ``A'A = 2 I`` here, the quadratic is spherical and the constrained
-    minimiser is the projection of ``(C + sigma * center + rho * A'target)
-    / (1 + 2 rho + sigma)``.
+    ``A'A = 2 I`` here (read from ``amap.gram(amap)``), the quadratic is
+    spherical and the constrained minimiser is the projection of
+    ``(C + sigma * center + rho * A'target) / (1 + 2 rho + sigma)``.
 
     Only spherical (scaled-identity) proximal metrics keep that exactness;
     anything else raises, with a pointer at what would be needed instead.
     """
     n = c.shape[0]
     c_flat = c.reshape(-1)
+    gram = amap.gram(amap)
 
     def oracle(target: np.ndarray, center: np.ndarray, rho: float,
                metric: SymmetricOperator) -> np.ndarray:
@@ -205,7 +209,7 @@ def calibration_block_oracle(c: np.ndarray, amap: BlockSignMap, projection):
                 "iterative subproblem solver for general metrics")
         sigma = metric.scale
         pulled = amap.adjoint(target)
-        candidate = (c_flat + sigma * center + rho * pulled) / (1.0 + 2.0 * rho + sigma)
+        candidate = (c_flat + sigma * center + rho * pulled) / (1.0 + gram * rho + sigma)
         return projection(candidate.reshape(n, n)).reshape(-1)
 
     return oracle
@@ -218,8 +222,8 @@ def projected_gradient_oracle(c: np.ndarray, amap: BlockSignMap, projection,
     """Independent route to the same subproblem, for cross-validation.
 
     Plain projected gradient on the block subproblem, deliberately not
-    reusing the closed form: the smoothness constant comes from a power
-    iteration on the Gram operator, and the step is half its inverse so the
+    reusing the closed form: the smoothness constant comes from
+    ``gram_spectral_norm``, and the step is half its inverse so the
     iteration takes many genuinely contractive steps rather than jumping to
     the unconstrained minimiser.
     """

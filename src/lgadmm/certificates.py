@@ -69,6 +69,7 @@ __all__ = [
     "inequality_slack",
     "check_probe_feasible",
     "fejer_check",
+    "h_step_lengths",
     "nonergodic_monotonicity_check",
     "nonergodic_rate_check",
     "ergodic_average",
@@ -513,12 +514,21 @@ def fejer_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
     return _finish(name, margins)
 
 
+def h_step_lengths(metrics: MetricMatrices, trajectory: TrajectoryRecord) -> list[float]:
+    """``||w^k - w^{k+1}||_H^2`` for every recorded step ``k``."""
+    diff = np.empty(metrics.total_dim)
+    return [weighted_norm_sq(metrics, np.subtract(wk, wk1, out=diff), "h")
+            for _, wk, wk1 in _packed_steps(metrics.problem, trajectory)]
+
+
 def nonergodic_monotonicity_check(metrics: MetricMatrices,
-                                  trajectory: TrajectoryRecord) -> CertificateReport:
+                                  trajectory: TrajectoryRecord,
+                                  steps: Sequence[float] | None = None) -> CertificateReport:
     """The H-weighted step length never increases from one step to the next.
 
     Needs the strict matrix conditions and a positive semidefinite
-    last-block proximal metric; skipped when either fails.
+    last-block proximal metric; skipped when either fails. ``steps`` is
+    ``h_step_lengths(metrics, trajectory)``, computed here when omitted.
     """
     name = "step_monotonicity"
     _require_trajectory(trajectory)
@@ -526,25 +536,22 @@ def nonergodic_monotonicity_check(metrics: MetricMatrices,
         return _skipped(name, metrics.strict_reason)
     if metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
         return _skipped(name, "last-block proximal metric is not positive semidefinite")
-    steps = _h_step_lengths(metrics, trajectory)
+    if steps is None:
+        steps = h_step_lengths(metrics, trajectory)
     margins = [steps[k] - steps[k + 1] + inequality_slack(steps[k], steps[k + 1])
                for k in range(len(steps) - 1)]
     return _finish(name, margins)
 
 
-def _h_step_lengths(metrics: MetricMatrices, trajectory: TrajectoryRecord) -> list[float]:
-    diff = np.empty(metrics.total_dim)
-    return [weighted_norm_sq(metrics, np.subtract(wk, wk1, out=diff), "h")
-            for _, wk, wk1 in _packed_steps(metrics.problem, trajectory)]
-
-
 def nonergodic_rate_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
-                          reference: PrimalDualPoint) -> CertificateReport:
+                          reference: PrimalDualPoint,
+                          steps: Sequence[float] | None = None) -> CertificateReport:
     """O(1/t) bound on the H-weighted squared step length.
 
     ``t * ||w^t - w^{t+1}||_H^2`` stays below a constant assembled from the
     initial H-distance to the reference (scaled by the relaxation-dependent
     rate constant) plus the first step's last-block proximal length.
+    ``steps`` is ``h_step_lengths(metrics, trajectory)``, computed here when omitted.
     """
     name = "nonergodic_rate"
     _require_trajectory(trajectory)
@@ -560,7 +567,8 @@ def nonergodic_rate_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
                                   - pack_point(problem, reference), "h")
     first_move = (trajectory.points[0].primal[-1] - trajectory.points[1].primal[-1])
     constant = start_dist / sigma + config.proximal_metrics[-1].quad(first_move)
-    steps = _h_step_lengths(metrics, trajectory)
+    if steps is None:
+        steps = h_step_lengths(metrics, trajectory)
     margins = []
     for t in range(1, len(steps)):
         lhs = t * steps[t]

@@ -50,6 +50,7 @@ from .certificates import (
     ergodic_average,
     ergodic_gap_check,
     fejer_check,
+    h_step_lengths,
     nonergodic_monotonicity_check,
     nonergodic_rate_check,
     sigma_gamma,
@@ -619,11 +620,13 @@ def run_certify(settings: dict) -> int:
         corrupted_at = _corrupt_trajectory(trajectory)
 
     average = ergodic_average(trajectory.auxiliaries)
+    # measured after any corruption, shared by the two step-length checks
+    steps = h_step_lengths(metrics, trajectory)
     reports = [
         update_recurrence_check(metrics, trajectory),
         fejer_check(metrics, trajectory, reference),
-        nonergodic_monotonicity_check(metrics, trajectory),
-        nonergodic_rate_check(metrics, trajectory, reference),
+        nonergodic_monotonicity_check(metrics, trajectory, steps),
+        nonergodic_rate_check(metrics, trajectory, reference, steps),
         cross_term_check(trajectory, config.proximal_metrics[-1],
                          problem.blocks[-1].linear_map),
         ergodic_gap_check(problem, metrics, average, probes,

@@ -51,6 +51,11 @@ class LinearMap(abc.ABC):
         eye = np.eye(self.in_dim)
         return np.column_stack([self.apply(eye[:, j]) for j in range(self.in_dim)])
 
+    def gram(self, other: LinearMap) -> float | None:
+        """The scalar ``c`` with ``A'B = c I`` (``B`` being ``other``) when the
+        structure of both maps proves it, else ``None``."""
+        return None
+
 
 class DenseMap(LinearMap):
     """Linear map backed by an explicit 2-d array."""
@@ -117,6 +122,13 @@ class BlockSignMap(LinearMap):
         col = np.array(self.signs, dtype=float).reshape(-1, 1)
         return np.kron(col, np.eye(self.in_dim))
 
+    def gram(self, other: LinearMap) -> float | None:
+        # slot k contributes s_k t_k I to A'B
+        if (not isinstance(other, BlockSignMap) or other.in_dim != self.in_dim
+                or len(other.signs) != len(self.signs)):
+            return None
+        return float(sum(s * t for s, t in zip(self.signs, other.signs)))
+
 
 def _power_method(
     matvec: Callable[[np.ndarray], np.ndarray],
@@ -150,9 +162,27 @@ def _power_method(
     return abs(estimate)
 
 
+def _exact_gram_extremes(amap: LinearMap) -> tuple[float, float] | None:
+    """Smallest and largest eigenvalue of ``A'A`` when known exactly: from a
+    structural Gram, or from a dense matrix's singular values (``A'A`` is
+    singular when ``A`` has more columns than rows). ``None`` otherwise."""
+    gram = amap.gram(amap)
+    if gram is not None:
+        return gram, gram
+    if not isinstance(amap, DenseMap):
+        return None
+    squares = np.linalg.svd(amap._matrix, compute_uv=False) ** 2
+    smallest = squares[-1] if squares.size and amap.in_dim <= amap.out_dim else 0.0
+    return float(smallest), float(squares.max(initial=0.0))
+
+
 def gram_spectral_norm(amap: LinearMap, rel_tol: float = POWER_TOL,
                        max_iter: int = POWER_MAX_ITER, seed: int = 0) -> float:
-    """Spectral norm of ``A'A`` (the squared operator norm of ``A``)."""
+    """Spectral norm of ``A'A`` (the squared operator norm of ``A``); exact
+    for structural and dense maps, a power-iteration estimate otherwise."""
+    extremes = _exact_gram_extremes(amap)
+    if extremes is not None:
+        return extremes[1]
     return _power_method(lambda v: amap.adjoint(amap.apply(v)), amap.in_dim,
                          rel_tol, max_iter, seed)
 
@@ -173,7 +203,11 @@ def _power_min_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
 
 def gram_min_eigenvalue(amap: LinearMap, rel_tol: float = POWER_TOL,
                         max_iter: int = POWER_MAX_ITER, seed: int = 0) -> float:
-    """Smallest eigenvalue of ``A'A``, via a spectral shift of the power method."""
+    """Smallest eigenvalue of ``A'A``. Exact for structural and dense maps;
+    for any other map an estimate by a spectral shift of the power method."""
+    extremes = _exact_gram_extremes(amap)
+    if extremes is not None:
+        return extremes[0]
     return max(_power_min_eigenvalue(lambda v: amap.adjoint(amap.apply(v)),
                                      amap.in_dim, rel_tol, max_iter, seed), 0.0)
 

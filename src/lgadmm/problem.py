@@ -261,7 +261,8 @@ def make_linearized_metric(block: BlockSpec, rho: float, tau: float,
 
     With this metric the quadratic coupling term cancels from the block
     subproblem, leaving a plain proximal step of ``theta_i``. Requires
-    ``tau > rho * ||A_i'A_i||``, checked against a power-iteration estimate.
+    ``tau > rho * ||A_i'A_i||``, checked against ``gram_spectral_norm``:
+    exact for sign and dense maps, a power-iteration estimate otherwise.
 
     Raises
     ------

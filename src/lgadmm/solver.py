@@ -15,6 +15,7 @@ unrelaxed residual with the old last block.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -150,9 +151,14 @@ class ValidationReport:
     theory wants it positive definite. ``last_condition_min_eig`` refers to
     ``P_m + (rho/gamma) A_m'A_m``, and ``last_metric_min_eig`` to ``P_m``
     alone, which some of the rate certificates additionally rely on. Each
-    eigenvalue comes with the method that produced it: exact dense
-    eigendecomposition, a power-iteration estimate, or a conservative
-    lower bound.
+    eigenvalue comes with the method that produced it: ``"exact"`` when the
+    first-phase metric is ``K (x) I`` (see ``structural_coupling``) and the
+    value is ``lambda_min(K)``; ``"operator"`` for two blocks, where it is
+    the first proximal metric itself; ``"dense"`` for an eigendecomposition
+    up to ``VALIDATION_DENSE_CAP`` rows; ``"power"`` for a power-iteration
+    estimate above it; ``"bound"`` for the lower bound ``lambda_min(P_m) +
+    (rho/gamma) lambda_min(A_m'A_m)`` when it is positive (last block only;
+    exact terms for sign and dense maps, a power estimate otherwise).
     """
 
     gamma: float
@@ -191,10 +197,12 @@ class FirstPhaseProduct:
     """Products with the coupled first-phase metric (prox metrics on the
     diagonal, ``-rho A_i'A_j`` off it).
 
-    The intermediates (one constraint-space image per block, their sum, the
-    adjoint input, one adjoint image per block) live in buffers allocated
-    once, so a caller that applies the metric many times allocates nothing
-    per product. An instance is therefore not safe to share between threads.
+    When ``structural_coupling`` gives ``K``, a product is ``K (x) I`` applied
+    to the blocks, with no map products. Otherwise the intermediates (one
+    constraint-space image per block, their sum, the adjoint input, one
+    adjoint image per block) live in buffers allocated once, so a caller
+    that applies the metric many times allocates nothing per product. An
+    instance is therefore not safe to share between threads.
     """
 
     def __init__(self, problem: BlockProblem, prox: Sequence[SymmetricOperator],
@@ -205,6 +213,7 @@ class FirstPhaseProduct:
         offsets = np.cumsum([0] + [block.dim for block in self.blocks])
         self._pieces = [slice(start, stop) for start, stop in zip(offsets, offsets[1:])]
         self.dim = int(offsets[-1])
+        self.coupling = structural_coupling(problem, prox, rho)
         self._images = [np.empty(problem.constraint_dim) for _ in self.blocks]
         self._total = np.empty(problem.constraint_dim)
         self._others = np.empty(problem.constraint_dim)
@@ -216,6 +225,14 @@ class FirstPhaseProduct:
         if out is None:
             out = np.empty(self.dim)
         pieces = self._pieces
+        if self.coupling is not None:
+            # out_i = sum_j K_ij r_j from zero: the metric is K (x) I, no map products
+            for i, (piece, back) in enumerate(zip(pieces, self._backs)):
+                out[piece] = 0.0
+                for j, other in enumerate(pieces):
+                    np.add(out[piece], np.multiply(self.coupling[i, j], r[other], out=back),
+                           out=out[piece])
+            return out
         for block, piece, image in zip(self.blocks, pieces, self._images):
             block.linear_map.apply(r[piece], out=image)
         # in place from zero, bitwise as np.sum(images, axis=0) without its stacked copy
@@ -262,6 +279,24 @@ def first_phase_dense(problem: BlockProblem, prox: Sequence[SymmetricOperator],
     return out
 
 
+def structural_coupling(problem: BlockProblem, prox: Sequence[SymmetricOperator],
+                        rho: float) -> np.ndarray | None:
+    """``K`` with the coupled first-phase metric equal to ``K (x) I``: ``sigma_i``
+    on the diagonal and ``-rho g_ij`` off it, when every first-phase metric is
+    ``sigma_i I`` and every pair of first-phase maps has a structural Gram
+    ``A_i'A_j = g_ij I``. ``None`` otherwise."""
+    maps = [block.linear_map for block in problem.blocks[:-1]]
+    if not all(isinstance(metric, ScaledIdentity) for metric in prox[:len(maps)]):
+        return None
+    coupling = np.diag([metric.scale for metric in prox[:len(maps)]])
+    for i, j in itertools.combinations(range(len(maps)), 2):
+        gram = maps[i].gram(maps[j])
+        if gram is None:
+            return None
+        coupling[i, j] = coupling[j, i] = -rho * gram
+    return coupling
+
+
 def first_phase_min_eig_estimate(problem: BlockProblem,
                                  prox: Sequence[SymmetricOperator],
                                  rho: float,
@@ -271,6 +306,9 @@ def first_phase_min_eig_estimate(problem: BlockProblem,
     if problem.num_blocks == 2:
         # No couplings: the metric is the first block's prox metric itself.
         return prox[0].min_eigenvalue(), "operator"
+    coupling = structural_coupling(problem, prox, rho)
+    if coupling is not None:
+        return float(np.linalg.eigvalsh(coupling)[0]), "exact"
     if first_dim <= dense_cap:
         dense = first_phase_dense(problem, prox, rho)
         return float(np.linalg.eigvalsh(dense)[0]), "dense"

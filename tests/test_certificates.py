@@ -36,10 +36,12 @@ from lgadmm.problem import (
     zeros_point,
 )
 from lgadmm.solver import (
+    FirstPhaseProduct,
     IterationState,
     SolverConfig,
     TrajectoryRecord,
     first_phase_apply,
+    first_phase_dense,
     first_phase_min_eig_estimate,
     last_condition_min_eig_estimate,
     solve,
@@ -169,16 +171,19 @@ def test_default_metrics_take_preconditions_from_validation(strict_setup):
     validation = strict_setup.result.validation
     assert metrics.dense is None and metrics.matrix_free
     assert metrics.validation == validation
-    # the first-phase dimension (128) is under the exact-eigenvalue cap
-    assert validation.first_phase_method == "dense"
+    # sign maps and scaled identities: the first-phase metric is K (x) I
+    assert validation.first_phase_method == "exact"
+    assert validation.first_phase_min_eig == 3.0
     assert metrics.h_min_eig is None
     assert set(metrics.to_dict()) == {"h_min_eig", "n_min_eig", "strict_ok",
                                       "strict_reason", "matrix_free"}
 
 
-def test_first_phase_apply_matches_stacked_sum(strict_setup):
-    problem = strict_setup.problem
-    prox, rho = strict_setup.config.proximal_metrics, strict_setup.config.rho
+def test_first_phase_apply_matches_stacked_sum():
+    # dense maps have no structural Gram, so the product goes through images
+    problem = random_problem(15, num_blocks=4, constraint_dim=5)
+    config = random_config(np.random.default_rng(15), problem)
+    prox, rho = config.proximal_metrics, config.rho
     blocks = problem.blocks[:-1]
     rng = np.random.default_rng(14)
     r = rng.standard_normal(sum(block.dim for block in blocks))
@@ -194,6 +199,21 @@ def test_first_phase_apply_matches_stacked_sum(strict_setup):
     out = np.full(r.size, np.nan)
     assert first_phase_apply(problem, prox, rho, r, out=out) is out
     assert out.tobytes() == expected.tobytes()
+
+
+def test_structural_first_phase_apply_matches_dense(strict_setup):
+    problem = strict_setup.problem
+    prox, rho = strict_setup.config.proximal_metrics, strict_setup.config.rho
+    product = FirstPhaseProduct(problem, prox, rho)
+    assert product.coupling is not None
+    dense = first_phase_dense(problem, prox, rho)
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        r = rng.standard_normal(product.dim)
+        expected = dense @ r
+        out = np.full(r.size, np.nan)
+        assert product.apply(r, out=out) is out
+        assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 def _reference_apply_metric(metrics, which, v):
@@ -239,22 +259,44 @@ def test_apply_metric_out_is_bitwise_the_allocating_product(strict_setup):
                     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
+def test_step_length_checks_accept_shared_step_lengths(strict_setup):
+    metrics, trajectory = strict_setup.metrics, strict_setup.trajectory
+    steps = certificates.h_step_lengths(metrics, trajectory)
+    assert len(steps) == trajectory.steps
+    assert (nonergodic_monotonicity_check(metrics, trajectory, steps)
+            == nonergodic_monotonicity_check(metrics, trajectory))
+    reference = strict_setup.reference
+    assert (nonergodic_rate_check(metrics, trajectory, reference, steps)
+            == nonergodic_rate_check(metrics, trajectory, reference))
+
+
 def test_first_phase_min_eig_paths():
     problem, config = two_block_hand_config()
     value, method = first_phase_min_eig_estimate(
         problem, config.proximal_metrics, config.rho, dense_cap=1024)
     assert value == pytest.approx(2.0)
     assert method == "operator"
+    # calibration: sign maps and scaled identities give sigma - rho exactly,
+    # whatever the cap
     instance = generate_instance(4, seed=0)
     cal_problem = build_problem(instance)
-    value, method = first_phase_min_eig_estimate(
-        cal_problem, default_metrics(instance), 1.0, dense_cap=1024)
-    assert value == pytest.approx(-0.5, abs=1e-8)
+    for cap in (1024, 4):
+        value, method = first_phase_min_eig_estimate(
+            cal_problem, default_metrics(instance), 1.0, dense_cap=cap)
+        assert (value, method) == (-0.5, "exact")
+    # dense maps: eigendecomposition under the cap, power iteration above it
+    problem = random_problem(17, num_blocks=4, constraint_dim=5)
+    prox = random_config(np.random.default_rng(17), problem).proximal_metrics
+    first_dim = sum(problem.block_dims[:-1])
+    truth = float(np.linalg.eigvalsh(first_phase_dense(problem, prox, 0.7))[0])
+    value, method = first_phase_min_eig_estimate(problem, prox, 0.7,
+                                                 dense_cap=first_dim)
     assert method == "dense"
+    assert value == pytest.approx(truth, rel=1e-12)
     value_power, method_power = first_phase_min_eig_estimate(
-        cal_problem, default_metrics(instance), 1.0, dense_cap=4)
+        problem, prox, 0.7, dense_cap=first_dim - 1)
     assert method_power == "power"
-    assert value_power == pytest.approx(-0.5, abs=1e-6)
+    assert value_power == pytest.approx(truth, rel=1e-6, abs=1e-6)
 
 
 def test_last_condition_bound():

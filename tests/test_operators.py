@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
+from lgadmm.calibration import stacked_maps
 from lgadmm.operators import (
     BlockSignMap,
     DenseMap,
     DenseSymmetric,
     LinearizedMetric,
     ScaledIdentity,
+    _power_method,
     adjoint_mismatch,
     as_metric,
     gram_min_eigenvalue,
     gram_spectral_norm,
 )
+from util import gapped_matrix
 
 
 def test_dense_map_matches_matrix():
@@ -74,6 +77,36 @@ def test_gram_min_eigenvalue_known_matrix():
     square_root = basis * np.sqrt(eigs) @ basis.T
     amap = DenseMap(square_root)
     assert gram_min_eigenvalue(amap) == pytest.approx(2.0, rel=1e-6)
+
+
+def test_block_sign_map_gram_matches_dense_products():
+    maps = stacked_maps(3)
+    trio = (maps.a1, maps.a2, maps.a3)
+    for ai in trio:
+        for aj in trio:
+            gram = ai.gram(aj)
+            assert np.array_equal(ai.dense().T @ aj.dense(), gram * np.eye(9))
+    dense = DenseMap(maps.a1.dense())
+    assert dense.gram(dense) is None
+    assert dense.gram(maps.a1) is None and maps.a1.gram(dense) is None
+    assert maps.a1.gram(BlockSignMap((1, 1, 0), 4)) is None
+    assert maps.a1.gram(BlockSignMap((1, 1), 9)) is None
+
+
+def test_dense_gram_spectrum_is_exact_across_a_small_gap():
+    # top Gram eigenvalue 1.0 with the next one 1e-4 below: power iteration
+    # stops short of the top, the singular values do not
+    matrix, eigs = gapped_matrix()
+    amap = DenseMap(matrix)
+    power = _power_method(lambda v: amap.adjoint(amap.apply(v)), amap.in_dim)
+    assert power < 1.0 - 1e-5
+    assert gram_spectral_norm(amap) == pytest.approx(1.0, abs=1e-14)
+    assert gram_min_eigenvalue(amap) == pytest.approx(eigs.min(), abs=1e-14)
+    # more columns than rows: A'A is singular
+    wide = DenseMap(np.random.default_rng(2).standard_normal((3, 5)))
+    assert gram_min_eigenvalue(wide) == 0.0
+    assert gram_spectral_norm(wide) == pytest.approx(
+        float(np.linalg.eigvalsh(wide.dense().T @ wide.dense())[-1]), rel=1e-12)
 
 
 def test_scaled_identity_operations():

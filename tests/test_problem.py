@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lgadmm.calibration import generate_instance, stacked_maps
-from lgadmm.operators import ScaledIdentity
+from lgadmm.operators import LinearizedMetric, ScaledIdentity, gram_spectral_norm
 from lgadmm.problem import (
     BlockProblem,
     BlockSpec,
@@ -24,7 +24,7 @@ from lgadmm.problem import (
     vi_operator,
     zeros_point,
 )
-from util import chain_problem, quadratic_spec, scalar_zero_problem
+from util import chain_problem, gapped_matrix, quadratic_spec, scalar_zero_problem
 
 
 def copies_point(problem, matrix):
@@ -162,6 +162,20 @@ def test_make_linearized_metric_at_threshold_errors():
                       objective_oracle=lambda x: 0.0)
     with pytest.raises(SpectralThresholdError):
         make_linearized_metric(block, rho=1.0, tau=2.0)
+
+
+def test_make_linearized_metric_refuses_tau_inside_a_small_gap():
+    # top Gram eigenvalue 1.0 with the next one 1e-4 below it; a power
+    # estimate of the top (about 0.99996) would accept tau = 0.99999952
+    block = quadratic_spec(gapped_matrix()[0])
+    tau = 0.99999952
+    with pytest.raises(SpectralThresholdError):
+        make_linearized_metric(block, rho=1.0, tau=tau)
+    metric = LinearizedMetric(block.linear_map, 1.0, tau,
+                              gram_spectral_norm(block.linear_map))
+    assert metric.min_eigenvalue() < 0.0
+    assert metric.min_eigenvalue() == pytest.approx(
+        float(np.linalg.eigvalsh(metric.dense())[0]), abs=1e-12)
 
 
 def test_pack_unpack_roundtrip(small_problem):

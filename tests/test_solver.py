@@ -87,6 +87,19 @@ def test_validate_config_benchmark_settings_warn():
     assert report.last_condition_min_eig == pytest.approx(2.5, abs=1e-8)
 
 
+def test_strict_mode_refuses_the_default_calibration_metric_exactly():
+    # above the dense cap (n=30: 1800 first-phase rows), still exact
+    instance = generate_instance(30, seed=0)
+    problem = build_problem(instance)
+    config = SolverConfig(rho=1.0, gamma=1.0,
+                          proximal_metrics=default_metrics(instance, scale=0.5),
+                          strict_theory_mode=True)
+    with pytest.raises(ConfigError, match="exact"):
+        validate_config(problem, config)
+    report = validate_config(problem, replace(config, strict_theory_mode=False))
+    assert (report.first_phase_min_eig, report.first_phase_method) == (-0.5, "exact")
+
+
 def test_validate_config_gamma_range():
     problem = scalar_zero_problem()
     config = SolverConfig(rho=1.0, gamma=2.0,

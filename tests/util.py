@@ -47,3 +47,14 @@ def chain_problem(matrices, rhs, hessians=None, linears=None):
 def scalar_zero_problem(num_blocks=3, b=0.0):
     """Scalar blocks with no objective and identity coupling maps."""
     return chain_problem([[1.0]] * num_blocks, [b])
+
+
+def gapped_matrix(seed=1, dim=200, gap=1e-4):
+    """Square matrix whose Gram has top eigenvalue 1.0, the next ``gap`` below
+    it and the rest uniform below that. Returns the matrix and the Gram
+    eigenvalues."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    right, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    eigs = np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.0, 1.0 - gap, dim - 2)])
+    return (left * np.sqrt(eigs)) @ right.T, eigs
