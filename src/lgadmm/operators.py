@@ -8,7 +8,7 @@ realisations exist for small-dimension certification work.
 from __future__ import annotations
 
 import abc
-from typing import Callable
+import math
 
 import numpy as np
 
@@ -25,10 +25,6 @@ __all__ = [
     "gram_min_eigenvalue",
     "adjoint_mismatch",
 ]
-
-POWER_TOL = 1e-8
-POWER_MAX_ITER = 10_000
-
 
 class LinearMap(abc.ABC):
     """Linear operator ``x -> A x`` with an explicit adjoint."""
@@ -130,86 +126,31 @@ class BlockSignMap(LinearMap):
         return float(sum(s * t for s, t in zip(self.signs, other.signs)))
 
 
-def _power_method(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    rel_tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-    seed: int = 0,
-) -> float:
-    """Dominant eigenvalue magnitude of a symmetric operator, by power iteration.
-
-    Deterministic for a fixed seed. Stops when successive Rayleigh quotients
-    agree to ``rel_tol`` relatively, or after ``max_iter`` sweeps (the current
-    estimate is then returned, so the result is a floor for the true value).
-    """
-    if dim == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w <= np.finfo(float).tiny:
-            return 0.0
-        fresh = float(v @ w)
-        v = w / norm_w
-        if abs(fresh - estimate) <= rel_tol * max(abs(fresh), np.finfo(float).tiny):
-            return abs(fresh)
-        estimate = fresh
-    return abs(estimate)
-
-
-def _exact_gram_extremes(amap: LinearMap) -> tuple[float, float] | None:
-    """Smallest and largest eigenvalue of ``A'A`` when known exactly: from a
-    structural Gram, or from a dense matrix's singular values (``A'A`` is
-    singular when ``A`` has more columns than rows). ``None`` otherwise."""
+def _gram_extremes(amap: LinearMap) -> tuple[float, float]:
+    """A lower bound on the smallest and an upper bound on the largest
+    eigenvalue of ``A'A``. Both are exact for a structural Gram and for a
+    dense matrix (its singular values; ``A'A`` is singular when ``A`` has more
+    columns than rows); for any other map they are the trivial ``(0, inf)``."""
     gram = amap.gram(amap)
     if gram is not None:
         return gram, gram
     if not isinstance(amap, DenseMap):
-        return None
+        return 0.0, math.inf
     squares = np.linalg.svd(amap._matrix, compute_uv=False) ** 2
     smallest = squares[-1] if squares.size and amap.in_dim <= amap.out_dim else 0.0
     return float(smallest), float(squares.max(initial=0.0))
 
 
-def gram_spectral_norm(amap: LinearMap, rel_tol: float = POWER_TOL,
-                       max_iter: int = POWER_MAX_ITER, seed: int = 0) -> float:
-    """Spectral norm of ``A'A`` (the squared operator norm of ``A``); exact
-    for structural and dense maps, a power-iteration estimate otherwise."""
-    extremes = _exact_gram_extremes(amap)
-    if extremes is not None:
-        return extremes[1]
-    return _power_method(lambda v: amap.adjoint(amap.apply(v)), amap.in_dim,
-                         rel_tol, max_iter, seed)
+def gram_spectral_norm(amap: LinearMap) -> float:
+    """Spectral norm of ``A'A`` (the squared operator norm of ``A``): exact
+    for structural and dense maps, the upper bound ``inf`` otherwise."""
+    return _gram_extremes(amap)[1]
 
 
-def _power_min_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                          rel_tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER,
-                          seed: int = 0) -> float:
-    """Smallest eigenvalue of a symmetric operator: a power sweep on the
-    operator shifted just past its dominant magnitude. An estimate."""
-    top = _power_method(matvec, dim, rel_tol, max_iter, seed)
-    if top == 0.0:
-        return 0.0
-    shift = top * (1.0 + 1e-12)
-    residual = _power_method(lambda v: shift * v - matvec(v), dim,
-                             rel_tol, max_iter, seed)
-    return shift - residual
-
-
-def gram_min_eigenvalue(amap: LinearMap, rel_tol: float = POWER_TOL,
-                        max_iter: int = POWER_MAX_ITER, seed: int = 0) -> float:
-    """Smallest eigenvalue of ``A'A``. Exact for structural and dense maps;
-    for any other map an estimate by a spectral shift of the power method."""
-    extremes = _exact_gram_extremes(amap)
-    if extremes is not None:
-        return extremes[0]
-    return max(_power_min_eigenvalue(lambda v: amap.adjoint(amap.apply(v)),
-                                     amap.in_dim, rel_tol, max_iter, seed), 0.0)
+def gram_min_eigenvalue(amap: LinearMap) -> float:
+    """Smallest eigenvalue of ``A'A``: exact for structural and dense maps,
+    the lower bound ``0`` otherwise."""
+    return _gram_extremes(amap)[0]
 
 
 def adjoint_mismatch(amap: LinearMap, trials: int = 10, seed: int = 0) -> float:
@@ -245,7 +186,7 @@ class SymmetricOperator(abc.ABC):
 
     @abc.abstractmethod
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue (exact or a certified estimate)."""
+        """Smallest eigenvalue, exact or a lower bound."""
 
 
 class ScaledIdentity(SymmetricOperator):
@@ -296,8 +237,9 @@ class DenseSymmetric(SymmetricOperator):
 class LinearizedMetric(SymmetricOperator):
     """``P = tau * I - rho * A'A``, the metric that linearizes a coupling term.
 
-    ``gram_norm`` is the (estimated) spectral norm of ``A'A``; the smallest
-    eigenvalue ``tau - rho * gram_norm`` is then known without assembly.
+    ``gram_norm`` is the spectral norm of ``A'A`` or an upper bound on it; the
+    smallest eigenvalue is then at least ``tau - rho * gram_norm``, known
+    without assembly (exactly so when ``gram_norm`` is exact).
     """
 
     def __init__(self, amap: LinearMap, rho: float, tau: float, gram_norm: float):

@@ -255,26 +255,26 @@ def vi_monotone_gap(problem: BlockProblem, w1: PrimalDualPoint,
     return float(diff @ (pack_vi_value(f1) - pack_vi_value(f2)))
 
 
-def make_linearized_metric(block: BlockSpec, rho: float, tau: float,
-                           rel_tol: float = 1e-8) -> SymmetricOperator:
+def make_linearized_metric(block: BlockSpec, rho: float, tau: float) -> SymmetricOperator:
     """Proximal metric ``tau I - rho A_i'A_i`` that linearizes the penalty term.
 
     With this metric the quadratic coupling term cancels from the block
     subproblem, leaving a plain proximal step of ``theta_i``. Requires
     ``tau > rho * ||A_i'A_i||``, checked against ``gram_spectral_norm``:
-    exact for sign and dense maps, a power-iteration estimate otherwise.
+    exact for sign and dense maps, and for any other map the bound ``inf``,
+    which no ``tau`` exceeds.
 
     Raises
     ------
     SpectralThresholdError
-        If ``tau`` does not exceed the estimated threshold. The estimate is
-        attached to the exception as ``threshold``.
+        If ``tau`` does not exceed the threshold, which is attached to the
+        exception as ``threshold``.
     """
-    gram_norm = gram_spectral_norm(block.linear_map, rel_tol=rel_tol)
+    gram_norm = gram_spectral_norm(block.linear_map)
     threshold = rho * gram_norm
     if not tau > threshold:
         raise SpectralThresholdError(
-            f"tau = {tau} must exceed rho * ||A'A|| (estimated {threshold})",
+            f"tau = {tau} must exceed the bound {threshold} on rho * ||A'A||",
             threshold=threshold,
         )
     return LinearizedMetric(block.linear_map, rho, tau, gram_norm)

@@ -25,8 +25,8 @@ import numpy as np
 from .operators import (
     ScaledIdentity,
     SymmetricOperator,
-    _power_min_eigenvalue,
     gram_min_eigenvalue,
+    gram_spectral_norm,
 )
 from .problem import (
     BlockProblem,
@@ -63,8 +63,8 @@ ABSOLUTE_FALLBACK = 1e-14
 
 EIG_ZERO_TOL = 1e-10
 
-# Up to this dimension the spectral estimators below use an exact dense
-# eigenvalue; above it, a power-iteration estimate.
+# Up to this dimension the spectral estimators below fall back to an
+# eigendecomposition of the assembled metric; above it, to a lower bound.
 VALIDATION_DENSE_CAP = 1024
 
 
@@ -155,10 +155,14 @@ class ValidationReport:
     first-phase metric is ``K (x) I`` (see ``structural_coupling``) and the
     value is ``lambda_min(K)``; ``"operator"`` for two blocks, where it is
     the first proximal metric itself; ``"dense"`` for an eigendecomposition
-    up to ``VALIDATION_DENSE_CAP`` rows; ``"power"`` for a power-iteration
-    estimate above it; ``"bound"`` for the lower bound ``lambda_min(P_m) +
-    (rho/gamma) lambda_min(A_m'A_m)`` when it is positive (last block only;
-    exact terms for sign and dense maps, a power estimate otherwise).
+    up to ``VALIDATION_DENSE_CAP`` rows; ``"bound"`` for a proven lower
+    bound. Above the cap the first-phase bound is block Gershgorin,
+    ``min_i [lambda_min(P_i) - rho sum_{j != i} ||A_i|| ||A_j||]``. The
+    last-block bound is ``lambda_min(P_m) + (rho/gamma) lambda_min(A_m'A_m)``,
+    reported when it is positive or when the block is above the cap. The map
+    norms and Gram eigenvalues are exact for sign and dense maps; for any
+    other map they are the trivial bounds ``inf`` and ``0``. Every value is
+    therefore exact or a lower bound.
     """
 
     gamma: float
@@ -191,7 +195,7 @@ class ValidationReport:
 
 # ---------------------------------------------------------------------------
 # Spectral preconditions: the coupled first-phase metric and the last-block
-# condition, estimated once by ``validate_config``.
+# condition, established once by ``validate_config``.
 
 class FirstPhaseProduct:
     """Products with the coupled first-phase metric (prox metrics on the
@@ -299,41 +303,47 @@ def structural_coupling(problem: BlockProblem, prox: Sequence[SymmetricOperator]
 
 def first_phase_min_eig_estimate(problem: BlockProblem,
                                  prox: Sequence[SymmetricOperator],
-                                 rho: float,
-                                 dense_cap: int = VALIDATION_DENSE_CAP) -> tuple[float, str]:
-    """Smallest eigenvalue of the coupled first-phase metric, with method tag."""
-    first_dim = sum(block.dim for block in problem.blocks[:-1])
+                                 rho: float) -> tuple[float, str]:
+    """Smallest eigenvalue of the coupled first-phase metric, exact or a lower
+    bound, with method tag."""
     if problem.num_blocks == 2:
         # No couplings: the metric is the first block's prox metric itself.
         return prox[0].min_eigenvalue(), "operator"
     coupling = structural_coupling(problem, prox, rho)
     if coupling is not None:
+        if coupling.shape == (2, 2):
+            # closed form; sigma - |rho g| in one rounding when a = d
+            (a, b), (_, d) = coupling
+            return float((a + d) / 2 - math.hypot((a - d) / 2, b)), "exact"
         return float(np.linalg.eigvalsh(coupling)[0]), "exact"
-    if first_dim <= dense_cap:
+    if sum(block.dim for block in problem.blocks[:-1]) <= VALIDATION_DENSE_CAP:
         dense = first_phase_dense(problem, prox, rho)
         return float(np.linalg.eigvalsh(dense)[0]), "dense"
-    value = _power_min_eigenvalue(FirstPhaseProduct(problem, prox, rho).apply, first_dim)
-    return value, "power"
+    # block Gershgorin with ||A_i'A_j|| <= ||A_i|| ||A_j||
+    norms = [math.sqrt(gram_spectral_norm(block.linear_map))
+             for block in problem.blocks[:-1]]
+    value = math.inf
+    for i, norm in enumerate(norms):
+        # a zero map couples nothing, even to a map of unknown norm (no 0 * inf)
+        cross = sum(norm * other for j, other in enumerate(norms)
+                    if j != i and norm and other)
+        value = min(value, prox[i].min_eigenvalue() - rho * cross)
+    return value, "bound"
 
 
 def last_condition_min_eig_estimate(problem: BlockProblem,
                                     p_m: SymmetricOperator,
-                                    rho: float, gamma: float,
-                                    dense_cap: int = VALIDATION_DENSE_CAP) -> tuple[float, str]:
-    """Smallest eigenvalue of ``P_m + (rho/gamma) A_m'A_m``, with method tag."""
+                                    rho: float, gamma: float) -> tuple[float, str]:
+    """Smallest eigenvalue of ``P_m + (rho/gamma) A_m'A_m``, exact or a lower
+    bound, with method tag."""
     last = problem.blocks[-1]
     coeff = rho / gamma
     bound = p_m.min_eigenvalue() + coeff * gram_min_eigenvalue(last.linear_map)
-    if bound > EIG_ZERO_TOL:
+    if bound > EIG_ZERO_TOL or last.dim > VALIDATION_DENSE_CAP:
         return bound, "bound"
-    if last.dim <= dense_cap:
-        am = last.linear_map.dense()
-        dense = p_m.dense() + coeff * (am.T @ am)
-        return float(np.linalg.eigvalsh(dense)[0]), "dense"
-    value = _power_min_eigenvalue(
-        lambda x: p_m.apply(x) + coeff * last.linear_map.adjoint(last.linear_map.apply(x)),
-        last.dim)
-    return value, "power"
+    am = last.linear_map.dense()
+    dense = p_m.dense() + coeff * (am.T @ am)
+    return float(np.linalg.eigvalsh(dense)[0]), "dense"
 
 
 def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationReport:

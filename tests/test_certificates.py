@@ -273,37 +273,30 @@ def test_step_length_checks_accept_shared_step_lengths(strict_setup):
 def test_first_phase_min_eig_paths():
     problem, config = two_block_hand_config()
     value, method = first_phase_min_eig_estimate(
-        problem, config.proximal_metrics, config.rho, dense_cap=1024)
+        problem, config.proximal_metrics, config.rho)
     assert value == pytest.approx(2.0)
     assert method == "operator"
     # calibration: sign maps and scaled identities give sigma - rho exactly,
-    # whatever the cap
-    instance = generate_instance(4, seed=0)
-    cal_problem = build_problem(instance)
-    for cap in (1024, 4):
+    # under the dense cap and above it (n=24: 1152 first-phase rows)
+    for n in (4, 24):
+        instance = generate_instance(n, seed=0)
         value, method = first_phase_min_eig_estimate(
-            cal_problem, default_metrics(instance), 1.0, dense_cap=cap)
+            build_problem(instance), default_metrics(instance), 1.0)
         assert (value, method) == (-0.5, "exact")
-    # dense maps: eigendecomposition under the cap, power iteration above it
+    # dense maps under the cap: eigendecomposition of the assembled metric
     problem = random_problem(17, num_blocks=4, constraint_dim=5)
     prox = random_config(np.random.default_rng(17), problem).proximal_metrics
-    first_dim = sum(problem.block_dims[:-1])
     truth = float(np.linalg.eigvalsh(first_phase_dense(problem, prox, 0.7))[0])
-    value, method = first_phase_min_eig_estimate(problem, prox, 0.7,
-                                                 dense_cap=first_dim)
+    value, method = first_phase_min_eig_estimate(problem, prox, 0.7)
     assert method == "dense"
     assert value == pytest.approx(truth, rel=1e-12)
-    value_power, method_power = first_phase_min_eig_estimate(
-        problem, prox, 0.7, dense_cap=first_dim - 1)
-    assert method_power == "power"
-    assert value_power == pytest.approx(truth, rel=1e-6, abs=1e-6)
 
 
 def test_last_condition_bound():
     instance = generate_instance(4, seed=0)
     problem = build_problem(instance)
     value, method = last_condition_min_eig_estimate(
-        problem, ScaledIdentity(16, 0.5), rho=1.0, gamma=1.0, dense_cap=1024)
+        problem, ScaledIdentity(16, 0.5), rho=1.0, gamma=1.0)
     assert value == pytest.approx(2.5, abs=1e-7)
     assert method == "bound"
 

@@ -9,21 +9,33 @@ import pytest
 
 from lgadmm.calibration import build_problem, default_metrics, generate_instance
 from lgadmm.certificates import weighted_norm_sq
-from lgadmm.operators import DenseSymmetric, ScaledIdentity
+from lgadmm.operators import (
+    DenseMap,
+    DenseSymmetric,
+    LinearMap,
+    ScaledIdentity,
+    gram_min_eigenvalue,
+    gram_spectral_norm,
+)
 from lgadmm.problem import (
+    BlockProblem,
     BlockSpec,
     PrimalDualPoint,
+    SpectralThresholdError,
+    make_linearized_metric,
     pack_point,
     primal_feasibility,
     zeros_point,
 )
 from lgadmm.solver import (
+    VALIDATION_DENSE_CAP,
     ConfigError,
     DivergenceError,
     IterationState,
     OracleError,
     SolverConfig,
     auxiliary_point,
+    first_phase_dense,
     first_phase_update,
     identity_metrics,
     last_block_update,
@@ -33,7 +45,7 @@ from lgadmm.solver import (
     validate_config,
     zero_metrics,
 )
-from util import chain_problem, quadratic_spec, scalar_zero_problem
+from util import chain_problem, gapped_matrix, quadratic_spec, scalar_zero_problem
 
 RUNNING_EXAMPLE_START = PrimalDualPoint(
     (np.array([1.0]), np.array([1.0]), np.array([1.0])), np.zeros(1))
@@ -98,6 +110,103 @@ def test_strict_mode_refuses_the_default_calibration_metric_exactly():
         validate_config(problem, config)
     report = validate_config(problem, replace(config, strict_theory_mode=False))
     assert (report.first_phase_min_eig, report.first_phase_method) == (-0.5, "exact")
+
+
+def test_exact_first_phase_value_is_sigma_minus_rho_bitwise():
+    # eigvalsh of the 2x2 K misses sigma - rho by an ulp here, upward for (2, 0.3)
+    instance = generate_instance(3, seed=0)
+    problem = build_problem(instance)
+    for sigma, rho in ((2.0, 0.3), (3.0, 0.5), (10.0, 1.0), (4.0, 1.0), (0.5, 1.0)):
+        config = SolverConfig(rho=rho, gamma=1.0,
+                              proximal_metrics=default_metrics(instance, scale=sigma))
+        report = validate_config(problem, config)
+        assert report.first_phase_method == "exact"
+        assert report.first_phase_min_eig == sigma - rho
+
+
+@pytest.fixture(scope="module")
+def gapped_blocks():
+    """Three dense blocks of 520, so 1040 first-phase rows, above the dense cap:
+    A_1 = A_3 = I and A_2 with top singular value 1 and the next 1e-4 below."""
+    dim = 520
+    assert 2 * dim > VALIDATION_DENSE_CAP
+    return chain_problem([np.eye(dim), gapped_matrix(dim=dim)[0], np.eye(dim)],
+                         np.zeros(dim))
+
+
+def gapped_config(problem, sigma, strict):
+    return SolverConfig(rho=1.0, gamma=1.5,
+                        proximal_metrics=identity_metrics(problem, sigma),
+                        strict_theory_mode=strict)
+
+
+def test_strict_mode_refuses_an_indefinite_metric_above_the_dense_cap(gapped_blocks):
+    # the coupled first-phase metric has min eigenvalue sigma - 1 = -5e-7
+    config = gapped_config(gapped_blocks, 1.0 - 5e-7, strict=True)
+    with pytest.raises(ConfigError, match="bound"):
+        validate_config(gapped_blocks, config)
+    report = validate_config(gapped_blocks, replace(config, strict_theory_mode=False))
+    truth = float(np.linalg.eigvalsh(
+        first_phase_dense(gapped_blocks, config.proximal_metrics, config.rho))[0])
+    assert truth < 0.0
+    assert report.first_phase_method == "bound"
+    assert report.first_phase_min_eig <= truth + 1e-12
+    assert not report.first_phase_positive
+
+
+def test_strict_mode_accepts_a_proven_metric_above_the_dense_cap(gapped_blocks):
+    report = validate_config(gapped_blocks,
+                             gapped_config(gapped_blocks, 1.0 + 1e-3, strict=True))
+    assert report.first_phase_method == "bound"
+    assert report.first_phase_min_eig == pytest.approx(1e-3, abs=1e-12)
+    assert report.last_condition_method == "bound"
+    assert report.warnings == ()
+
+
+class OpaqueIdentity(LinearMap):
+    """The identity with neither a structural Gram nor a dense backing."""
+
+    def __init__(self, dim):
+        self.in_dim = self.out_dim = dim
+
+    def apply(self, x, out=None):
+        if out is None:
+            return x.copy()
+        out[:] = x
+        return out
+
+    def adjoint(self, y, out=None):
+        return self.apply(y, out)
+
+
+def test_maps_of_unknown_norm_get_trivial_bounds():
+    dim = 520
+    opaque = OpaqueIdentity(dim)
+    assert gram_spectral_norm(opaque) == np.inf
+    assert gram_min_eigenvalue(opaque) == 0.0
+
+    def spec(amap):
+        return BlockSpec(dim=dim, linear_map=amap,
+                         subproblem_oracle=lambda t, c, r, m: c,
+                         objective_oracle=lambda x: 0.0)
+
+    with pytest.raises(SpectralThresholdError):
+        make_linearized_metric(spec(opaque), rho=1.0, tau=1e6)
+
+    def report(first_maps, strict=False):
+        blocks = tuple(spec(amap) for amap in (*first_maps, DenseMap(np.eye(dim))))
+        problem = BlockProblem(blocks=blocks, rhs=np.zeros(dim), constraint_dim=dim)
+        return validate_config(problem, SolverConfig(
+            rho=1.0, gamma=1.0, proximal_metrics=identity_metrics(problem, 2.0),
+            strict_theory_mode=strict))
+
+    unknown = report((opaque, OpaqueIdentity(dim)))
+    assert (unknown.first_phase_min_eig, unknown.first_phase_method) == (-np.inf, "bound")
+    with pytest.raises(ConfigError, match="bound"):
+        report((opaque, OpaqueIdentity(dim)), strict=True)
+    # a zero map couples nothing, even to a map of unknown norm: no NaN
+    decoupled = report((opaque, DenseMap(np.zeros((dim, dim)))))
+    assert (decoupled.first_phase_min_eig, decoupled.first_phase_method) == (2.0, "bound")
 
 
 def test_validate_config_gamma_range():
