@@ -25,7 +25,8 @@ Every certificate below evaluates one provable inequality on a
 recorded trajectory, with an explicit scale-aware slack for floating-point
 error, and reports the worst margin observed. Checks whose proofs need
 matrix conditions the configuration does not satisfy are skipped with a
-recorded reason, never silently passed.
+recorded reason, never silently passed. The five checks that walk the
+trajectory read one ``ReplayRecord``, which ``replay`` measures in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import LinearMap, SymmetricOperator
 from .problem import (
     BlockProblem,
     PrimalDualPoint,
@@ -68,8 +68,9 @@ __all__ = [
     "sigma_gamma",
     "inequality_slack",
     "check_probe_feasible",
+    "ReplayRecord",
+    "replay",
     "fejer_check",
-    "h_step_lengths",
     "nonergodic_monotonicity_check",
     "nonergodic_rate_check",
     "ergodic_average",
@@ -98,9 +99,12 @@ class ProbeFeasibilityError(CertificateError):
     """A probe point lies outside the feasible set beyond tolerance."""
 
 
-def inequality_slack(*terms: float) -> float:
-    """Additive floating-point slack, scaled by the largest term magnitude."""
-    biggest = max((abs(t) for t in terms), default=0.0)
+def inequality_slack(*terms):
+    """Additive floating-point slack, scaled by the largest term magnitude
+    (entry by entry when the terms are arrays)."""
+    biggest = 0.0
+    for term in terms:
+        biggest = np.maximum(biggest, np.abs(term))
     return SLACK_COEFF * (1.0 + biggest)
 
 
@@ -114,20 +118,6 @@ def sigma_gamma(gamma: float) -> float:
 def _pack_into(point: PrimalDualPoint, out: np.ndarray) -> np.ndarray:
     """``pack_point`` written into ``out``."""
     return np.concatenate([*point.primal, point.dual], out=out)
-
-
-def _packed_steps(problem: BlockProblem, trajectory: TrajectoryRecord):
-    """Yield ``(k, w^k, w^{k+1})`` packed, packing each point once.
-
-    The window slides over two buffers allocated once, so the yielded
-    arrays are overwritten when the generator advances.
-    """
-    current = pack_point(problem, trajectory.points[0])
-    following = np.empty_like(current)
-    for k in range(trajectory.steps):
-        _pack_into(trajectory.points[k + 1], following)
-        yield k, current, following
-        current, following = following, current
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +434,27 @@ def _skipped(check: str, reason: str) -> CertificateReport:
                              skipped_reason=reason)
 
 
-def _finish(check: str, margins: list[float], details: dict | None = None,
+def _finish(check: str, margins, details: dict | None = None,
             iterations: int | None = None) -> CertificateReport:
-    if not margins:
+    """Report the worst of ``margins``; a failed check also names the index
+    of its first violation (a negative or NaN margin)."""
+    margins = np.asarray(margins, dtype=float)
+    if not margins.size:
         # Nothing to compare: vacuously true, distinct from a gated skip.
         return CertificateReport(check=check, iterations_checked=0,
                                  worst_margin=None, passed=True,
                                  details={"vacuous": True})
-    worst = min(margins)
-    out_details = dict(details or {})
-    out_details["worst_index"] = int(np.argmin(margins))
+    # argmin takes the first NaN when there is one, so a NaN margin fails
+    worst_index = int(np.argmin(margins))
+    violations = np.flatnonzero(~(margins >= 0.0))
+    out_details = dict(details or {}, worst_index=worst_index)
+    if violations.size:
+        out_details["first_violation"] = int(violations[0])
     return CertificateReport(
         check=check,
-        iterations_checked=len(margins) if iterations is None else iterations,
-        worst_margin=float(worst),
-        passed=bool(worst >= 0.0),
+        iterations_checked=margins.size if iterations is None else iterations,
+        worst_margin=float(margins[worst_index]),
+        passed=not violations.size,
         details=out_details,
     )
 
@@ -482,9 +478,73 @@ def check_probe_feasible(problem: BlockProblem, point: PrimalDualPoint,
                 f"(projection distance {dist:.3e})")
 
 
-def fejer_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
-                reference: PrimalDualPoint) -> CertificateReport:
-    """Per-step contraction toward ``reference`` in the H-norm.
+@dataclass(frozen=True, eq=False)
+class ReplayRecord:
+    """Per-step quantities of one recorded trajectory of ``T`` steps, from
+    ``replay``, and the ``metrics`` they were measured with.
+
+    ``ref_dist[k] = ||w^k - ref||_H^2`` and ``norms[k] = ||w^k||`` for
+    ``k = 0..T``; for ``k = 0..T-1``, ``gap[k] = ||w^k - w_bar^k||_N^2``,
+    ``residual[k] = ||w^k - M (w^k - w_bar^k) - w^{k+1}||``,
+    ``h_step[k] = ||w^k - w^{k+1}||_H^2``,
+    ``cross[k] = (x_m^k - x_m^{k+1})' A_m' (y^k - y^{k+1})`` and
+    ``last_move[k] = ||x_m^k - x_m^{k+1}||_{P_m}^2``.
+    """
+
+    metrics: MetricMatrices
+    ref_dist: np.ndarray
+    norms: np.ndarray
+    gap: np.ndarray
+    residual: np.ndarray
+    h_step: np.ndarray
+    cross: np.ndarray
+    last_move: np.ndarray
+
+    @property
+    def steps(self) -> int:
+        return self.gap.size
+
+
+def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
+           reference: PrimalDualPoint) -> ReplayRecord:
+    """Walk ``trajectory`` once, packing each point once into buffers
+    allocated once: ``2T + 1`` H-products, ``T`` N- and ``T`` M-products."""
+    _require_trajectory(trajectory)
+    problem, steps = metrics.problem, trajectory.steps
+    ref = pack_point(problem, reference)
+    current, following, diff, product = (np.empty_like(ref) for _ in range(4))
+    move, back = np.empty(problem.block_dims[-1]), np.empty(problem.block_dims[-1])
+    dual_move = np.empty(problem.constraint_dim)
+    a_m, p_m = problem.blocks[-1].linear_map, metrics.config.proximal_metrics[-1]
+    ref_dist, norms = np.empty(steps + 1), np.empty(steps + 1)
+    gap, residual, h_step, cross, last_move = (np.empty(steps) for _ in range(5))
+
+    _pack_into(trajectory.points[0], current)
+    ref_dist[0] = weighted_norm_sq(metrics, np.subtract(current, ref, out=diff), "h")
+    norms[0] = np.linalg.norm(current)
+    for k in range(steps):
+        _pack_into(trajectory.points[k + 1], following)
+        ref_dist[k + 1] = weighted_norm_sq(
+            metrics, np.subtract(following, ref, out=diff), "h")
+        norms[k + 1] = np.linalg.norm(following)
+        # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
+        _pack_into(trajectory.auxiliaries[k], diff)
+        gap[k] = weighted_norm_sq(metrics, np.subtract(current, diff, out=diff), "n")
+        apply_metric(metrics, "m", diff, out=product)
+        np.subtract(current, product, out=product)
+        residual[k] = np.linalg.norm(np.subtract(product, following, out=product))
+        h_step[k] = weighted_norm_sq(
+            metrics, np.subtract(current, following, out=diff), "h")
+        (_, xm, y), (_, xm_next, y_next) = metrics.split(current), metrics.split(following)
+        np.subtract(y, y_next, out=dual_move)
+        cross[k] = np.subtract(xm, xm_next, out=move) @ a_m.adjoint(dual_move, out=back)
+        last_move[k] = p_m.quad(move)
+        current, following = following, current
+    return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move)
+
+
+def fejer_check(record: ReplayRecord) -> CertificateReport:
+    """Per-step contraction toward the reference in the H-norm.
 
     Verifies, for every recorded step, that the squared H-distance to the
     reference point drops by at least the N-weighted squared distance
@@ -493,89 +553,78 @@ def fejer_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
     skipped otherwise.
     """
     name = "fejer_contraction"
-    _require_trajectory(trajectory)
-    if not metrics.strict_ok:
-        return _skipped(name, metrics.strict_reason)
-    problem = metrics.problem
-    ref = pack_point(problem, reference)
-    diff = np.empty_like(ref)
-    margins = []
-    for k, wk, wk1 in _packed_steps(problem, trajectory):
-        if k == 0:
-            before = weighted_norm_sq(metrics, np.subtract(wk, ref, out=diff), "h")
-        # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
-        _pack_into(trajectory.auxiliaries[k], diff)
-        decrease = weighted_norm_sq(metrics, np.subtract(wk, diff, out=diff), "n")
-        after = weighted_norm_sq(metrics, np.subtract(wk1, ref, out=diff), "h")
-        margins.append(before - decrease - after
-                       + inequality_slack(before, decrease, after))
-        # this step's distance after is the next step's distance before
-        before = after
-    return _finish(name, margins)
+    if not record.metrics.strict_ok:
+        return _skipped(name, record.metrics.strict_reason)
+    before, decrease, after = record.ref_dist[:-1], record.gap, record.ref_dist[1:]
+    return _finish(name, before - decrease - after
+                   + inequality_slack(before, decrease, after))
 
 
-def h_step_lengths(metrics: MetricMatrices, trajectory: TrajectoryRecord) -> list[float]:
-    """``||w^k - w^{k+1}||_H^2`` for every recorded step ``k``."""
-    diff = np.empty(metrics.total_dim)
-    return [weighted_norm_sq(metrics, np.subtract(wk, wk1, out=diff), "h")
-            for _, wk, wk1 in _packed_steps(metrics.problem, trajectory)]
-
-
-def nonergodic_monotonicity_check(metrics: MetricMatrices,
-                                  trajectory: TrajectoryRecord,
-                                  steps: Sequence[float] | None = None) -> CertificateReport:
+def nonergodic_monotonicity_check(record: ReplayRecord) -> CertificateReport:
     """The H-weighted step length never increases from one step to the next.
 
     Needs the strict matrix conditions and a positive semidefinite
-    last-block proximal metric; skipped when either fails. ``steps`` is
-    ``h_step_lengths(metrics, trajectory)``, computed here when omitted.
+    last-block proximal metric; skipped when either fails.
     """
     name = "step_monotonicity"
-    _require_trajectory(trajectory)
+    metrics = record.metrics
     if not metrics.strict_ok:
         return _skipped(name, metrics.strict_reason)
     if metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
         return _skipped(name, "last-block proximal metric is not positive semidefinite")
-    if steps is None:
-        steps = h_step_lengths(metrics, trajectory)
-    margins = [steps[k] - steps[k + 1] + inequality_slack(steps[k], steps[k + 1])
-               for k in range(len(steps) - 1)]
-    return _finish(name, margins)
+    now, following = record.h_step[:-1], record.h_step[1:]
+    return _finish(name, now - following + inequality_slack(now, following))
 
 
-def nonergodic_rate_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
-                          reference: PrimalDualPoint,
-                          steps: Sequence[float] | None = None) -> CertificateReport:
+def nonergodic_rate_check(record: ReplayRecord) -> CertificateReport:
     """O(1/t) bound on the H-weighted squared step length.
 
-    ``t * ||w^t - w^{t+1}||_H^2`` stays below a constant assembled from the
-    initial H-distance to the reference (scaled by the relaxation-dependent
-    rate constant) plus the first step's last-block proximal length.
-    ``steps`` is ``h_step_lengths(metrics, trajectory)``, computed here when omitted.
+    For every ``t >= 1``, ``t * ||w^t - w^{t+1}||_H^2`` stays below a
+    constant assembled from the initial H-distance to the reference (scaled
+    by the relaxation-dependent rate constant) plus the first step's
+    last-block proximal length.
     """
     name = "nonergodic_rate"
-    _require_trajectory(trajectory)
+    metrics = record.metrics
     if not metrics.strict_ok:
         return _skipped(name, metrics.strict_reason)
     if metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
         return _skipped(name, "last-block proximal metric is not positive semidefinite")
-    if trajectory.steps < 1:
+    if record.steps < 1:
         return _finish(name, [])
-    problem, config = metrics.problem, metrics.config
-    sigma = sigma_gamma(config.gamma)
-    start_dist = weighted_norm_sq(metrics, pack_point(problem, trajectory.points[0])
-                                  - pack_point(problem, reference), "h")
-    first_move = (trajectory.points[0].primal[-1] - trajectory.points[1].primal[-1])
-    constant = start_dist / sigma + config.proximal_metrics[-1].quad(first_move)
-    if steps is None:
-        steps = h_step_lengths(metrics, trajectory)
-    margins = []
-    for t in range(1, len(steps)):
-        lhs = t * steps[t]
-        margins.append(constant - lhs + inequality_slack(constant, lhs))
+    constant = record.ref_dist[0] / sigma_gamma(metrics.config.gamma) + record.last_move[0]
+    lhs = np.arange(1, record.steps) * record.h_step[1:]
+    margins = constant - lhs + inequality_slack(constant, lhs)
     # the margin at offset j belongs to t = j + 1
-    tightest = {"tightest_t": int(np.argmin(margins)) + 1} if margins else None
+    tightest = {"tightest_t": int(np.argmin(margins)) + 1} if margins.size else None
     return _finish(name, margins, details=tightest)
+
+
+def cross_term_check(record: ReplayRecord) -> CertificateReport:
+    """Lower bound on the cross term between successive last-block moves and
+    multiplier moves.
+
+    ``(x_m^k - x_m^{k+1})' A_m' (y^k - y^{k+1})`` dominates the telescoping
+    difference of last-block proximal lengths. The derivation uses the
+    last-block optimality conditions of two consecutive steps and needs the
+    proximal metric to be positive semidefinite.
+    """
+    name = "cross_term"
+    if record.metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
+        return _skipped(name, "last-block proximal metric is not positive semidefinite")
+    # each step's last-block move against the previous step's
+    lhs, gain, loss = record.cross[1:], 0.5 * record.last_move[1:], 0.5 * record.last_move[:-1]
+    return _finish(name, lhs - gain + loss + inequality_slack(lhs, gain, loss))
+
+
+def update_recurrence_check(record: ReplayRecord) -> CertificateReport:
+    """Exact one-step recurrence: ``w^{k+1} = w^k - M (w^k - w_bar^k)``.
+
+    An identity, not an inequality; margins are the slack minus the
+    relative residual, so roundoff-sized residuals pass.
+    """
+    scale = 1.0 + np.maximum(record.norms[:-1], record.norms[1:])
+    return _finish("update_recurrence", SLACK_COEFF - record.residual / scale)
 
 
 def ergodic_average(points: Sequence[PrimalDualPoint]) -> PrimalDualPoint:
@@ -631,61 +680,6 @@ def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
         margins.append(bound - gap + inequality_slack(bound, gap))
     return _finish(name, margins, details={"num_probes": len(probes)},
                    iterations=t + 1)
-
-
-def cross_term_check(trajectory: TrajectoryRecord, p_m: SymmetricOperator,
-                     a_m: LinearMap) -> CertificateReport:
-    """Lower bound on the cross term between successive last-block moves and
-    multiplier moves.
-
-    ``(x_m^k - x_m^{k+1})' A_m' (y^k - y^{k+1})`` dominates the telescoping
-    difference of last-block proximal lengths. The derivation uses the
-    last-block optimality conditions of two consecutive steps and needs the
-    proximal metric to be positive semidefinite.
-    """
-    name = "cross_term"
-    _require_trajectory(trajectory)
-    if p_m.min_eigenvalue() < -EIG_ZERO_TOL:
-        return _skipped(name, "last-block proximal metric is not positive semidefinite")
-    points = trajectory.points
-    margins = []
-    for k in range(1, trajectory.steps):
-        if k == 1:
-            loss = 0.5 * p_m.quad(points[0].primal[-1] - points[1].primal[-1])
-        dx = points[k].primal[-1] - points[k + 1].primal[-1]
-        dy = points[k].dual - points[k + 1].dual
-        lhs = float(dx @ a_m.adjoint(dy))
-        gain = 0.5 * p_m.quad(dx)
-        margins.append(lhs - gain + loss + inequality_slack(lhs, gain, loss))
-        # this step's last-block move is the next step's previous move
-        loss = gain
-    return _finish(name, margins)
-
-
-def update_recurrence_check(metrics: MetricMatrices,
-                            trajectory: TrajectoryRecord) -> CertificateReport:
-    """Exact one-step recurrence: ``w^{k+1} = w^k - M (w^k - w_bar^k)``.
-
-    An identity, not an inequality; margins are the slack minus the
-    relative residual, so roundoff-sized residuals pass.
-    """
-    name = "update_recurrence"
-    _require_trajectory(trajectory)
-    problem = metrics.problem
-    diff, product = np.empty(metrics.total_dim), np.empty(metrics.total_dim)
-    margins = []
-    for k, wk, wk1 in _packed_steps(problem, trajectory):
-        if k == 0:
-            norm_k = float(np.linalg.norm(wk))
-        norm_k1 = float(np.linalg.norm(wk1))
-        # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
-        _pack_into(trajectory.auxiliaries[k], diff)
-        apply_metric(metrics, "m", np.subtract(wk, diff, out=diff), out=product)
-        predicted = np.subtract(wk, product, out=product)
-        residual = float(np.linalg.norm(np.subtract(predicted, wk1, out=predicted)))
-        margins.append(SLACK_COEFF - residual / (1.0 + max(norm_k, norm_k1)))
-        norm_k = norm_k1
-    return _finish(name, margins)
 
 
 def _step_terms(problem: BlockProblem, metrics: MetricMatrices,

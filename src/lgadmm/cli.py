@@ -50,9 +50,9 @@ from .certificates import (
     ergodic_average,
     ergodic_gap_check,
     fejer_check,
-    h_step_lengths,
     nonergodic_monotonicity_check,
     nonergodic_rate_check,
+    replay,
     sigma_gamma,
     step_inequality_check,
     update_recurrence_check,
@@ -620,15 +620,14 @@ def run_certify(settings: dict) -> int:
         corrupted_at = _corrupt_trajectory(trajectory)
 
     average = ergodic_average(trajectory.auxiliaries)
-    # measured after any corruption, shared by the two step-length checks
-    steps = h_step_lengths(metrics, trajectory)
+    # one pass over the trajectory, after any corruption, for five checks
+    record = replay(metrics, trajectory, reference)
     reports = [
-        update_recurrence_check(metrics, trajectory),
-        fejer_check(metrics, trajectory, reference),
-        nonergodic_monotonicity_check(metrics, trajectory, steps),
-        nonergodic_rate_check(metrics, trajectory, reference, steps),
-        cross_term_check(trajectory, config.proximal_metrics[-1],
-                         problem.blocks[-1].linear_map),
+        update_recurrence_check(record),
+        fejer_check(record),
+        nonergodic_monotonicity_check(record),
+        nonergodic_rate_check(record),
+        cross_term_check(record),
         ergodic_gap_check(problem, metrics, average, probes,
                           trajectory.points[0],
                           len(trajectory.auxiliaries) - 1),

@@ -152,11 +152,13 @@ class ValidationReport:
     ``P_m + (rho/gamma) A_m'A_m``, and ``last_metric_min_eig`` to ``P_m``
     alone, which some of the rate certificates additionally rely on. Each
     eigenvalue comes with the method that produced it: ``"exact"`` when the
-    first-phase metric is ``K (x) I`` (see ``structural_coupling``) and the
-    value is ``lambda_min(K)``; ``"operator"`` for two blocks, where it is
-    the first proximal metric itself; ``"dense"`` for an eigendecomposition
-    up to ``VALIDATION_DENSE_CAP`` rows; ``"bound"`` for a proven lower
-    bound. Above the cap the first-phase bound is block Gershgorin,
+    first-phase metric is ``K (x) I`` (see ``structural_coupling``) with a
+    2x2 ``K`` and the value is ``lambda_min(K)`` in closed form;
+    ``"operator"`` for two blocks, where it is the first proximal metric
+    itself; ``"dense"`` for an eigendecomposition up to
+    ``VALIDATION_DENSE_CAP`` rows; ``"bound"`` for a proven lower bound. A
+    larger ``K`` gives its computed ``lambda_min`` less a backward-error
+    margin. Above the cap the first-phase bound is block Gershgorin,
     ``min_i [lambda_min(P_i) - rho sum_{j != i} ||A_i|| ||A_j||]``. The
     last-block bound is ``lambda_min(P_m) + (rho/gamma) lambda_min(A_m'A_m)``,
     reported when it is positive or when the block is above the cap. The map
@@ -254,16 +256,6 @@ class FirstPhaseProduct:
         return out
 
 
-def first_phase_apply(problem: BlockProblem, prox: Sequence[SymmetricOperator],
-                      rho: float, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the coupled first-phase metric to a concatenated first-phase
-    vector, writing into ``out`` when given (which must not overlap ``r``).
-
-    Allocates its intermediates per call; keep a ``FirstPhaseProduct`` to
-    apply the same metric many times."""
-    return FirstPhaseProduct(problem, prox, rho).apply(r, out)
-
-
 def first_phase_dense(problem: BlockProblem, prox: Sequence[SymmetricOperator],
                       rho: float) -> np.ndarray:
     """Materialise the coupled first-phase metric."""
@@ -315,7 +307,13 @@ def first_phase_min_eig_estimate(problem: BlockProblem,
             # closed form; sigma - |rho g| in one rounding when a = d
             (a, b), (_, d) = coupling
             return float((a + d) / 2 - math.hypot((a - d) / 2, b)), "exact"
-        return float(np.linalg.eigvalsh(coupling)[0]), "exact"
+        # LAPACK's symmetric eigensolver is backward stable: each computed
+        # eigenvalue is within p(n) eps ||K||_2 of a true one, p a modest
+        # polynomial. Subtracting 8 n^2 eps ||K||_inf (>= that, with
+        # ||K||_2 <= ||K||_inf) makes the value a lower bound.
+        n = coupling.shape[0]
+        margin = 8 * n * n * np.finfo(float).eps * np.abs(coupling).sum(axis=1).max()
+        return float(np.linalg.eigvalsh(coupling)[0] - margin), "bound"
     if sum(block.dim for block in problem.blocks[:-1]) <= VALIDATION_DENSE_CAP:
         dense = first_phase_dense(problem, prox, rho)
         return float(np.linalg.eigvalsh(dense)[0]), "dense"

@@ -32,6 +32,7 @@ from lgadmm import (
     project_psd,
     projected_gradient_oracle,
     reduction_equivalence_suite,
+    replay,
     solve,
     stacked_maps,
     zeros_point,
@@ -195,12 +196,12 @@ def test_criterion_04_trajectory_certificates_strict_run(n20_strict_run):
     rng = np.random.default_rng(99)
     probes = [feasible_probe(problem, rng) for _ in range(10)]
     average = ergodic_average(trajectory.auxiliaries)
+    record = replay(metrics, trajectory, reference)
     reports = [
-        fejer_check(metrics, trajectory, reference),
-        nonergodic_monotonicity_check(metrics, trajectory),
-        cross_term_check(trajectory, config.proximal_metrics[-1],
-                         problem.blocks[-1].linear_map),
-        nonergodic_rate_check(metrics, trajectory, reference),
+        fejer_check(record),
+        nonergodic_monotonicity_check(record),
+        cross_term_check(record),
+        nonergodic_rate_check(record),
         ergodic_gap_check(problem, metrics, average, probes,
                           trajectory.points[0],
                           len(trajectory.auxiliaries) - 1),

@@ -1,6 +1,7 @@
 """Metric matrices and the runtime inequality checks."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lgadmm.certificates import (
     inequality_slack,
     nonergodic_monotonicity_check,
     nonergodic_rate_check,
+    replay,
     sigma_gamma,
     step_inequality_check,
     step_inequality_probe,
@@ -40,7 +42,6 @@ from lgadmm.solver import (
     IterationState,
     SolverConfig,
     TrajectoryRecord,
-    first_phase_apply,
     first_phase_dense,
     first_phase_min_eig_estimate,
     last_condition_min_eig_estimate,
@@ -194,10 +195,10 @@ def test_first_phase_apply_matches_stacked_sum():
     expected = np.concatenate([
         prox[i].apply(x) - rho * block.linear_map.adjoint(total - images[i])
         for i, (block, x) in enumerate(zip(blocks, pieces))])
-    got = first_phase_apply(problem, prox, rho, r)
+    got = FirstPhaseProduct(problem, prox, rho).apply(r)
     assert got.tobytes() == expected.tobytes()
     out = np.full(r.size, np.nan)
-    assert first_phase_apply(problem, prox, rho, r, out=out) is out
+    assert FirstPhaseProduct(problem, prox, rho).apply(r, out=out) is out
     assert out.tobytes() == expected.tobytes()
 
 
@@ -225,7 +226,7 @@ def _reference_apply_metric(metrics, which, v):
     am_x = a_m.apply(xm)
     if which == "m":
         return np.concatenate([r, xm, -rho * am_x + gamma * y])
-    g1_r = first_phase_apply(problem, prox, rho, r)
+    g1_r = FirstPhaseProduct(problem, prox, rho).apply(r)
     if which == "h":
         out_m = (p_m.apply(xm) + (rho / gamma) * a_m.adjoint(am_x)
                  + ((1.0 - gamma) / gamma) * a_m.adjoint(y))
@@ -257,17 +258,6 @@ def test_apply_metric_out_is_bitwise_the_allocating_product(strict_setup):
                 for got in (out, apply_metric(metrics, which, vector)):
                     assert np.array_equal(got, expected)
                     assert np.array_equal(np.signbit(got), np.signbit(expected))
-
-
-def test_step_length_checks_accept_shared_step_lengths(strict_setup):
-    metrics, trajectory = strict_setup.metrics, strict_setup.trajectory
-    steps = certificates.h_step_lengths(metrics, trajectory)
-    assert len(steps) == trajectory.steps
-    assert (nonergodic_monotonicity_check(metrics, trajectory, steps)
-            == nonergodic_monotonicity_check(metrics, trajectory))
-    reference = strict_setup.reference
-    assert (nonergodic_rate_check(metrics, trajectory, reference, steps)
-            == nonergodic_rate_check(metrics, trajectory, reference))
 
 
 def test_first_phase_min_eig_paths():
@@ -314,8 +304,8 @@ def test_probe_feasibility_guard(small_problem):
 
 
 def test_fejer_contraction_on_strict_run(strict_setup):
-    report = fejer_check(strict_setup.metrics, strict_setup.trajectory,
-                         strict_setup.reference)
+    report = fejer_check(replay(strict_setup.metrics, strict_setup.trajectory,
+                                strict_setup.reference))
     assert report.passed
     assert report.iterations_checked == strict_setup.trajectory.steps
     assert report.worst_margin >= 0.0
@@ -324,7 +314,7 @@ def test_fejer_contraction_on_strict_run(strict_setup):
 def test_fejer_vacuous_on_single_point_trajectory(strict_setup):
     start = strict_setup.trajectory.points[0]
     tiny = TrajectoryRecord(points=[start], auxiliaries=[])
-    report = fejer_check(strict_setup.metrics, tiny, strict_setup.reference)
+    report = fejer_check(replay(strict_setup.metrics, tiny, strict_setup.reference))
     assert report.passed
     assert report.iterations_checked == 0
     assert report.details.get("vacuous")
@@ -332,7 +322,7 @@ def test_fejer_vacuous_on_single_point_trajectory(strict_setup):
 
 def test_fejer_requires_trajectory(strict_setup):
     with pytest.raises(ValueError):
-        fejer_check(strict_setup.metrics, None, strict_setup.reference)
+        fejer_check(replay(strict_setup.metrics, None, strict_setup.reference))
 
 
 def test_checks_skip_outside_strict_conditions():
@@ -345,7 +335,7 @@ def test_checks_skip_outside_strict_conditions():
     result = solve(problem, config, zeros_point(problem))
     metrics = assemble_metrics(problem, config)
     assert not metrics.strict_ok
-    report = fejer_check(metrics, result.trajectory, result.final)
+    report = fejer_check(replay(metrics, result.trajectory, result.final))
     assert report.skipped
     assert report.passed is None
     assert "first-phase metric" in report.skipped_reason
@@ -370,28 +360,28 @@ def test_rate_checks_skip_on_indefinite_last_metric():
     metrics = assemble_metrics(problem, recorded)
     assert metrics.strict_ok
     assert metrics.validation.last_metric_min_eig == -0.01
-    for report in (nonergodic_monotonicity_check(metrics, trajectory),
-                   nonergodic_rate_check(metrics, trajectory, reference),
-                   cross_term_check(trajectory, p_m, problem.blocks[-1].linear_map)):
+    record = replay(metrics, trajectory, reference)
+    for report in (nonergodic_monotonicity_check(record),
+                   nonergodic_rate_check(record),
+                   cross_term_check(record)):
         assert report.skipped, report.check
         assert "positive semidefinite" in report.skipped_reason
-    for report in (fejer_check(metrics, trajectory, reference),
-                   update_recurrence_check(metrics, trajectory)):
+    for report in (fejer_check(record),
+                   update_recurrence_check(record)):
         assert report.passed, report.check
         assert report.iterations_checked == trajectory.steps
 
 
 def test_step_monotonicity_on_strict_run(strict_setup):
-    report = nonergodic_monotonicity_check(strict_setup.metrics,
-                                           strict_setup.trajectory)
+    report = nonergodic_monotonicity_check(replay(
+        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
     assert report.passed
     assert report.worst_margin >= 0.0
 
 
 def test_rate_bound_on_strict_run(strict_setup):
-    report = nonergodic_rate_check(strict_setup.metrics,
-                                   strict_setup.trajectory,
-                                   strict_setup.reference)
+    report = nonergodic_rate_check(replay(
+        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
     assert report.passed
     assert report.details["tightest_t"] >= 1
 
@@ -491,9 +481,8 @@ def test_ergodic_gap_detects_falsified_bound(strict_setup):
 
 
 def test_cross_term_bound_on_strict_run(strict_setup):
-    report = cross_term_check(strict_setup.trajectory,
-                              strict_setup.config.proximal_metrics[-1],
-                              strict_setup.problem.blocks[-1].linear_map)
+    report = cross_term_check(replay(
+        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
     assert report.passed
     assert report.worst_margin >= 0.0
 
@@ -502,16 +491,15 @@ def test_cross_term_stationary_equality(strict_setup):
     point = strict_setup.trajectory.points[0]
     stationary = TrajectoryRecord(points=[point, point, point],
                                   auxiliaries=[point, point])
-    report = cross_term_check(stationary,
-                              strict_setup.config.proximal_metrics[-1],
-                              strict_setup.problem.blocks[-1].linear_map)
+    report = cross_term_check(replay(strict_setup.metrics, stationary,
+                                     strict_setup.reference))
     assert report.passed
     assert report.worst_margin == pytest.approx(1e-8, rel=1e-6)
 
 
 def test_update_recurrence_on_strict_run(strict_setup):
-    report = update_recurrence_check(strict_setup.metrics,
-                                     strict_setup.trajectory)
+    report = update_recurrence_check(replay(
+        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
     assert report.passed
 
 
@@ -524,7 +512,8 @@ def test_update_recurrence_detects_corruption(strict_setup):
         tuple(part + 10.0 for part in original.primal), original.dual + 10.0)
     corrupted = TrajectoryRecord(points=points,
                                  auxiliaries=list(trajectory.auxiliaries))
-    report = update_recurrence_check(strict_setup.metrics, corrupted)
+    report = update_recurrence_check(replay(strict_setup.metrics, corrupted,
+                                            strict_setup.reference))
     assert report.passed is False
 
 
@@ -625,12 +614,13 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
             rhs = float(diff @ apply_metric(metrics, "q", w[k] - wbar[k]))
             inequality.append(lhs - rhs + inequality_slack(lhs, rhs))
 
+    record = replay(metrics, trajectory, reference)
     reports = [
-        (fejer_check(metrics, trajectory, reference), fejer),
-        (nonergodic_monotonicity_check(metrics, trajectory), monotone),
-        (nonergodic_rate_check(metrics, trajectory, reference), rate),
-        (update_recurrence_check(metrics, trajectory), recurrence),
-        (cross_term_check(trajectory, p_m, a_m), cross),
+        (fejer_check(record), fejer),
+        (nonergodic_monotonicity_check(record), monotone),
+        (nonergodic_rate_check(record), rate),
+        (update_recurrence_check(record), recurrence),
+        (cross_term_check(record), cross),
         (step_inequality_check(problem, metrics, trajectory, probes,
                                max_samples=7), inequality),
     ]
@@ -661,8 +651,8 @@ def test_step_inequality_check_shares_work_across_probes_and_steps(
 
 
 def test_report_serialization(strict_setup):
-    report = update_recurrence_check(strict_setup.metrics,
-                                     strict_setup.trajectory)
+    report = update_recurrence_check(replay(
+        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
     payload = report.to_dict()
     assert payload["check"] == "update_recurrence"
     assert payload["passed"] is True
@@ -688,10 +678,11 @@ def _owner(array):
 
 
 def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
-    # Every map product of the four trajectory checks writes into a buffer
-    # and reads from buffers that outlive one step, so the number of
-    # distinct buffers does not grow with the trajectory.
-    calls = []
+    # One pass: every map product of the replay writes into a buffer and
+    # reads from buffers that outlive one step, so the number of distinct
+    # buffers does not grow with the trajectory. Each point is packed once
+    # and each metric product is made once.
+    calls, products, packed = [], [], []
     for name in ("apply", "adjoint"):
         def recording(self, v, out=None, _original=getattr(BlockSignMap, name)):
             # keeping the arrays alive keeps a freed buffer's address from being reused
@@ -699,16 +690,32 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
             return _original(self, v, out=out)
         monkeypatch.setattr(BlockSignMap, name, recording)
 
+    def counted_product(metrics, which, v, out=None, _original=certificates.apply_metric):
+        products.append(which)
+        return _original(metrics, which, v, out=out)
+
+    def counted_pack(point, out, _original=certificates._pack_into):
+        packed.append(point)
+        return _original(point, out)
+
+    monkeypatch.setattr(certificates, "apply_metric", counted_product)
+    monkeypatch.setattr(certificates, "_pack_into", counted_pack)
+
     def distinct_buffers(steps):
         trajectory = strict_setup.trajectory
         prefix = TrajectoryRecord(points=trajectory.points[:steps + 1],
                                   auxiliaries=trajectory.auxiliaries[:steps])
         metrics = assemble_metrics(strict_setup.problem, strict_setup.config)
         calls.clear()
-        for report in (fejer_check(metrics, prefix, strict_setup.reference),
-                       update_recurrence_check(metrics, prefix),
-                       nonergodic_monotonicity_check(metrics, prefix),
-                       nonergodic_rate_check(metrics, prefix, strict_setup.reference)):
+        products.clear()
+        packed.clear()
+        record = replay(metrics, prefix, strict_setup.reference)
+        assert Counter(products) == {"h": 2 * steps + 1, "n": steps, "m": steps}
+        assert Counter(map(id, packed)) == Counter(
+            map(id, prefix.points + prefix.auxiliaries))
+        for report in (fejer_check(record), update_recurrence_check(record),
+                       nonergodic_monotonicity_check(record),
+                       nonergodic_rate_check(record)):
             assert report.passed
         assert calls and all(out is not None for _, out in calls)
         return (len({id(_owner(out)) for _, out in calls}),

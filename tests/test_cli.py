@@ -55,15 +55,19 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     assert sum_a == sum_b
     assert sum_a["stop_reason"] == "iteration_limit"
 
+
+@pytest.mark.parametrize("flags, code", [([], 0), (["--negative-control"], 4)])
+def test_certify_reruns_are_byte_identical(tmp_path, flags, code):
     certified = []
-    for out in (tmp_path / "certify_a", tmp_path / "certify_b"):
-        proc = run_cli(["certify", "--n", "6", "--out", str(out)])
-        assert proc.returncode == 0, proc.stderr
-        summary = json.loads((out / "summary.json").read_text())
-        report = json.loads((out / "certificates.json").read_text())
-        summary.pop("wall_seconds")
-        report["summary"].pop("wall_seconds")
-        certified.append((summary, report))
+    for out in (tmp_path / "a", tmp_path / "b"):
+        proc = run_cli(["certify", "--n", "6", *flags, "--out", str(out)])
+        assert proc.returncode == code, proc.stderr
+        texts = [(out / name).read_text()
+                 for name in ("summary.json", "certificates.json")]
+        # wall_seconds is the only timing field; it is one line of each file
+        certified.append([re.sub(r'"wall_seconds": [^,\n]*', "", text)
+                          for text in texts])
+        assert all('"wall_seconds"' in text for text in texts)
     assert certified[0] == certified[1]
 
 
@@ -198,6 +202,14 @@ def test_certify_negative_control_fails(tmp_path):
     assert summary["negative_control"] is True
     assert summary["corrupted_iteration"] is not None
     assert len(summary["failed_checks"]) >= 1
+    checks = {c["check"]: c for c in
+              json.loads((out / "certificates.json").read_text())["checks"]}
+    # the first step that fails is the one into the corrupted point
+    recurrence = checks["update_recurrence"]["details"]
+    assert recurrence["first_violation"] == summary["corrupted_iteration"] - 1
+    for check in checks.values():
+        assert ("first_violation" in check.get("details", {})) == (
+            check["passed"] is False), check["check"]
 
 
 def test_certify_reference_continues_the_strict_run(tmp_path, monkeypatch):

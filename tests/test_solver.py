@@ -2,6 +2,7 @@
 
 import ast
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from lgadmm.calibration import build_problem, default_metrics, generate_instance
 from lgadmm.certificates import weighted_norm_sq
 from lgadmm.operators import (
+    BlockSignMap,
     DenseMap,
     DenseSymmetric,
     LinearMap,
@@ -36,6 +38,7 @@ from lgadmm.solver import (
     SolverConfig,
     auxiliary_point,
     first_phase_dense,
+    first_phase_min_eig_estimate,
     first_phase_update,
     identity_metrics,
     last_block_update,
@@ -122,6 +125,34 @@ def test_exact_first_phase_value_is_sigma_minus_rho_bitwise():
         report = validate_config(problem, config)
         assert report.first_phase_method == "exact"
         assert report.first_phase_min_eig == sigma - rho
+
+
+@pytest.mark.parametrize("signs, coupling", [
+    # every pair of first-phase maps has Gram -1, so K = sigma I + rho (J - I)
+    (((1, 1, 1), (1, -1, -1), (-1, 1, -1)), 1),
+    # every pair has Gram +1, so K = sigma I - rho (J - I)
+    (((1, 0, 0),) * 3, -1),
+])
+def test_structural_value_of_a_larger_coupling_is_a_lower_bound(signs, coupling):
+    # eigvalsh of the 3x3 K comes out above the true lambda_min by an ulp for
+    # some (sigma, rho), e.g. 0.9500000000000001 for sigma=1.25, rho=0.3
+    dim = 2
+    maps = [BlockSignMap(s, dim) for s in (*signs, (0, 0, 1))]
+    problem = BlockProblem(
+        blocks=tuple(BlockSpec(dim=dim, linear_map=amap, subproblem_oracle=None,
+                               objective_oracle=None) for amap in maps),
+        rhs=np.zeros(3 * dim), constraint_dim=3 * dim)
+    methods = set()
+    for sigma in (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0):
+        for rho in (0.3, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0):
+            value, method = first_phase_min_eig_estimate(
+                problem, identity_metrics(problem, sigma), rho)
+            methods.add(method)
+            # eigenvalues sigma + 2c and sigma - c (twice), with c = coupling * rho
+            truth = Fraction(sigma) - max(1, -2 * coupling) * Fraction(rho)
+            assert Fraction(value) <= truth, (sigma, rho, value)
+            assert value >= truth - Fraction(1, 10**12), (sigma, rho, value)
+    assert methods == {"bound"}
 
 
 @pytest.fixture(scope="module")
