@@ -24,6 +24,7 @@ __all__ = [
     "gram_spectral_norm",
     "gram_min_eigenvalue",
     "adjoint_mismatch",
+    "min_eigenvalue_bound",
 ]
 
 class LinearMap(abc.ABC):
@@ -166,6 +167,19 @@ def adjoint_mismatch(amap: LinearMap, trials: int = 10, seed: int = 0) -> float:
     return worst
 
 
+def min_eigenvalue_bound(matrix: np.ndarray) -> float:
+    """A lower bound on the smallest eigenvalue of a symmetric matrix.
+
+    LAPACK's symmetric eigensolver is backward stable: each computed
+    eigenvalue is within ``p(n) eps ||M||_2`` of a true one, ``p`` a modest
+    polynomial, and may land above it. Subtracting ``8 n^2 eps ||M||_inf``
+    (at least that, since ``||M||_2 <= ||M||_inf``) makes the value a bound.
+    """
+    n = matrix.shape[0]
+    margin = 8 * n * n * np.finfo(float).eps * np.abs(matrix).sum(axis=1).max()
+    return float(np.linalg.eigvalsh(matrix)[0] - margin)
+
+
 class SymmetricOperator(abc.ABC):
     """Symmetric operator used as a quadratic-form weight."""
 
@@ -231,7 +245,7 @@ class DenseSymmetric(SymmetricOperator):
     def min_eigenvalue(self) -> float:
         if self.dim == 0:
             return 0.0
-        return float(np.linalg.eigvalsh(self._matrix)[0])
+        return min_eigenvalue_bound(self._matrix)
 
 
 class LinearizedMetric(SymmetricOperator):

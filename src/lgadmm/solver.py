@@ -27,6 +27,7 @@ from .operators import (
     SymmetricOperator,
     gram_min_eigenvalue,
     gram_spectral_norm,
+    min_eigenvalue_bound,
 )
 from .problem import (
     BlockProblem,
@@ -156,9 +157,11 @@ class ValidationReport:
     2x2 ``K`` and the value is ``lambda_min(K)`` in closed form;
     ``"operator"`` for two blocks, where it is the first proximal metric
     itself; ``"dense"`` for an eigendecomposition up to
-    ``VALIDATION_DENSE_CAP`` rows; ``"bound"`` for a proven lower bound. A
-    larger ``K`` gives its computed ``lambda_min`` less a backward-error
-    margin. Above the cap the first-phase bound is block Gershgorin,
+    ``VALIDATION_DENSE_CAP`` rows, whose computed ``lambda_min`` less a
+    backward-error margin (``min_eigenvalue_bound``) is a lower bound;
+    ``"bound"`` for a proven lower bound. A larger ``K`` gives its computed
+    ``lambda_min`` less the same margin. Above the cap the first-phase
+    bound is block Gershgorin,
     ``min_i [lambda_min(P_i) - rho sum_{j != i} ||A_i|| ||A_j||]``. The
     last-block bound is ``lambda_min(P_m) + (rho/gamma) lambda_min(A_m'A_m)``,
     reported when it is positive or when the block is above the cap. The map
@@ -307,16 +310,9 @@ def first_phase_min_eig_estimate(problem: BlockProblem,
             # closed form; sigma - |rho g| in one rounding when a = d
             (a, b), (_, d) = coupling
             return float((a + d) / 2 - math.hypot((a - d) / 2, b)), "exact"
-        # LAPACK's symmetric eigensolver is backward stable: each computed
-        # eigenvalue is within p(n) eps ||K||_2 of a true one, p a modest
-        # polynomial. Subtracting 8 n^2 eps ||K||_inf (>= that, with
-        # ||K||_2 <= ||K||_inf) makes the value a lower bound.
-        n = coupling.shape[0]
-        margin = 8 * n * n * np.finfo(float).eps * np.abs(coupling).sum(axis=1).max()
-        return float(np.linalg.eigvalsh(coupling)[0] - margin), "bound"
+        return min_eigenvalue_bound(coupling), "bound"
     if sum(block.dim for block in problem.blocks[:-1]) <= VALIDATION_DENSE_CAP:
-        dense = first_phase_dense(problem, prox, rho)
-        return float(np.linalg.eigvalsh(dense)[0]), "dense"
+        return min_eigenvalue_bound(first_phase_dense(problem, prox, rho)), "dense"
     # block Gershgorin with ||A_i'A_j|| <= ||A_i|| ||A_j||
     norms = [math.sqrt(gram_spectral_norm(block.linear_map))
              for block in problem.blocks[:-1]]
@@ -340,8 +336,7 @@ def last_condition_min_eig_estimate(problem: BlockProblem,
     if bound > EIG_ZERO_TOL or last.dim > VALIDATION_DENSE_CAP:
         return bound, "bound"
     am = last.linear_map.dense()
-    dense = p_m.dense() + coeff * (am.T @ am)
-    return float(np.linalg.eigvalsh(dense)[0]), "dense"
+    return min_eigenvalue_bound(p_m.dense() + coeff * (am.T @ am)), "dense"
 
 
 def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationReport:

@@ -18,7 +18,7 @@ from lgadmm.calibration import (
     stacked_maps,
     verify_stacked_maps,
 )
-from lgadmm.operators import DenseSymmetric, ScaledIdentity
+from lgadmm.operators import BlockSignMap, DenseSymmetric, ScaledIdentity
 from lgadmm.problem import PrimalDualPoint, evaluate_objective, zeros_point
 from lgadmm.solver import SolverConfig, solve
 
@@ -133,12 +133,28 @@ def test_stacked_maps_gram_structure():
 
 
 def test_verify_stacked_maps_catches_tampering():
-    from lgadmm.operators import BlockSignMap
-
     maps = stacked_maps(2)
     tampered = type(maps)(a1=BlockSignMap((1, 0, 0), 4), a2=maps.a2,
                           a3=maps.a3, n=2)
     with pytest.raises(ValueError):
+        verify_stacked_maps(tampered)
+
+
+class WrongAdjoint(BlockSignMap):
+    """A sign map whose adjoint drops its last slot; ``gram`` is inherited."""
+
+    def adjoint(self, y, out=None):
+        y = np.array(y)
+        y[(len(self.signs) - 1) * self.in_dim:] = 0.0
+        return super().adjoint(y, out=out)
+
+
+def test_verify_stacked_maps_probes_the_adjoint():
+    maps = stacked_maps(2)
+    broken = WrongAdjoint(maps.a2.signs, maps.a2.in_dim)
+    assert broken.gram(maps.a3) == maps.a2.gram(maps.a3)
+    tampered = type(maps)(a1=maps.a1, a2=broken, a3=maps.a3, n=2)
+    with pytest.raises(ValueError, match="defect"):
         verify_stacked_maps(tampered)
 
 

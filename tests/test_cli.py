@@ -407,3 +407,31 @@ def test_compare_curves_leave_the_shorter_run_empty(tmp_path):
         assert row[0] == str(k)
         for length, cell in zip(lengths, row[1:]):
             assert (cell != "") == (k <= length)
+
+
+def test_building_and_running_calibration_never_import_numpy_random(tmp_path):
+    # only certify draws random numbers (its probe points); the calibration
+    # self-check uses deterministic probes, so the other commands skip the
+    # import. NumPy versions that import numpy.random eagerly cannot show it.
+    script = f"""
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("eager")
+    raise SystemExit
+from lgadmm import cli
+from lgadmm.calibration import build_problem, generate_instance
+build_problem(generate_instance(6, 0))
+print("numpy.random" in sys.modules)
+assert cli.main(["solve", "--n", "6", "--max-iter", "50", "--out", {str(tmp_path / "solve")!r}]) == 0
+print("numpy.random" in sys.modules)
+assert cli.main(["baseline-compare", "--n", "8", "--out", {str(tmp_path / "compare")!r}]) == 0
+print("numpy.random" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line in ("eager", "True", "False")]
+    if lines == ["eager"]:
+        pytest.skip("this NumPy imports numpy.random with numpy itself")
+    assert lines == ["False"] * 3

@@ -42,6 +42,7 @@ from lgadmm.solver import (
     first_phase_update,
     identity_metrics,
     last_block_update,
+    last_condition_min_eig_estimate,
     multiplier_update,
     solve,
     step,
@@ -153,6 +154,46 @@ def test_structural_value_of_a_larger_coupling_is_a_lower_bound(signs, coupling)
             assert Fraction(value) <= truth, (sigma, rho, value)
             assert value >= truth - Fraction(1, 10**12), (sigma, rho, value)
     assert methods == {"bound"}
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_dense_min_eigenvalues_are_lower_bounds(dim):
+    # DenseMap copies of the 4-block sign maps with pairwise Gram +1: the
+    # first-phase metric is K (x) I with eigenvalues sigma - 2 rho and
+    # sigma + rho (twice). eigvalsh alone lands above sigma - 2 rho by an ulp
+    # for some (sigma, rho), e.g. 2.4000000000000004 for sigma=3, rho=0.3
+    maps = [DenseMap(BlockSignMap(s, dim).dense())
+            for s in ((1, 0, 0),) * 3 + ((0, 0, 1),)]
+    problem = BlockProblem(
+        blocks=tuple(BlockSpec(dim=dim, linear_map=amap, subproblem_oracle=None,
+                               objective_oracle=None) for amap in maps),
+        rhs=np.zeros(3 * dim), constraint_dim=3 * dim)
+    # the same matrix as the last block's metric, over a zero map: whenever
+    # P_m is not proven positive definite, the last condition takes the dense route
+    last = BlockProblem(
+        blocks=(BlockSpec(dim=1, linear_map=DenseMap(np.ones((1, 1))),
+                          subproblem_oracle=None, objective_oracle=None),
+                BlockSpec(dim=3 * dim, linear_map=DenseMap(np.zeros((1, 3 * dim))),
+                          subproblem_oracle=None, objective_oracle=None)),
+        rhs=np.zeros(1), constraint_dim=1)
+    routes = set()
+    for sigma in (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0):
+        for rho in (0.3, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0):
+            truth = Fraction(sigma) - 2 * Fraction(rho)
+            prox = identity_metrics(problem, sigma)
+            metric = first_phase_dense(problem, prox, rho)
+            value, method = first_phase_min_eig_estimate(problem, prox, rho)
+            assert method == "dense"
+            values = [value, DenseSymmetric(metric).min_eigenvalue()]
+            value, method = last_condition_min_eig_estimate(
+                last, DenseSymmetric(metric), rho, 1.0)
+            routes.add(method)
+            if method == "dense":
+                values.append(value)
+            for value in values:
+                assert Fraction(value) <= truth, (sigma, rho, value)
+                assert value >= truth - Fraction(1, 10**10), (sigma, rho, value)
+    assert routes == {"dense", "bound"}
 
 
 @pytest.fixture(scope="module")
