@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import BlockSignMap, ScaledIdentity, SymmetricOperator, gram_spectral_norm
-from .problem import BlockProblem, BlockSpec, PrimalDualPoint
+from .problem import BlockProblem, BlockSpec, PrimalDualPoint, splitmix64_uniform
 from .serialization import atomic_write_text, read_matrix, write_matrix
 
 __all__ = [
@@ -46,25 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_BOUND = 0.1
-
-
-def splitmix64_uniform(seed: int, count: int) -> np.ndarray:
-    """Deterministic uniform[0, 1) draws from a 64-bit splitmix generator.
-
-    The state advances by the 64-bit golden-ratio increment and each output
-    is finalized by two xor-shift-multiply rounds; the top 53 bits become
-    the float mantissa. Platform-independent for a given seed.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    mask = (1 << 64) - 1
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    steps = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & mask) + steps * golden
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
 @dataclass(frozen=True)

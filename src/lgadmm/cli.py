@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import multiprocessing
 import os
 import sys
@@ -215,9 +216,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 def _check_settings(settings: dict) -> None:
     if settings["n"] < 2:
         raise ConfigError(f"n must be at least 2, got {settings['n']}")
-    if settings["rho"] <= 0:
-        raise ConfigError(f"rho must be positive, got {settings['rho']}")
-    if settings["tol"] <= 0:
+    # the wording of SolverConfig's checks, made before any pool starts
+    if not (math.isfinite(settings["rho"]) and settings["rho"] > 0):
+        raise ConfigError(f"rho must be positive and finite, got {settings['rho']}")
+    if not (math.isfinite(settings["tol"]) and settings["tol"] > 0):
         raise ConfigError(f"tolerance must be positive, got {settings['tol']}")
     if settings["max_iter"] < 1:
         raise ConfigError("max-iter must be at least 1")
@@ -612,8 +614,8 @@ def run_certify(settings: dict) -> int:
     reference = solve(problem, reference_config, result.state).final
 
     metrics = assemble_metrics(problem, config)
-    rng = np.random.default_rng(settings["seed"] + 2_000_000)
-    probes = [feasible_probe(problem, rng) for _ in range(settings["probes"])]
+    probes = [feasible_probe(problem, settings["seed"] + 2_000_000 + j)
+              for j in range(settings["probes"])]
 
     corrupted_at = None
     if settings["negative_control"]:

@@ -43,6 +43,7 @@ __all__ = [
     "make_linearized_metric",
     "zeros_point",
     "feasible_probe",
+    "splitmix64_uniform",
 ]
 
 # Oracle signature: (target, center, rho, metric) -> minimiser of
@@ -288,14 +289,50 @@ def zeros_point(problem: BlockProblem) -> PrimalDualPoint:
     )
 
 
-def feasible_probe(problem: BlockProblem, rng: np.random.Generator,
+def splitmix64_uniform(seed: int, count: int) -> np.ndarray:
+    """Deterministic uniform[0, 1) draws from a 64-bit splitmix generator.
+
+    The state advances by the 64-bit golden-ratio increment and each output
+    is finalized by two xor-shift-multiply rounds; the top 53 bits become
+    the float mantissa. Platform-independent for a given seed.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    mask = (1 << 64) - 1
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.uint64(seed & mask) + steps * golden
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def _box_muller(uniforms: np.ndarray) -> np.ndarray:
+    """Standard normals from an even number of uniform[0, 1) draws, one each.
+
+    Each pair ``(u, v)`` gives the independent pair ``r cos(2 pi v)``,
+    ``r sin(2 pi v)`` with ``r = sqrt(-2 log(1 - u))``. Since ``1 - u`` lies
+    in (0, 1], the logarithm never sees 0, and ``u = 0`` gives ``r = 0``.
+    """
+    u, v = uniforms.reshape(-1, 2).T
+    radius = np.sqrt(-2.0 * np.log1p(-u))
+    angle = 2.0 * np.pi * v
+    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]).ravel()
+
+
+def feasible_probe(problem: BlockProblem, seed: int,
                    scale: float = 1.0) -> PrimalDualPoint:
-    """Random primal-dual point with each block projected onto its set."""
-    primal = []
-    for block in problem.blocks:
-        x = scale * rng.standard_normal(block.dim)
-        if block.projection is not None:
-            x = block.projection(x)
-        primal.append(x)
-    dual = scale * rng.standard_normal(problem.constraint_dim)
-    return PrimalDualPoint(tuple(primal), dual)
+    """Primal-dual point with N(0, scale^2) entries, each block then projected
+    onto its set.
+
+    The normals are Box-Muller pairs of ``splitmix64_uniform(seed, ...)``
+    draws, filling the blocks in order and then the multiplier, so one seed
+    names one probe and drawing it never imports ``numpy.random``.
+    """
+    total = problem.total_dim
+    normals = scale * _box_muller(splitmix64_uniform(seed, total + total % 2))
+    point = unpack_point(problem, normals[:total])
+    primal = tuple(x if block.projection is None else block.projection(x)
+                   for block, x in zip(problem.blocks, point.primal))
+    return PrimalDualPoint(primal, point.dual)

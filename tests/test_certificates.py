@@ -294,8 +294,7 @@ def test_last_condition_bound():
 
 
 def test_probe_feasibility_guard(small_problem):
-    rng = np.random.default_rng(3)
-    probe = feasible_probe(small_problem, rng)
+    probe = feasible_probe(small_problem, 3)
     check_probe_feasible(small_problem, probe)
     primal = list(probe.primal)
     bad = primal[2] + 5.0
@@ -450,8 +449,7 @@ def test_ergodic_average_feasibility_bounded_by_worst(small_problem, small_insta
 
 
 def test_ergodic_gap_bound_on_strict_run(strict_setup):
-    rng = np.random.default_rng(31)
-    probes = [feasible_probe(strict_setup.problem, rng) for _ in range(10)]
+    probes = [feasible_probe(strict_setup.problem, s) for s in range(31, 41)]
     trajectory = strict_setup.trajectory
     average = ergodic_average(trajectory.auxiliaries)
     report = ergodic_gap_check(strict_setup.problem, strict_setup.metrics,
@@ -473,9 +471,8 @@ def test_ergodic_gap_self_probe_trivially_passes(strict_setup):
 def test_ergodic_gap_detects_falsified_bound(strict_setup):
     # replacing the average with a far feasible point while shrinking the
     # right side to ~0 must fail the check
-    rng = np.random.default_rng(4)
-    far = feasible_probe(strict_setup.problem, rng, scale=5.0)
-    probe = feasible_probe(strict_setup.problem, np.random.default_rng(5))
+    far = feasible_probe(strict_setup.problem, 4, scale=5.0)
+    probe = feasible_probe(strict_setup.problem, 5)
     report = ergodic_gap_check(strict_setup.problem, strict_setup.metrics,
                                far, [probe], strict_setup.trajectory.points[0],
                                10**9)
@@ -531,16 +528,14 @@ def test_step_inequality_probe_zero_at_auxiliary(strict_setup):
 
 def test_step_inequality_probe_requires_completed_step(strict_setup):
     state = IterationState.initial(strict_setup.trajectory.points[0])
-    rng = np.random.default_rng(8)
-    probe = feasible_probe(strict_setup.problem, rng)
+    probe = feasible_probe(strict_setup.problem, 8)
     with pytest.raises(ValueError):
         step_inequality_probe(strict_setup.problem, strict_setup.metrics,
                               state, probe)
 
 
 def test_step_inequality_check_on_strict_run(strict_setup):
-    rng = np.random.default_rng(9)
-    probes = [feasible_probe(strict_setup.problem, rng) for _ in range(3)]
+    probes = [feasible_probe(strict_setup.problem, s) for s in range(9, 12)]
     report = step_inequality_check(strict_setup.problem, strict_setup.metrics,
                                    strict_setup.trajectory, probes,
                                    max_samples=10)
@@ -550,7 +545,7 @@ def test_step_inequality_check_on_strict_run(strict_setup):
 
 
 def test_step_inequality_check_rejects_infeasible_probe(strict_setup):
-    probe = feasible_probe(strict_setup.problem, np.random.default_rng(10))
+    probe = feasible_probe(strict_setup.problem, 10)
     primal = list(probe.primal)
     primal[2] = primal[2] + 3.0
     bad = PrimalDualPoint(tuple(primal), probe.dual)
@@ -603,7 +598,7 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
         gain = 0.5 * p_m.quad(dx)
         loss = 0.5 * p_m.quad(xm[k - 1] - xm[k])
         cross.append(lhs - gain + loss + inequality_slack(lhs, gain, loss))
-    probes = [feasible_probe(problem, np.random.default_rng(12)) for _ in range(3)]
+    probes = [feasible_probe(problem, s) for s in range(12, 15)]
     inequality = []
     sampled = np.unique(np.linspace(0, trajectory.steps - 1, 7).astype(int))
     for k in sampled:
@@ -642,8 +637,7 @@ def test_step_inequality_check_shares_work_across_probes_and_steps(
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(certificates, name, counted)
-    rng = np.random.default_rng(13)
-    probes = [feasible_probe(strict_setup.problem, rng) for _ in range(4)]
+    probes = [feasible_probe(strict_setup.problem, s) for s in range(13, 17)]
     report = step_inequality_check(strict_setup.problem, strict_setup.metrics,
                                    strict_setup.trajectory, probes,
                                    max_samples=6)

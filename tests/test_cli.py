@@ -145,6 +145,25 @@ def test_gamma_sweep_rejects_grid_outside_range(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rho", "nan", "rho must be positive and finite, got nan"),
+    ("--rho", "inf", "rho must be positive and finite, got inf"),
+    ("--tol", "nan", "tolerance must be positive, got nan"),
+    ("--tol", "inf", "tolerance must be positive, got inf"),
+])
+def test_gamma_sweep_refuses_non_finite_values_before_the_pool(
+        tmp_path, monkeypatch, capsys, flag, value, message):
+    def no_pool(*args):
+        raise AssertionError("the sweep started a pool")
+
+    monkeypatch.setattr(cli, "_spawn_map", no_pool)
+    out = tmp_path / "run"
+    assert cli.main(["gamma-sweep", "--n", "8", "--workers", "2", flag, value,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gamma_sweep_strict_rejects_benchmark_metrics(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(["gamma-sweep", "--n", "6", "--gamma-grid", "1.0",
@@ -409,29 +428,51 @@ def test_compare_curves_leave_the_shorter_run_empty(tmp_path):
             assert (cell != "") == (k <= length)
 
 
-def test_building_and_running_calibration_never_import_numpy_random(tmp_path):
-    # only certify draws random numbers (its probe points); the calibration
-    # self-check uses deterministic probes, so the other commands skip the
-    # import. NumPy versions that import numpy.random eagerly cannot show it.
-    script = f"""
+def numpy_random_after(body):
+    """Run ``body`` in a fresh interpreter after ``from lgadmm import cli``;
+    each ``report()`` in it prints whether ``numpy.random`` is loaded. Skips
+    on a NumPy that imports ``numpy.random`` with ``numpy`` itself."""
+    script = """
 import sys
 import numpy
 if "numpy.random" in sys.modules:
     print("eager")
     raise SystemExit
 from lgadmm import cli
-from lgadmm.calibration import build_problem, generate_instance
-build_problem(generate_instance(6, 0))
-print("numpy.random" in sys.modules)
-assert cli.main(["solve", "--n", "6", "--max-iter", "50", "--out", {str(tmp_path / "solve")!r}]) == 0
-print("numpy.random" in sys.modules)
-assert cli.main(["baseline-compare", "--n", "8", "--out", {str(tmp_path / "compare")!r}]) == 0
-print("numpy.random" in sys.modules)
-"""
+def report():
+    print("numpy.random" in sys.modules)
+""" + body
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line in ("eager", "True", "False")]
     if lines == ["eager"]:
         pytest.skip("this NumPy imports numpy.random with numpy itself")
+    return lines
+
+
+def test_building_and_running_calibration_never_import_numpy_random(tmp_path):
+    # the calibration self-check uses deterministic probes, so building and
+    # solving a problem skips the import
+    lines = numpy_random_after(f"""
+from lgadmm.calibration import build_problem, generate_instance
+build_problem(generate_instance(6, 0))
+report()
+assert cli.main(["solve", "--n", "6", "--max-iter", "50", "--out", {str(tmp_path / "solve")!r}]) == 0
+report()
+assert cli.main(["baseline-compare", "--n", "8", "--out", {str(tmp_path / "compare")!r}]) == 0
+report()
+""")
     assert lines == ["False"] * 3
+
+
+def test_certify_never_imports_numpy_random(tmp_path):
+    # feasible probes come from the splitmix stream too
+    lines = numpy_random_after(f"""
+assert cli.main(["certify", "--n", "6", "--out", {str(tmp_path / "pass")!r}]) == 0
+report()
+assert cli.main(["certify", "--n", "6", "--negative-control",
+                 "--out", {str(tmp_path / "fail")!r}]) == 4
+report()
+""")
+    assert lines == ["False"] * 2

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from lgadmm.calibration import generate_instance, stacked_maps
-from lgadmm.operators import LinearizedMetric, ScaledIdentity, gram_spectral_norm
+from lgadmm.operators import (
+    BlockSignMap,
+    LinearizedMetric,
+    ScaledIdentity,
+    gram_spectral_norm,
+)
 from lgadmm.problem import (
     BlockProblem,
     BlockSpec,
     DimensionMismatchError,
     PrimalDualPoint,
     SpectralThresholdError,
+    _box_muller,
     check_point,
     constraint_residual,
     evaluate_objective,
@@ -19,6 +25,7 @@ from lgadmm.problem import (
     pack_point,
     point_difference,
     primal_feasibility,
+    splitmix64_uniform,
     unpack_point,
     vi_monotone_gap,
     vi_operator,
@@ -221,20 +228,58 @@ def test_zeros_point(small_problem):
 
 
 def test_feasible_probe_respects_projections(small_problem):
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        probe = feasible_probe(small_problem, rng)
+    for seed in range(31, 41):
+        probe = feasible_probe(small_problem, seed)
         for part, block in zip(probe.primal, small_problem.blocks):
             if block.projection is not None:
                 assert np.allclose(block.projection(part), part, atol=1e-12)
 
 
 def test_feasible_probe_deterministic_per_seed(small_problem):
-    probe_a = feasible_probe(small_problem, np.random.default_rng(9))
-    probe_b = feasible_probe(small_problem, np.random.default_rng(9))
+    probe_a = feasible_probe(small_problem, 9)
+    probe_b = feasible_probe(small_problem, 9)
     for left, right in zip(probe_a.primal, probe_b.primal):
         assert np.array_equal(left, right)
     assert np.array_equal(probe_a.dual, probe_b.dual)
+    other = feasible_probe(small_problem, 10)
+    assert not np.array_equal(pack_point(small_problem, other),
+                              pack_point(small_problem, probe_a))
+
+
+def test_feasible_probe_pinned_values():
+    # Box-Muller on splitmix64_uniform(2024, 4); the same numbers come from
+    # math.log/cos/sin on those uniforms, so any platform reproduces them
+    problem = scalar_zero_problem(3)
+    values = pack_point(problem, feasible_probe(problem, 2024))
+    assert values.tolist() == pytest.approx(
+        [1.143769344817183, 0.8009796614934415,
+         0.6275664934417265, 0.5616459782301674], rel=1e-14)
+
+
+def test_box_muller_normals_are_finite():
+    assert np.all(np.isfinite(_box_muller(splitmix64_uniform(7, 10**6))))
+    # u = 0 and the largest uniform below 1 both stay finite
+    edges = _box_muller(np.array([0.0, 0.3, 1.0 - 2.0**-53, 0.3]))
+    assert np.all(np.isfinite(edges))
+    assert edges[:2].tolist() == [0.0, 0.0]
+
+
+def test_feasible_probe_moments_and_scale():
+    # two unconstrained blocks and their constraint rows: 10**5 draws
+    blocks = tuple(
+        BlockSpec(dim=25_000, linear_map=BlockSignMap((1, 0), 25_000),
+                  subproblem_oracle=None, objective_oracle=None)
+        for _ in range(2))
+    problem = BlockProblem(blocks=blocks, rhs=np.zeros(50_000),
+                           constraint_dim=50_000)
+    draws = pack_point(problem, feasible_probe(problem, 5))
+    assert draws.size == 10**5
+    assert abs(draws.mean()) < 0.02
+    assert abs(draws.var() - 1.0) < 0.02
+    scaled = pack_point(problem, feasible_probe(problem, 5, scale=3.0))
+    assert np.array_equal(scaled, 3.0 * draws)
+    assert abs(scaled.mean()) < 3.0 * 0.02
+    assert abs(scaled.var() - 9.0) < 9.0 * 0.02
 
 
 def test_block_problem_validates_dimensions():
