@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BlockSignMap, ScaledIdentity, SymmetricOperator, gram_spectral_norm
+from .operators import BlockSignMap, ScaledIdentity, SymmetricOperator
 from .problem import BlockProblem, BlockSpec, PrimalDualPoint, splitmix64_uniform
 from .serialization import atomic_write_text, read_matrix, write_matrix
 
@@ -38,7 +38,6 @@ __all__ = [
     "stacked_maps",
     "verify_stacked_maps",
     "calibration_block_oracle",
-    "projected_gradient_oracle",
     "build_problem",
     "default_metrics",
     "dump_instance",
@@ -194,32 +193,6 @@ def calibration_block_oracle(c: np.ndarray, amap: BlockSignMap, projection):
         return projection(candidate.reshape(n, n)).reshape(-1)
 
     return oracle
-
-
-def projected_gradient_oracle(c: np.ndarray, amap: BlockSignMap, projection,
-                              target: np.ndarray, center: np.ndarray,
-                              rho: float, sigma: float,
-                              iterations: int = 80) -> np.ndarray:
-    """Independent route to the same subproblem, for cross-validation.
-
-    Plain projected gradient on the block subproblem, deliberately not
-    reusing the closed form: the smoothness constant comes from
-    ``gram_spectral_norm``, and the step is half its inverse so the
-    iteration takes many genuinely contractive steps rather than jumping to
-    the unconstrained minimiser.
-    """
-    n = c.shape[0]
-    c_flat = c.reshape(-1)
-    gram_norm = gram_spectral_norm(amap)
-    lipschitz = 1.0 + rho * gram_norm + sigma
-    step = 0.5 / lipschitz
-    x = np.array(center, dtype=float)
-    for _ in range(iterations):
-        gradient = (x - c_flat
-                    + rho * amap.adjoint(amap.apply(x) - target)
-                    + sigma * (x - center))
-        x = projection((x - step * gradient).reshape(n, n)).reshape(-1)
-    return x
 
 
 def build_problem(instance: CalibrationInstance) -> BlockProblem:

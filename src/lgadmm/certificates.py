@@ -14,12 +14,12 @@ block, multiplier):
 
 ``N = Q' + Q - M'H M`` is block diagonal and measures the per-step
 decrease. The checks need only products with these matrices, evaluated
-matrix-free; dense realisations exist only under ``assemble_metrics(...,
-mode="dense")``. The spectral conditions the checks are gated on (the
-coupled first-phase metric and ``P_m + (rho/gamma) A_m'A_m`` positive
-definite, ``P_m`` positive semidefinite) are read from the
-``ValidationReport`` of ``validate_config``, the one place that computes
-them; this module depends on the solver, never the reverse.
+matrix-free; no dense realisation is ever built. The spectral conditions
+the checks are gated on (the coupled first-phase metric and
+``P_m + (rho/gamma) A_m'A_m`` positive definite, ``P_m`` positive
+semidefinite) are read from the ``ValidationReport`` of
+``validate_config``, the one place that computes them; this module
+depends on the solver, never the reverse.
 
 Every certificate below evaluates one provable inequality on a
 recorded trajectory, with an explicit scale-aware slack for floating-point
@@ -47,18 +47,14 @@ from .problem import (
 from .solver import (
     EIG_ZERO_TOL,
     FirstPhaseProduct,
-    IterationState,
     SolverConfig,
     TrajectoryRecord,
     ValidationReport,
-    first_phase_dense,
     validate_config,
 )
 
 __all__ = [
-    "DENSE_DIM_CAP",
     "CertificateError",
-    "MetricConsistencyError",
     "ProbeFeasibilityError",
     "MetricMatrices",
     "CertificateReport",
@@ -77,22 +73,14 @@ __all__ = [
     "ergodic_gap_check",
     "cross_term_check",
     "update_recurrence_check",
-    "step_inequality_probe",
     "step_inequality_check",
 ]
-
-# Largest total dimension ``assemble_metrics(..., mode="dense")`` accepts.
-DENSE_DIM_CAP = 5000
 
 SLACK_COEFF = 1e-8
 
 
 class CertificateError(Exception):
     """Base class for certificate-engine errors."""
-
-
-class MetricConsistencyError(CertificateError):
-    """The assembled metrics violate an identity they provably satisfy."""
 
 
 class ProbeFeasibilityError(CertificateError):
@@ -129,16 +117,16 @@ class MetricMatrices:
 
     Every check uses the structural (matrix-free) evaluators. The spectral
     preconditions are the ones ``validate_config`` established, kept in
-    ``validation``. Dense realisations (``g1``, ``q``, ``m_mat``, ``h``,
-    ``n_mat``) and ``h_min_eig`` are present only under ``mode="dense"``.
+    ``validation``.
     """
 
     problem: BlockProblem
     config: SolverConfig
     validation: ValidationReport
-    n_min_eig: float
-    h_min_eig: float | None = None
-    dense: dict[str, np.ndarray] | None = None
+
+    # always None: no dense realisation is built. Kept (not a field) because
+    # the benchmark tracer's ``dense_bytes`` in ``bench/tracing.py`` reads it.
+    dense = None
 
     def __post_init__(self):
         # the (first phase, last block, multiplier) slices of a packed vector
@@ -151,6 +139,14 @@ class MetricMatrices:
         self._image = np.empty(self.problem.constraint_dim)
         self._back = np.empty(dims[-1])
         self._product = np.empty(self.problem.total_dim)
+
+    @property
+    def n_min_eig(self) -> float:
+        """Smallest eigenvalue of the block-diagonal ``N``:
+        ``min(g1, P_m, (2 - gamma)/rho)``."""
+        v = self.validation
+        return min(v.first_phase_min_eig, v.last_metric_min_eig,
+                   (2.0 - self.config.gamma) / self.config.rho)
 
     @property
     def strict_ok(self) -> bool:
@@ -174,30 +170,6 @@ class MetricMatrices:
         return "configuration outside provable territory: " + "; ".join(pieces)
 
     @property
-    def matrix_free(self) -> bool:
-        return self.dense is None
-
-    @property
-    def g1(self) -> np.ndarray | None:
-        return None if self.dense is None else self.dense["g1"]
-
-    @property
-    def q(self) -> np.ndarray | None:
-        return None if self.dense is None else self.dense["q"]
-
-    @property
-    def m_mat(self) -> np.ndarray | None:
-        return None if self.dense is None else self.dense["m"]
-
-    @property
-    def h(self) -> np.ndarray | None:
-        return None if self.dense is None else self.dense["h"]
-
-    @property
-    def n_mat(self) -> np.ndarray | None:
-        return None if self.dense is None else self.dense["n"]
-
-    @property
     def first_dim(self) -> int:
         return self._slices[0].stop
 
@@ -212,101 +184,16 @@ class MetricMatrices:
     def to_dict(self) -> dict:
         """What the metrics add to ``validation``."""
         return {
-            "h_min_eig": self.h_min_eig,
             "n_min_eig": self.n_min_eig,
             "strict_ok": self.strict_ok,
             "strict_reason": self.strict_reason,
-            "matrix_free": self.matrix_free,
         }
 
 
-def assemble_metrics(problem: BlockProblem, config: SolverConfig,
-                     mode: str = "matrix_free") -> MetricMatrices:
-    """Build the certificate metrics; matrix-free unless ``mode="dense"``.
-
-    The spectral conditions come from ``validate_config``. ``N`` is block
-    diagonal, so ``n_min_eig`` is ``min(g1, P_m, (2 - gamma)/rho)``;
-    ``h_min_eig`` stays ``None``.
-
-    ``mode="dense"`` (total dimension up to ``DENSE_DIM_CAP``) materialises
-    Q, M, H and N as a reference for small problems. It cross-checks the
-    factorization ``Q = H M`` and the two independent constructions of
-    ``N`` (the block-diagonal closed form against ``Q' + Q - M'H M``), takes
-    ``h_min_eig`` and ``n_min_eig`` from dense eigendecompositions, and
-    verifies that positive definiteness of the first-phase metric propagates
-    to ``H`` and ``N`` as the theory guarantees. Violations raise
-    ``MetricConsistencyError``; they would mean the assembly itself is wrong.
-    """
-    if mode not in ("dense", "matrix_free"):
-        raise ValueError(f"unknown mode {mode!r}")
-    total_dim = problem.total_dim
-    if mode == "dense" and total_dim > DENSE_DIM_CAP:
-        raise ValueError(
-            f"total dimension {total_dim} exceeds the dense cap {DENSE_DIM_CAP}")
-    validation = validate_config(problem, config)
-    rho, gamma = config.rho, config.gamma
-    metrics = MetricMatrices(
-        problem=problem, config=config, validation=validation,
-        n_min_eig=min(validation.first_phase_min_eig,
-                      validation.last_metric_min_eig, (2.0 - gamma) / rho))
-    if mode == "matrix_free":
-        return metrics
-
-    prox = config.proximal_metrics
-    ell = problem.constraint_dim
-    fp, lb, du = metrics._slices
-
-    g1 = first_phase_dense(problem, prox, rho)
-    am = problem.blocks[-1].linear_map.dense()
-    gram_m = am.T @ am
-    pm_dense = prox[-1].dense()
-    eye_ell = np.eye(ell)
-
-    q = np.zeros((total_dim, total_dim))
-    q[fp, fp] = g1
-    q[lb, lb] = rho * gram_m + pm_dense
-    q[lb, du] = (1.0 - gamma) * am.T
-    q[du, lb] = -am
-    q[du, du] = eye_ell / rho
-
-    m_mat = np.eye(total_dim)
-    m_mat[du, lb] = -rho * am
-    m_mat[du, du] = gamma * eye_ell
-
-    h = np.zeros((total_dim, total_dim))
-    h[fp, fp] = g1
-    h[lb, lb] = pm_dense + (rho / gamma) * gram_m
-    h[lb, du] = ((1.0 - gamma) / gamma) * am.T
-    h[du, lb] = ((1.0 - gamma) / gamma) * am
-    h[du, du] = eye_ell / (gamma * rho)
-
-    n_mat = np.zeros((total_dim, total_dim))
-    n_mat[fp, fp] = g1
-    n_mat[lb, lb] = pm_dense
-    n_mat[du, du] = ((2.0 - gamma) / rho) * eye_ell
-
-    scale = 1.0 + max(np.abs(q).max(), np.abs(h).max(), np.abs(m_mat).max())
-    factor_defect = np.abs(q - h @ m_mat).max()
-    if factor_defect > 1e-12 * scale:
-        raise MetricConsistencyError(
-            f"Q does not factor as H M (defect {factor_defect:.3e})")
-    n_from_identity = q.T + q - m_mat.T @ h @ m_mat
-    n_defect = np.abs(n_from_identity - n_mat).max()
-    if n_defect > 1e-10 * scale:
-        raise MetricConsistencyError(
-            f"the two constructions of N disagree (defect {n_defect:.3e})")
-
-    metrics.h_min_eig = float(np.linalg.eigvalsh(h)[0])
-    metrics.n_min_eig = float(np.linalg.eigvalsh(n_mat)[0])
-    metrics.dense = {"g1": g1, "q": q, "m": m_mat, "h": h, "n": n_mat}
-    if metrics.strict_ok and (metrics.h_min_eig <= 0 or metrics.n_min_eig <= 0):
-        # Positive definiteness of the first-phase metric propagates to H
-        # and N for any relaxation factor in (0, 2); a violation here would
-        # be an assembly bug, not a property of the input.
-        raise MetricConsistencyError(
-            f"H or N lost positive definiteness (h {metrics.h_min_eig:.3e}, "
-            f"n {metrics.n_min_eig:.3e}) despite a positive definite first-phase metric")
-    return metrics
+def assemble_metrics(problem: BlockProblem, config: SolverConfig) -> MetricMatrices:
+    """The matrix-free certificate metrics, with the spectral conditions
+    from ``validate_config``."""
+    return MetricMatrices(problem, config, validate_config(problem, config))
 
 
 def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray,
@@ -371,24 +258,13 @@ def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray,
 
 
 def weighted_norm_sq(metrics: MetricMatrices, v: np.ndarray, which: str) -> float:
-    """Quadratic form ``v' W v`` for ``W`` in {H, N, G1, P_m}.
-
-    ``v`` is always a packed full-space vector; the first-phase and
-    last-block forms act on the corresponding slice of it. An H or N
-    product goes to a buffer that ``metrics`` keeps, so ``v`` must not be
-    that buffer.
+    """Quadratic form ``v' W v`` for ``W`` in {H, N} (``which`` is ``"h"``
+    or ``"n"``) and a packed full-space ``v``. The product goes to a buffer
+    that ``metrics`` keeps, so ``v`` must not be that buffer.
     """
-    which = which.lower()
-    if which in ("h", "n"):
-        return float(v @ apply_metric(metrics, which, v, out=metrics._product))
-    r, xm, _ = metrics.split(v)
-    if which == "g1":
-        if not r.size:
-            return 0.0
-        return float(r @ metrics._first_phase.apply(r))
-    if which == "p_m":
-        return metrics.config.proximal_metrics[-1].quad(xm)
-    raise ValueError(f"unknown metric {which!r}")
+    if which not in ("h", "n"):
+        raise ValueError(f"unknown metric {which!r}")
+    return float(v @ apply_metric(metrics, which, v, out=metrics._product))
 
 
 # ---------------------------------------------------------------------------
@@ -700,25 +576,6 @@ def _probe_terms(step_terms: tuple, probe_objective: float,
     lhs = probe_objective - wbar_objective + float(diff @ f_wbar)
     rhs = float(diff @ q_step)
     return lhs, rhs
-
-
-def step_inequality_probe(problem: BlockProblem, metrics: MetricMatrices,
-                          state: IterationState,
-                          probe: PrimalDualPoint) -> float:
-    """Margin of the one-step mixed variational inequality at a probe point.
-
-    Returns ``objective(u) - objective(u_bar) + (w - w_bar)' F(w_bar)
-    - (w - w_bar)' Q (w^k - w_bar)`` for the step recorded in ``state``;
-    the inequality says this is nonnegative for every feasible ``w``,
-    with no positivity preconditions on the metrics.
-    """
-    if state.previous is None or state.auxiliary is None:
-        raise ValueError("state does not record a completed step")
-    check_probe_feasible(problem, probe)
-    lhs, rhs = _probe_terms(
-        _step_terms(problem, metrics, state.previous, state.auxiliary),
-        evaluate_objective(problem, probe), pack_point(problem, probe))
-    return lhs - rhs
 
 
 def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,

@@ -23,7 +23,6 @@ __all__ = [
     "as_metric",
     "gram_spectral_norm",
     "gram_min_eigenvalue",
-    "adjoint_mismatch",
     "min_eigenvalue_bound",
 ]
 
@@ -152,19 +151,6 @@ def gram_min_eigenvalue(amap: LinearMap) -> float:
     """Smallest eigenvalue of ``A'A``: exact for structural and dense maps,
     the lower bound ``0`` otherwise."""
     return _gram_extremes(amap)[0]
-
-
-def adjoint_mismatch(amap: LinearMap, trials: int = 10, seed: int = 0) -> float:
-    """Largest relative defect of ``<Ax, y> - <x, A'y>`` over random probes."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(amap.in_dim)
-        y = rng.standard_normal(amap.out_dim)
-        lhs = float(amap.apply(x) @ y)
-        rhs = float(x @ amap.adjoint(y))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
-    return worst
 
 
 def min_eigenvalue_bound(matrix: np.ndarray) -> float:

@@ -34,12 +34,10 @@ __all__ = [
     "pack_point",
     "unpack_point",
     "pack_vi_value",
-    "point_difference",
     "evaluate_objective",
     "constraint_residual",
     "primal_feasibility",
     "vi_operator",
-    "vi_monotone_gap",
     "make_linearized_metric",
     "zeros_point",
     "feasible_probe",
@@ -212,13 +210,6 @@ def pack_vi_value(value: ViOperatorValue) -> np.ndarray:
     return np.concatenate([*value.block_parts, value.constraint_part])
 
 
-def point_difference(a: PrimalDualPoint, b: PrimalDualPoint) -> PrimalDualPoint:
-    return PrimalDualPoint(
-        tuple(xa - xb for xa, xb in zip(a.primal, b.primal)),
-        a.dual - b.dual,
-    )
-
-
 def evaluate_objective(problem: BlockProblem, point: PrimalDualPoint) -> float:
     """Separable objective value ``sum_i theta_i(x_i)``."""
     check_point(problem, point)
@@ -245,15 +236,6 @@ def vi_operator(problem: BlockProblem, point: PrimalDualPoint) -> ViOperatorValu
     check_point(problem, point)
     parts = tuple(-block.linear_map.adjoint(point.dual) for block in problem.blocks)
     return ViOperatorValue(parts, constraint_residual(problem, point))
-
-
-def vi_monotone_gap(problem: BlockProblem, w1: PrimalDualPoint,
-                    w2: PrimalDualPoint) -> float:
-    """``(w1 - w2)' (F(w1) - F(w2))``; identically zero for the affine skew ``F``."""
-    f1 = vi_operator(problem, w1)
-    f2 = vi_operator(problem, w2)
-    diff = pack_point(problem, w1) - pack_point(problem, w2)
-    return float(diff @ (pack_vi_value(f1) - pack_vi_value(f2)))
 
 
 def make_linearized_metric(block: BlockSpec, rho: float, tau: float) -> SymmetricOperator:

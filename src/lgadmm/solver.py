@@ -171,7 +171,6 @@ class ValidationReport:
     """
 
     gamma: float
-    gamma_in_range: bool
     first_phase_metric_spd: tuple[bool, ...]
     first_phase_min_eig: float
     first_phase_method: str
@@ -185,7 +184,6 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "gamma": self.gamma,
-            "gamma_in_range": self.gamma_in_range,
             "first_phase_metric_spd": list(self.first_phase_metric_spd),
             "first_phase_min_eig": self.first_phase_min_eig,
             "first_phase_method": self.first_phase_method,
@@ -348,8 +346,7 @@ def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationRe
     definite, ``P_m + (rho/gamma) A_m'A_m`` positive definite) are reported,
     and additionally raise under ``strict_theory_mode``.
     """
-    gamma_ok = 0.0 < config.gamma < 2.0
-    if not gamma_ok:
+    if not 0.0 < config.gamma < 2.0:
         raise ConfigError(
             f"gamma must lie strictly between 0 and 2, got {config.gamma}"
         )
@@ -404,7 +401,6 @@ def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationRe
 
     return ValidationReport(
         gamma=config.gamma,
-        gamma_in_range=gamma_ok,
         first_phase_metric_spd=first_phase_spd,
         first_phase_min_eig=first_eig,
         first_phase_method=first_method,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ScaledIdentity, SymmetricOperator
-from .problem import BlockProblem, PrimalDualPoint, zeros_point
-from .solver import ConfigError, IterationState, SolverConfig, step
+from lgadmm.operators import ScaledIdentity, SymmetricOperator
+from lgadmm.problem import BlockProblem, PrimalDualPoint, zeros_point
+from lgadmm.solver import ConfigError, IterationState, SolverConfig, step
 
 __all__ = [
     "VARIANTS",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import DenseMap, DenseSymmetric, ScaledIdentity, SymmetricOperator
-from .problem import BlockProblem, BlockSpec
-from .solver import SolverConfig
+from lgadmm.operators import DenseMap, DenseSymmetric, ScaledIdentity, SymmetricOperator
+from lgadmm.problem import BlockProblem, BlockSpec
+from lgadmm.solver import SolverConfig
 
 __all__ = [
     "quadratic_block",

@@ -30,8 +30,6 @@ from lgadmm import (
     pack_point,
     project_box,
     project_psd,
-    projected_gradient_oracle,
-    reduction_equivalence_suite,
     replay,
     solve,
     stacked_maps,
@@ -39,7 +37,9 @@ from lgadmm import (
 )
 from lgadmm.cli import run_gamma_sweep
 from lgadmm.operators import ScaledIdentity
-from lgadmm.synthetic import random_config, random_metrics, random_problem
+from baselines import reduction_equivalence_suite
+from reference import assemble_dense_metrics, projected_gradient_oracle
+from synthetic import random_config, random_metrics, random_problem
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ def test_criterion_01_metric_factorization_identities():
         config = random_config(rng, problem,
                                gamma=float(rng.choice((0.3, 1.0, 1.7))),
                                rho=float(rng.choice((0.5, 1.0, 2.0))))
-        metrics = assemble_metrics(problem, config, mode="dense")
+        metrics = assemble_dense_metrics(problem, config)
         scale = 1.0 + max(np.abs(metrics.q).max(), np.abs(metrics.h).max())
 
         q_residual = np.abs(metrics.q - metrics.h @ metrics.m_mat).max()
@@ -141,7 +141,7 @@ def test_criterion_02_step_identities_along_benchmark_run():
                           record_trajectory=True)
     trajectory = solve(problem, config, zeros_point(problem)).trajectory
     assert trajectory.steps == 200
-    metrics = assemble_metrics(problem, config, mode="dense")
+    metrics = assemble_dense_metrics(problem, config)
     a_m = problem.blocks[-1].linear_map
     worst_step, worst_dual = 0.0, 0.0
     for k in range(trajectory.steps):

@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from lgadmm.baselines import (
-    TwoBlockScheme,
-    baseline_step,
-    reduction_equivalence_suite,
-)
 from lgadmm.operators import ScaledIdentity
 from lgadmm.problem import PrimalDualPoint, make_linearized_metric, zeros_point
 from lgadmm.solver import ConfigError, IterationState, SolverConfig, step
-from lgadmm.synthetic import random_metrics, random_problem
+from baselines import TwoBlockScheme, baseline_step, reduction_equivalence_suite
+from synthetic import random_metrics, random_problem
 from util import chain_problem, scalar_zero_problem
 
 

@@ -13,7 +13,6 @@ from lgadmm.calibration import (
     load_instance,
     project_box,
     project_psd,
-    projected_gradient_oracle,
     splitmix64_uniform,
     stacked_maps,
     verify_stacked_maps,
@@ -21,6 +20,7 @@ from lgadmm.calibration import (
 from lgadmm.operators import BlockSignMap, DenseSymmetric, ScaledIdentity
 from lgadmm.problem import PrimalDualPoint, evaluate_objective, zeros_point
 from lgadmm.solver import SolverConfig, solve
+from reference import projected_gradient_oracle
 
 
 def test_prng_deterministic_and_in_range():

@@ -24,7 +24,6 @@ from lgadmm.certificates import (
     replay,
     sigma_gamma,
     step_inequality_check,
-    step_inequality_probe,
     update_recurrence_check,
     weighted_norm_sq,
 )
@@ -47,7 +46,8 @@ from lgadmm.solver import (
     last_condition_min_eig_estimate,
     solve,
 )
-from lgadmm.synthetic import random_config, random_problem
+from reference import assemble_dense_metrics, step_inequality_probe
+from synthetic import random_config, random_problem
 from util import chain_problem
 
 
@@ -80,7 +80,7 @@ def test_sigma_gamma_values():
 
 def test_assembled_matrices_match_hand_computation():
     problem, config = two_block_hand_config()
-    metrics = assemble_metrics(problem, config, mode="dense")
+    metrics = assemble_dense_metrics(problem, config)
     assert np.allclose(metrics.q, [[2, 0, 0], [0, 2, 0], [0, -1, 1]])
     assert np.allclose(metrics.h, np.diag([2.0, 2.0, 1.0]))
     assert np.allclose(metrics.m_mat, [[1, 0, 0], [0, 1, 0], [0, -1, 1]])
@@ -93,7 +93,7 @@ def test_unit_relaxation_makes_h_block_diagonal():
     problem = random_problem(3, num_blocks=2, constraint_dim=3)
     rng = np.random.default_rng(0)
     config = random_config(rng, problem, gamma=1.0)
-    metrics = assemble_metrics(problem, config, mode="dense")
+    metrics = assemble_dense_metrics(problem, config)
     last_dim = problem.block_dims[-1]
     ell = problem.constraint_dim
     off = metrics.h[metrics.first_dim:metrics.first_dim + last_dim,
@@ -109,7 +109,7 @@ def test_factorization_identities_on_random_configs():
                                  num_blocks=int(rng.integers(2, 4)),
                                  constraint_dim=3)
         config = random_config(rng, problem)
-        metrics = assemble_metrics(problem, config, mode="dense")
+        metrics = assemble_dense_metrics(problem, config)
         scale = 1.0 + max(np.abs(metrics.q).max(), np.abs(metrics.h).max())
         assert np.abs(metrics.q - metrics.h @ metrics.m_mat).max() <= 1e-12 * scale
         recomposed = (metrics.q.T + metrics.q
@@ -121,6 +121,8 @@ def test_factorization_identities_on_random_configs():
         closed_form = min(validation.first_phase_min_eig, validation.last_metric_min_eig,
                           (2.0 - config.gamma) / config.rho)
         assert abs(closed_form - metrics.n_min_eig) <= 1e-12 * scale
+        # the shipped value is the closed form, read from validation
+        assert assemble_metrics(problem, config).n_min_eig == closed_form
 
 
 def test_weighted_norms_zero_vector(strict_setup):
@@ -131,7 +133,7 @@ def test_weighted_norms_zero_vector(strict_setup):
 
 def test_weighted_norm_unit_dual():
     problem, config = two_block_hand_config()
-    metrics = assemble_metrics(problem, config, mode="dense")
+    metrics = assemble_dense_metrics(problem, config)
     v = np.zeros(metrics.total_dim)
     v[-1] = 1.0
     assert weighted_norm_sq(metrics, v, "h") == pytest.approx(1.0)
@@ -139,25 +141,23 @@ def test_weighted_norm_unit_dual():
 
 @pytest.fixture(scope="module")
 def strict_dense(strict_setup):
-    return assemble_metrics(strict_setup.problem, strict_setup.config,
-                            mode="dense")
+    return assemble_dense_metrics(strict_setup.problem, strict_setup.config)
 
 
 def test_weighted_norms_dense_and_matrix_free_agree(strict_setup, strict_dense):
     free = strict_setup.metrics
     dense = strict_dense
-    first, last = dense.first_dim, dense.first_dim + dense.problem.block_dims[-1]
-    forms = {"h": dense.h, "n": dense.n_mat,
-             "g1": np.zeros_like(dense.n_mat), "p_m": np.zeros_like(dense.n_mat)}
-    forms["g1"][:first, :first] = dense.g1
-    forms["p_m"][first:last, first:last] = \
-        strict_setup.config.proximal_metrics[-1].dense()
+    prox, rho = strict_setup.config.proximal_metrics, strict_setup.config.rho
+    first_phase = FirstPhaseProduct(strict_setup.problem, prox, rho)
     rng = np.random.default_rng(12)
     for _ in range(5):
         v = rng.standard_normal(dense.total_dim)
-        for which, matrix in forms.items():
-            expected = float(v @ matrix @ v)
-            got = weighted_norm_sq(free, v, which)
+        r, xm, _ = free.split(v)
+        for expected, got in (
+                (v @ dense.h @ v, weighted_norm_sq(free, v, "h")),
+                (v @ dense.n_mat @ v, weighted_norm_sq(free, v, "n")),
+                (r @ dense.g1 @ r, r @ first_phase.apply(r)),
+                (xm @ prox[-1].dense() @ xm, prox[-1].quad(xm))):
             assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
         for which, matrix in (("q", dense.q), ("m", dense.m_mat),
                               ("h", dense.h), ("n", dense.n_mat)):
@@ -170,14 +170,12 @@ def test_weighted_norms_dense_and_matrix_free_agree(strict_setup, strict_dense):
 def test_default_metrics_take_preconditions_from_validation(strict_setup):
     metrics = strict_setup.metrics
     validation = strict_setup.result.validation
-    assert metrics.dense is None and metrics.matrix_free
+    assert metrics.dense is None
     assert metrics.validation == validation
     # sign maps and scaled identities: the first-phase metric is K (x) I
     assert validation.first_phase_method == "exact"
     assert validation.first_phase_min_eig == 3.0
-    assert metrics.h_min_eig is None
-    assert set(metrics.to_dict()) == {"h_min_eig", "n_min_eig", "strict_ok",
-                                      "strict_reason", "matrix_free"}
+    assert set(metrics.to_dict()) == {"n_min_eig", "strict_ok", "strict_reason"}
 
 
 def test_first_phase_apply_matches_stacked_sum():

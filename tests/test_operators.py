@@ -10,11 +10,11 @@ from lgadmm.operators import (
     DenseSymmetric,
     LinearizedMetric,
     ScaledIdentity,
-    adjoint_mismatch,
     as_metric,
     gram_min_eigenvalue,
     gram_spectral_norm,
 )
+from reference import adjoint_mismatch
 from util import gapped_matrix
 
 

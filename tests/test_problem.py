@@ -23,14 +23,13 @@ from lgadmm.problem import (
     feasible_probe,
     make_linearized_metric,
     pack_point,
-    point_difference,
     primal_feasibility,
     splitmix64_uniform,
     unpack_point,
-    vi_monotone_gap,
     vi_operator,
     zeros_point,
 )
+from reference import vi_monotone_gap
 from util import chain_problem, gapped_matrix, quadratic_spec, scalar_zero_problem
 
 
@@ -208,15 +207,6 @@ def test_check_point_rejects_wrong_shapes(small_problem):
         tuple(np.zeros(d) for d in small_problem.block_dims), np.zeros(2))
     with pytest.raises(DimensionMismatchError):
         check_point(small_problem, wrong_dual)
-
-
-def test_point_difference():
-    a = PrimalDualPoint((np.array([2.0]), np.array([1.0])), np.array([5.0]))
-    b = PrimalDualPoint((np.array([1.0]), np.array([4.0])), np.array([2.0]))
-    diff = point_difference(a, b)
-    assert diff.primal[0] == pytest.approx(1.0)
-    assert diff.primal[1] == pytest.approx(-3.0)
-    assert diff.dual == pytest.approx(3.0)
 
 
 def test_zeros_point(small_problem):

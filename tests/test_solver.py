@@ -1,6 +1,7 @@
 """Solver loop: phase updates, multiplier, auxiliary point, stopping rule."""
 
 import ast
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -650,3 +651,26 @@ def test_solver_does_not_import_certificates():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any("certificates" in name for name in imported), imported
+
+
+def test_package_does_not_import_numpy_random():
+    # every probe the package draws comes from the splitmix stream, so no
+    # subcommand pays for loading numpy.random
+    import lgadmm
+
+    pattern = re.compile(r"(numpy|np)\.random(\.|$)")
+    found = []
+    for path in sorted(Path(lgadmm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in names if pattern.match(name)]
+    assert not found, found
