@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import BlockSignMap, ScaledIdentity, SymmetricOperator
-from .problem import BlockProblem, BlockSpec, PrimalDualPoint, splitmix64_uniform
+from .problem import BlockProblem, BlockSpec, splitmix64_uniform
 from .serialization import atomic_write_text, read_matrix, write_matrix
 
 __all__ = [

@@ -32,7 +32,7 @@ trajectory read one ``ReplayRecord``, which ``replay`` measures in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .solver import (
     SolverConfig,
     TrajectoryRecord,
     ValidationReport,
+    auxiliary_point,
     validate_config,
 )
 
@@ -106,6 +107,12 @@ def sigma_gamma(gamma: float) -> float:
 def _pack_into(point: PrimalDualPoint, out: np.ndarray) -> np.ndarray:
     """``pack_point`` written into ``out``."""
     return np.concatenate([*point.primal, point.dual], out=out)
+
+
+def _point_view(problem: BlockProblem, v: np.ndarray) -> PrimalDualPoint:
+    """The inverse of ``pack_point`` as views of ``v``, copying nothing."""
+    *primal, dual = np.split(v, np.cumsum(problem.block_dims))
+    return PrimalDualPoint(tuple(primal), dual)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +391,17 @@ class ReplayRecord:
 def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
            reference: PrimalDualPoint) -> ReplayRecord:
     """Walk ``trajectory`` once, packing each point once into buffers
-    allocated once: ``2T + 1`` H-products, ``T`` N- and ``T`` M-products."""
+    allocated once and deriving each auxiliary point there from the packed
+    ``w^k`` and ``w^{k+1}``: ``2T + 1`` H-products, ``T`` N- and ``T``
+    M-products."""
     _require_trajectory(trajectory)
     problem, steps = metrics.problem, trajectory.steps
     ref = pack_point(problem, reference)
     current, following, diff, product = (np.empty_like(ref) for _ in range(4))
+    current_point, following_point = (_point_view(problem, v) for v in (current, following))
     move, back = np.empty(problem.block_dims[-1]), np.empty(problem.block_dims[-1])
     dual_move = np.empty(problem.constraint_dim)
+    derived = (np.empty(problem.constraint_dim), np.empty(problem.constraint_dim))
     a_m, p_m = problem.blocks[-1].linear_map, metrics.config.proximal_metrics[-1]
     ref_dist, norms = np.empty(steps + 1), np.empty(steps + 1)
     gap, residual, h_step, cross, last_move = (np.empty(steps) for _ in range(5))
@@ -404,7 +415,8 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
             metrics, np.subtract(following, ref, out=diff), "h")
         norms[k + 1] = np.linalg.norm(following)
         # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
-        _pack_into(trajectory.auxiliaries[k], diff)
+        _pack_into(auxiliary_point(problem, trajectory.config, current_point,
+                                   following_point.primal, out=derived), diff)
         gap[k] = weighted_norm_sq(metrics, np.subtract(current, diff, out=diff), "n")
         apply_metric(metrics, "m", diff, out=product)
         np.subtract(current, product, out=product)
@@ -416,6 +428,7 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         cross[k] = np.subtract(xm, xm_next, out=move) @ a_m.adjoint(dual_move, out=back)
         last_move[k] = p_m.quad(move)
         current, following = following, current
+        current_point, following_point = following_point, current_point
     return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move)
 
 
@@ -503,23 +516,27 @@ def update_recurrence_check(record: ReplayRecord) -> CertificateReport:
     return _finish("update_recurrence", SLACK_COEFF - record.residual / scale)
 
 
-def ergodic_average(points: Sequence[PrimalDualPoint]) -> PrimalDualPoint:
+def ergodic_average(points: Iterable[PrimalDualPoint]) -> PrimalDualPoint:
     """Plain average of primal-dual points (used on auxiliary sequences).
 
-    A running sum in sequence order, started from zero and divided by the
+    A running sum in iteration order, started from zero and divided by the
     count: bitwise equal to ``np.mean`` over the stacked points, in the
-    memory of one point instead of all of them.
+    memory of one point instead of all of them. ``points`` is read once, so
+    a generator that derives each point on demand works.
     """
-    if not points:
-        raise ValueError("cannot average zero points")
-    primal = [np.zeros(x.shape) for x in points[0].primal]
-    dual = np.zeros(points[0].dual.shape)
+    primal, dual, count = None, None, 0
     for point in points:
+        if primal is None:
+            primal = [np.zeros(x.shape) for x in point.primal]
+            dual = np.zeros(point.dual.shape)
         for total, x in zip(primal, point.primal):
             total += x
         dual += point.dual
+        count += 1
+    if not count:
+        raise ValueError("cannot average zero points")
     for total in (*primal, dual):
-        total /= len(points)
+        total /= count
     return PrimalDualPoint(tuple(primal), dual)
 
 
@@ -593,7 +610,10 @@ def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
     if trajectory.steps < 1:
         return _finish(name, [])
     count = min(max_samples, trajectory.steps)
-    sample = np.unique(np.linspace(0, trajectory.steps - 1, count).astype(int))
+    # the truncated linspace is nondecreasing, so dropping repeats in order
+    # sorts it as np.unique would (which imports numpy.ma on first use)
+    sample = list(dict.fromkeys(
+        np.linspace(0, trajectory.steps - 1, count).astype(int).tolist()))
     for probe in probes:
         check_probe_feasible(problem, probe)
     probe_terms = [(evaluate_objective(problem, probe), pack_point(problem, probe))
@@ -601,10 +621,10 @@ def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
     margins = []
     for k in sample:
         terms = _step_terms(problem, metrics, trajectory.points[k],
-                            trajectory.auxiliaries[k])
+                            trajectory.auxiliary(k))
         for probe_objective, probe_packed in probe_terms:
             lhs, rhs = _probe_terms(terms, probe_objective, probe_packed)
             margins.append(lhs - rhs + inequality_slack(lhs, rhs))
-    details = {"sampled_iterations": [int(k) for k in sample],
+    details = {"sampled_iterations": sample,
                "num_probes": len(probes)}
     return _finish(name, margins, details=details)

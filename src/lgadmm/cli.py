@@ -621,7 +621,8 @@ def run_certify(settings: dict) -> int:
     if settings["negative_control"]:
         corrupted_at = _corrupt_trajectory(trajectory)
 
-    average = ergodic_average(trajectory.auxiliaries)
+    # the auxiliary points are derived one at a time and never held together
+    average = ergodic_average(trajectory.auxiliary(k) for k in range(trajectory.steps))
     # one pass over the trajectory, after any corruption, for five checks
     record = replay(metrics, trajectory, reference)
     reports = [
@@ -632,7 +633,7 @@ def run_certify(settings: dict) -> int:
         cross_term_check(record),
         ergodic_gap_check(problem, metrics, average, probes,
                           trajectory.points[0],
-                          len(trajectory.auxiliaries) - 1),
+                          trajectory.steps - 1),
         step_inequality_check(problem, metrics, trajectory, probes),
     ]
     failed = [r.check for r in reports if r.passed is False]

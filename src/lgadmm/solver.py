@@ -111,7 +111,7 @@ class SolverConfig:
         every convergence certificate is provable, and fails loudly
         otherwise.
     record_trajectory : bool
-        Keep every iterate and auxiliary point for certification.
+        Keep every iterate for certification (see ``TrajectoryRecord``).
     """
 
     rho: float
@@ -431,8 +431,11 @@ class StepReport:
 class IterationState:
     """Iterate ``w^k`` plus what the next step and the certificates need.
 
-    ``epsilon`` is the stopping measure of the step that produced
-    ``current`` (infinite before any step).
+    ``auxiliary`` is the auxiliary point of the step that produced
+    ``current`` (``None`` before any step); ``solve`` does not record it,
+    because ``TrajectoryRecord.auxiliary`` derives it again from the
+    iterates before and after that step. ``epsilon`` is the stopping
+    measure of that step (infinite before any step).
     """
 
     k: int
@@ -450,16 +453,36 @@ class IterationState:
 
 @dataclass
 class TrajectoryRecord:
-    """Full iterate history: ``points[k] = w^k`` and ``auxiliaries[k]`` its
-    auxiliary companion; the diagnostics of step ``k`` are
-    ``SolveResult.reports[k]``."""
+    """Full iterate history ``points[k] = w^k``, ``k = 0..T``, recorded on
+    ``problem`` under ``config``; the diagnostics of step ``k`` are
+    ``SolveResult.reports[k]``.
+
+    Auxiliary points are not stored. The one of step ``k`` is a function of
+    ``w^k`` and ``w^{k+1}``, which ``auxiliary(k)`` evaluates with
+    ``auxiliary_point``, bitwise what the step computed.
+    """
 
     points: list[PrimalDualPoint]
-    auxiliaries: list[PrimalDualPoint]
+    problem: BlockProblem
+    config: SolverConfig
 
     @property
     def steps(self) -> int:
-        return len(self.auxiliaries)
+        return len(self.points) - 1
+
+    def auxiliary(self, k: int) -> PrimalDualPoint:
+        """The auxiliary point of step ``k``, sharing its primal blocks with
+        ``points[k + 1]``."""
+        if not 0 <= k < self.steps:
+            raise IndexError(f"step {k} outside a trajectory of {self.steps} steps")
+        return auxiliary_point(self.problem, self.config, self.points[k],
+                               self.points[k + 1].primal)
+
+    @property
+    def auxiliaries(self) -> list[PrimalDualPoint]:
+        """Every auxiliary point, derived afresh: O(T) memory, so the
+        certificates derive one at a time instead."""
+        return [self.auxiliary(k) for k in range(self.steps)]
 
 
 @dataclass(frozen=True)
@@ -569,15 +592,30 @@ def multiplier_update(problem: BlockProblem, config: SolverConfig,
 
 
 def auxiliary_point(problem: BlockProblem, config: SolverConfig,
-                    state: IterationState,
-                    fresh_primal: Sequence[np.ndarray]) -> PrimalDualPoint:
-    """Auxiliary companion of the step: fresh primal blocks, with the
-    multiplier predicted from the unrelaxed residual at the old last block."""
-    point = state.current
-    last = problem.blocks[-1]
-    fresh_sum = _first_phase_image_sum(problem, fresh_primal[:-1])
-    drift = fresh_sum + last.linear_map.apply(point.primal[-1]) - problem.rhs
-    dual = point.dual - config.rho * drift
+                    current: PrimalDualPoint,
+                    fresh_primal: Sequence[np.ndarray],
+                    out: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> PrimalDualPoint:
+    """Auxiliary companion of the step from ``current``: fresh primal
+    blocks, with the multiplier predicted from the unrelaxed residual at the
+    old last block.
+
+    ``out``, when given, is a pair of constraint-space buffers: the
+    multiplier is written into the first, which the result shares, and the
+    second holds each map product, so the call allocates no array. Neither
+    may overlap ``current`` or ``fresh_primal``.
+    """
+    if out is None:
+        out = (np.empty(problem.constraint_dim), np.empty(problem.constraint_dim))
+    dual, image = out
+    # the drift summed from zero in block order, then the old last block
+    dual.fill(0.0)
+    for block, x in zip(problem.blocks[:-1], fresh_primal[:-1]):
+        dual += block.linear_map.apply(x, out=image)
+    dual += problem.blocks[-1].linear_map.apply(current.primal[-1], out=image)
+    dual -= problem.rhs
+    dual *= config.rho
+    np.subtract(current.dual, dual, out=dual)
     return PrimalDualPoint(tuple(fresh_primal), dual)
 
 
@@ -594,7 +632,7 @@ def step(problem: BlockProblem, config: SolverConfig,
             f"multiplier is not finite at iteration {state.k}",
             iteration=state.k, component="multiplier",
         )
-    auxiliary = auxiliary_point(problem, config, state, fresh_primal)
+    auxiliary = auxiliary_point(problem, config, state.current, fresh_primal)
     fresh_point = PrimalDualPoint(fresh_primal, dual)
 
     changes = tuple(
@@ -646,7 +684,7 @@ def solve(problem: BlockProblem, config: SolverConfig,
              else IterationState.initial(start))
     check_point(problem, state.current)
     validation = validate_config(problem, config)
-    trajectory = (TrajectoryRecord([state.current], [])
+    trajectory = (TrajectoryRecord([state.current], problem, config)
                   if config.record_trajectory else None)
     reports: list[StepReport] = []
     converged = state.epsilon < config.tolerance
@@ -655,7 +693,6 @@ def solve(problem: BlockProblem, config: SolverConfig,
         reports.append(report)
         if trajectory is not None:
             trajectory.points.append(state.current)
-            trajectory.auxiliaries.append(state.auxiliary)
         converged = state.epsilon < config.tolerance
     return SolveResult(
         final=state.current,

@@ -147,7 +147,7 @@ def test_criterion_02_step_identities_along_benchmark_run():
     for k in range(trajectory.steps):
         wk = pack_point(problem, trajectory.points[k])
         wk1 = pack_point(problem, trajectory.points[k + 1])
-        wbar = pack_point(problem, trajectory.auxiliaries[k])
+        wbar = pack_point(problem, trajectory.auxiliary(k))
         predicted = wk - metrics.m_mat @ (wk - wbar)
         scale = 1.0 + max(np.linalg.norm(wk), np.linalg.norm(wk1))
         step_residual = np.linalg.norm(predicted - wk1) / scale
@@ -155,7 +155,7 @@ def test_criterion_02_step_identities_along_benchmark_run():
         worst_step = max(worst_step, step_residual)
 
         point, nxt = trajectory.points[k], trajectory.points[k + 1]
-        aux = trajectory.auxiliaries[k]
+        aux = trajectory.auxiliary(k)
         lhs = point.dual - nxt.dual
         rhs = (-config.rho * a_m.apply(point.primal[-1] - aux.primal[-1])
                + config.gamma * (point.dual - aux.dual))

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lgadmm import certificates
+from lgadmm import certificates, solver
 from lgadmm.calibration import build_problem, default_metrics, generate_instance
 from lgadmm.certificates import (
     SLACK_COEFF,
@@ -312,7 +312,8 @@ def test_fejer_contraction_on_strict_run(strict_setup):
 
 def test_fejer_vacuous_on_single_point_trajectory(strict_setup):
     start = strict_setup.trajectory.points[0]
-    tiny = TrajectoryRecord(points=[start], auxiliaries=[])
+    tiny = TrajectoryRecord(points=[start], problem=strict_setup.problem,
+                            config=strict_setup.config)
     report = fejer_check(replay(strict_setup.metrics, tiny, strict_setup.reference))
     assert report.passed
     assert report.iterations_checked == 0
@@ -396,6 +397,10 @@ def test_ergodic_average_shapes():
     assert midpoint.dual == pytest.approx(3.0)
     with pytest.raises(ValueError):
         ergodic_average([])
+    # read once, so a generator of derived points works too
+    assert ergodic_average(p for p in (a, b)).dual == midpoint.dual
+    with pytest.raises(ValueError):
+        ergodic_average(p for p in ())
 
 
 def random_points(rng, count, dims):
@@ -487,7 +492,8 @@ def test_cross_term_bound_on_strict_run(strict_setup):
 def test_cross_term_stationary_equality(strict_setup):
     point = strict_setup.trajectory.points[0]
     stationary = TrajectoryRecord(points=[point, point, point],
-                                  auxiliaries=[point, point])
+                                  problem=strict_setup.problem,
+                                  config=strict_setup.config)
     report = cross_term_check(replay(strict_setup.metrics, stationary,
                                      strict_setup.reference))
     assert report.passed
@@ -507,8 +513,8 @@ def test_update_recurrence_detects_corruption(strict_setup):
     original = points[mid]
     points[mid] = PrimalDualPoint(
         tuple(part + 10.0 for part in original.primal), original.dual + 10.0)
-    corrupted = TrajectoryRecord(points=points,
-                                 auxiliaries=list(trajectory.auxiliaries))
+    corrupted = TrajectoryRecord(points=points, problem=strict_setup.problem,
+                                 config=strict_setup.config)
     report = update_recurrence_check(replay(strict_setup.metrics, corrupted,
                                             strict_setup.reference))
     assert report.passed is False
@@ -517,10 +523,10 @@ def test_update_recurrence_detects_corruption(strict_setup):
 def test_step_inequality_probe_zero_at_auxiliary(strict_setup):
     trajectory = strict_setup.trajectory
     state = IterationState(
-        k=1, current=trajectory.points[1], auxiliary=trajectory.auxiliaries[0],
+        k=1, current=trajectory.points[1], auxiliary=trajectory.auxiliary(0),
         previous=trajectory.points[0], first_step_norms=None)
     margin = step_inequality_probe(strict_setup.problem, strict_setup.metrics,
-                                   state, trajectory.auxiliaries[0])
+                                   state, trajectory.auxiliary(0))
     assert margin == pytest.approx(0.0, abs=1e-10)
 
 
@@ -602,9 +608,9 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
     for k in sampled:
         for probe in probes:
             diff = pack(probe) - wbar[k]
-            value = vi_operator(problem, trajectory.auxiliaries[k])
+            value = vi_operator(problem, trajectory.auxiliary(k))
             lhs = (evaluate_objective(problem, probe)
-                   - evaluate_objective(problem, trajectory.auxiliaries[k])
+                   - evaluate_objective(problem, trajectory.auxiliary(k))
                    + float(diff @ pack_vi_value(value)))
             rhs = float(diff @ apply_metric(metrics, "q", w[k] - wbar[k]))
             inequality.append(lhs - rhs + inequality_slack(lhs, rhs))
@@ -672,17 +678,23 @@ def _owner(array):
 
 
 def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
-    # One pass: every map product of the replay writes into a buffer and
-    # reads from buffers that outlive one step, so the number of distinct
-    # buffers does not grow with the trajectory. Each point is packed once
-    # and each metric product is made once.
-    calls, products, packed = [], [], []
+    # One pass: every map product of the replay, those that derive the
+    # auxiliary points included, writes into a buffer and reads from buffers
+    # that outlive one step, so the number of distinct buffers does not grow
+    # with the trajectory. Each point is packed once, each auxiliary point is
+    # derived and packed once, and each metric product is made once.
+    calls, products, packed, derived = [], [], [], []
     for name in ("apply", "adjoint"):
         def recording(self, v, out=None, _original=getattr(BlockSignMap, name)):
             # keeping the arrays alive keeps a freed buffer's address from being reused
             calls.append((v, out))
             return _original(self, v, out=out)
         monkeypatch.setattr(BlockSignMap, name, recording)
+
+    def counted_auxiliary(*args, _original=certificates.auxiliary_point, **kwargs):
+        point = _original(*args, **kwargs)
+        derived.append((point, point.dual.copy()))
+        return point
 
     def counted_product(metrics, which, v, out=None, _original=certificates.apply_metric):
         products.append(which)
@@ -694,26 +706,34 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
 
     monkeypatch.setattr(certificates, "apply_metric", counted_product)
     monkeypatch.setattr(certificates, "_pack_into", counted_pack)
+    monkeypatch.setattr(certificates, "auxiliary_point", counted_auxiliary)
 
     def distinct_buffers(steps):
         trajectory = strict_setup.trajectory
         prefix = TrajectoryRecord(points=trajectory.points[:steps + 1],
-                                  auxiliaries=trajectory.auxiliaries[:steps])
+                                  problem=strict_setup.problem,
+                                  config=strict_setup.config)
         metrics = assemble_metrics(strict_setup.problem, strict_setup.config)
         calls.clear()
         products.clear()
         packed.clear()
+        derived.clear()
         record = replay(metrics, prefix, strict_setup.reference)
         assert Counter(products) == {"h": 2 * steps + 1, "n": steps, "m": steps}
+        assert len(derived) == steps
         assert Counter(map(id, packed)) == Counter(
-            map(id, prefix.points + prefix.auxiliaries))
+            map(id, prefix.points + [point for point, _ in derived]))
         for report in (fejer_check(record), update_recurrence_check(record),
                        nonergodic_monotonicity_check(record),
                        nonergodic_rate_check(record)):
             assert report.passed
         assert calls and all(out is not None for _, out in calls)
-        return (len({id(_owner(out)) for _, out in calls}),
-                len({id(_owner(v)) for v, _ in calls}), len(calls))
+        census = (len({id(_owner(out)) for _, out in calls}),
+                  len({id(_owner(v)) for v, _ in calls}), len(calls))
+        # derived in place from the packed iterates, bitwise the step's point
+        for k, (_, dual) in enumerate(derived):
+            assert np.array_equal(dual, prefix.auxiliary(k).dual)
+        return census
 
     short, long = distinct_buffers(10), distinct_buffers(200)
     assert long[2] > 10 * short[2]

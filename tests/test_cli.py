@@ -427,33 +427,33 @@ def test_compare_curves_leave_the_shorter_run_empty(tmp_path):
             assert (cell != "") == (k <= length)
 
 
-def numpy_random_after(body):
+def loaded_after(module, body):
     """Run ``body`` in a fresh interpreter after ``from lgadmm import cli``;
-    each ``report()`` in it prints whether ``numpy.random`` is loaded. Skips
-    on a NumPy that imports ``numpy.random`` with ``numpy`` itself."""
-    script = """
+    each ``report()`` in it prints whether ``module`` is loaded. Skips on a
+    NumPy that imports ``module`` with ``numpy`` itself."""
+    script = f"""
 import sys
 import numpy
-if "numpy.random" in sys.modules:
+if {module!r} in sys.modules:
     print("eager")
     raise SystemExit
 from lgadmm import cli
 def report():
-    print("numpy.random" in sys.modules)
+    print({module!r} in sys.modules)
 """ + body
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line in ("eager", "True", "False")]
     if lines == ["eager"]:
-        pytest.skip("this NumPy imports numpy.random with numpy itself")
+        pytest.skip(f"this NumPy imports {module} with numpy itself")
     return lines
 
 
 def test_building_and_running_calibration_never_import_numpy_random(tmp_path):
     # the calibration self-check uses deterministic probes, so building and
     # solving a problem skips the import
-    lines = numpy_random_after(f"""
+    lines = loaded_after("numpy.random", f"""
 from lgadmm.calibration import build_problem, generate_instance
 build_problem(generate_instance(6, 0))
 report()
@@ -467,7 +467,7 @@ report()
 
 def test_certify_never_imports_numpy_random(tmp_path):
     # feasible probes come from the splitmix stream too
-    lines = numpy_random_after(f"""
+    lines = loaded_after("numpy.random", f"""
 assert cli.main(["certify", "--n", "6", "--out", {str(tmp_path / "pass")!r}]) == 0
 report()
 assert cli.main(["certify", "--n", "6", "--negative-control",
@@ -475,3 +475,25 @@ assert cli.main(["certify", "--n", "6", "--negative-control",
 report()
 """)
     assert lines == ["False"] * 2
+
+
+def test_certify_never_imports_numpy_ma(tmp_path):
+    # the step-inequality sample is deduplicated without np.unique, whose
+    # first call imports numpy.ma
+    lines = loaded_after("numpy.ma", f"""
+assert cli.main(["certify", "--n", "6", "--out", {str(tmp_path / "pass")!r}]) == 0
+report()
+""")
+    assert lines == ["False"]
+
+
+def test_certify_never_holds_every_auxiliary_point(tmp_path, monkeypatch):
+    # the certificates derive each auxiliary point when they read it; the
+    # list of all of them would cost O(T) memory
+    def refuse(self):
+        raise AssertionError("certify read TrajectoryRecord.auxiliaries")
+
+    monkeypatch.setattr(solver.TrajectoryRecord, "auxiliaries", property(refuse))
+    assert cli.main(["certify", "--n", "6", "--out", str(tmp_path / "pass")]) == 0
+    assert cli.main(["certify", "--n", "6", "--negative-control",
+                     "--out", str(tmp_path / "fail")]) == 4

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -395,11 +396,11 @@ def test_auxiliary_dual_unchanged_when_old_residual_zero():
     problem, _ = running_example()
     config = SolverConfig(rho=1.0, gamma=1.5,
                           proximal_metrics=identity_metrics(problem))
-    state = IterationState.initial(PrimalDualPoint(
+    current = PrimalDualPoint(
         (np.array([1.0]), np.array([1.0]), np.array([2.0])),
-        np.array([0.3])))
+        np.array([0.3]))
     fresh = (np.array([-1.0]), np.array([-1.0]), np.array([5.0]))
-    aux = auxiliary_point(problem, config, state, fresh)
+    aux = auxiliary_point(problem, config, current, fresh)
     assert aux.dual == pytest.approx(0.3)
     for aux_part, fresh_part in zip(aux.primal, fresh):
         assert np.array_equal(aux_part, fresh_part)
@@ -419,7 +420,7 @@ def test_dual_move_identity_on_calibration_steps():
     for k in range(trajectory.steps):
         wk = trajectory.points[k]
         wk1 = trajectory.points[k + 1]
-        aux = trajectory.auxiliaries[k]
+        aux = trajectory.auxiliary(k)
         lhs = wk.dual - wk1.dual
         rhs = (-config.rho * a_m.apply(wk.primal[-1] - aux.primal[-1])
                + config.gamma * (wk.dual - aux.dual))
@@ -540,6 +541,56 @@ def test_record_trajectory_lengths():
     assert result.trajectory.steps == result.iterations == 7
     assert len(result.trajectory.points) == 8
     assert len(result.trajectory.auxiliaries) == 7
+
+
+@pytest.mark.parametrize("gamma, scale, strict", [(1.5, 4.0, True), (1.9, 0.5, False)])
+def test_derived_auxiliary_points_are_bitwise_the_steps(monkeypatch, gamma, scale, strict):
+    instance = generate_instance(6, seed=0)
+    problem = build_problem(instance)
+    config = SolverConfig(rho=1.0, gamma=gamma,
+                          proximal_metrics=default_metrics(instance, scale=scale),
+                          max_iterations=400, strict_theory_mode=strict,
+                          record_trajectory=True)
+    stepped = []
+
+    def recording_step(*args, _original=step):
+        state, report = _original(*args)
+        stepped.append(state.auxiliary)
+        return state, report
+
+    monkeypatch.setattr("lgadmm.solver.step", recording_step)
+    trajectory = solve(problem, config, zeros_point(problem)).trajectory
+    assert len(stepped) == trajectory.steps > 0
+    for k, expected in enumerate(stepped):
+        derived = trajectory.auxiliary(k)
+        assert derived.primal is trajectory.points[k + 1].primal
+        for a, b in zip((*derived.primal, derived.dual), (*expected.primal, expected.dual)):
+            assert a.tobytes() == b.tobytes()
+    with pytest.raises(IndexError):
+        trajectory.auxiliary(trajectory.steps)
+
+
+def test_recorded_trajectory_stores_no_auxiliary_multipliers():
+    # the T + 1 points fit the allowance; one stored multiplier per step would
+    # add T * constraint_dim * 8 bytes, twice the margin left for the rest
+    instance = generate_instance(20, seed=0)
+    problem = build_problem(instance)
+    config = SolverConfig(rho=1.0, gamma=1.5,
+                          proximal_metrics=default_metrics(instance, scale=4.0),
+                          max_iterations=100, tolerance=1e-300,
+                          record_trajectory=True)
+    start = zeros_point(problem)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = solve(problem, config, start)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    steps = result.trajectory.steps
+    assert steps == 100
+    allowance = 8 * ((steps + 1) * problem.total_dim + steps * problem.constraint_dim // 2)
+    assert retained < allowance, (retained, allowance)
 
 
 def strict_and_reference_configs(instance):
@@ -674,3 +725,30 @@ def test_package_does_not_import_numpy_random():
             found += [f"{path.name}:{node.lineno}: {name}"
                       for name in names if pattern.match(name)]
     assert not found, found
+
+
+def test_package_imports_only_names_it_uses():
+    # a name listed in the module's __all__ is a re-export, so it counts as
+    # used; every import of the package's __init__ is one
+    import lgadmm
+
+    unused = []
+    for path in sorted(Path(lgadmm.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, exported = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(target, "id", None) == "__all__" for target in node.targets)):
+                exported = set(ast.literal_eval(node.value))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used | exported]
+    assert not unused, unused
