@@ -41,7 +41,7 @@ from .problem import (
     PrimalDualPoint,
     evaluate_objective,
     pack_point,
-    pack_vi_value,
+    unpack_point,
     vi_operator,
 )
 from .solver import (
@@ -104,17 +104,6 @@ def sigma_gamma(gamma: float) -> float:
     return min((2.0 - gamma) / gamma, 1.0)
 
 
-def _pack_into(point: PrimalDualPoint, out: np.ndarray) -> np.ndarray:
-    """``pack_point`` written into ``out``."""
-    return np.concatenate([*point.primal, point.dual], out=out)
-
-
-def _point_view(problem: BlockProblem, v: np.ndarray) -> PrimalDualPoint:
-    """The inverse of ``pack_point`` as views of ``v``, copying nothing."""
-    *primal, dual = np.split(v, np.cumsum(problem.block_dims))
-    return PrimalDualPoint(tuple(primal), dual)
-
-
 # ---------------------------------------------------------------------------
 # Metric assembly.
 
@@ -138,13 +127,12 @@ class MetricMatrices:
     def __post_init__(self):
         # the (first phase, last block, multiplier) slices of a packed vector
         # and the buffers of ``apply_metric`` and ``weighted_norm_sq``
-        dims = self.problem.block_dims
-        first, last = sum(dims[:-1]), sum(dims)
-        self._slices = (slice(0, first), slice(first, last), slice(last, None))
+        last, multiplier = self.problem.slices[-2:]
+        self._slices = (slice(0, last.start), last, multiplier)
         self._first_phase = FirstPhaseProduct(
             self.problem, self.config.proximal_metrics, self.config.rho)
         self._image = np.empty(self.problem.constraint_dim)
-        self._back = np.empty(dims[-1])
+        self._back = np.empty(self.problem.blocks[-1].dim)
         self._product = np.empty(self.problem.total_dim)
 
     @property
@@ -398,34 +386,35 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
     problem, steps = metrics.problem, trajectory.steps
     ref = pack_point(problem, reference)
     current, following, diff, product = (np.empty_like(ref) for _ in range(4))
-    current_point, following_point = (_point_view(problem, v) for v in (current, following))
-    move, back = np.empty(problem.block_dims[-1]), np.empty(problem.block_dims[-1])
+    current_point, following_point = (unpack_point(problem, v) for v in (current, following))
+    move, back = np.empty(problem.blocks[-1].dim), np.empty(problem.blocks[-1].dim)
     dual_move = np.empty(problem.constraint_dim)
     derived = (np.empty(problem.constraint_dim), np.empty(problem.constraint_dim))
     a_m, p_m = problem.blocks[-1].linear_map, metrics.config.proximal_metrics[-1]
     ref_dist, norms = np.empty(steps + 1), np.empty(steps + 1)
     gap, residual, h_step, cross, last_move = (np.empty(steps) for _ in range(5))
 
-    _pack_into(trajectory.points[0], current)
+    pack_point(problem, trajectory.points[0], out=current)
     ref_dist[0] = weighted_norm_sq(metrics, np.subtract(current, ref, out=diff), "h")
     norms[0] = np.linalg.norm(current)
     for k in range(steps):
-        _pack_into(trajectory.points[k + 1], following)
+        pack_point(problem, trajectory.points[k + 1], out=following)
         ref_dist[k + 1] = weighted_norm_sq(
             metrics, np.subtract(following, ref, out=diff), "h")
         norms[k + 1] = np.linalg.norm(following)
         # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
-        _pack_into(auxiliary_point(problem, trajectory.config, current_point,
-                                   following_point.primal, out=derived), diff)
+        pack_point(problem, auxiliary_point(problem, trajectory.config, current_point,
+                                            following_point.primal, out=derived),
+                   out=diff)
         gap[k] = weighted_norm_sq(metrics, np.subtract(current, diff, out=diff), "n")
         apply_metric(metrics, "m", diff, out=product)
         np.subtract(current, product, out=product)
         residual[k] = np.linalg.norm(np.subtract(product, following, out=product))
         h_step[k] = weighted_norm_sq(
             metrics, np.subtract(current, following, out=diff), "h")
-        (_, xm, y), (_, xm_next, y_next) = metrics.split(current), metrics.split(following)
-        np.subtract(y, y_next, out=dual_move)
-        cross[k] = np.subtract(xm, xm_next, out=move) @ a_m.adjoint(dual_move, out=back)
+        np.subtract(current_point.dual, following_point.dual, out=dual_move)
+        np.subtract(current_point.primal[-1], following_point.primal[-1], out=move)
+        cross[k] = move @ a_m.adjoint(dual_move, out=back)
         last_move[k] = p_m.quad(move)
         current, following = following, current
         current_point, following_point = following_point, current_point
@@ -565,10 +554,9 @@ def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
     margins = []
     for probe in probes:
         check_probe_feasible(problem, probe)
-        value = vi_operator(problem, probe)
         probe_packed = pack_point(problem, probe)
         gap = (avg_objective - evaluate_objective(problem, probe)
-               + float((avg_packed - probe_packed) @ pack_vi_value(value)))
+               + float((avg_packed - probe_packed) @ vi_operator(problem, probe)))
         bound = weighted_norm_sq(metrics, probe_packed - start_packed, "h") / (2.0 * (t + 1))
         margins.append(bound - gap + inequality_slack(bound, gap))
     return _finish(name, margins, details={"num_probes": len(probes)},
@@ -576,13 +564,12 @@ def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
 
 
 def _step_terms(problem: BlockProblem, metrics: MetricMatrices,
-                previous: PrimalDualPoint, auxiliary: PrimalDualPoint) -> tuple:
+                current: PrimalDualPoint, auxiliary: PrimalDualPoint) -> tuple:
     """The parts of the one-step inequality that every probe shares:
     packed ``w_bar``, ``objective(u_bar)``, ``F(w_bar)`` and ``Q (w^k - w_bar)``."""
     wbar = pack_point(problem, auxiliary)
-    value = vi_operator(problem, auxiliary)
-    return (wbar, evaluate_objective(problem, auxiliary), pack_vi_value(value),
-            apply_metric(metrics, "q", pack_point(problem, previous) - wbar))
+    return (wbar, evaluate_objective(problem, auxiliary), vi_operator(problem, auxiliary),
+            apply_metric(metrics, "q", pack_point(problem, current) - wbar))
 
 
 def _probe_terms(step_terms: tuple, probe_objective: float,

@@ -26,6 +26,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -93,16 +94,16 @@ _COMMON_DEFAULTS = {
     "seed": 0,
     "rho": 1.0,
     "max_iter": 10_000,
-    "strict": False,
 }
 
+# certify always solves strict, so it takes no strict option
 _DEFAULTS = {
-    "solve": dict(_COMMON_DEFAULTS, n=50, gamma=1.0, tol=1e-6,
+    "solve": dict(_COMMON_DEFAULTS, n=50, gamma=1.0, tol=1e-6, strict=False,
                   out="runs/solve"),
-    "gamma-sweep": dict(_COMMON_DEFAULTS, n=50, tol=1e-6, repeat=5,
+    "gamma-sweep": dict(_COMMON_DEFAULTS, n=50, tol=1e-6, strict=False, repeat=5,
                         workers=None, gamma_grid=DEFAULT_GRID,
                         out="runs/gamma-sweep"),
-    "baseline-compare": dict(_COMMON_DEFAULTS, n=100, tol=1e-6,
+    "baseline-compare": dict(_COMMON_DEFAULTS, n=100, tol=1e-6, strict=False,
                              out="runs/baseline-compare"),
     "certify": dict(_COMMON_DEFAULTS, n=20, gamma=1.5, tol=1e-8, probes=10,
                     negative_control=False, out="runs/certify"),
@@ -241,14 +242,13 @@ def _check_settings(settings: dict) -> None:
 
 def _solver_config(settings: dict, gamma: float, sigma: float,
                    instance: CalibrationInstance, *, strict: bool,
-                   record: bool, tolerance: float | None = None,
-                   max_iterations: int | None = None) -> SolverConfig:
+                   record: bool) -> SolverConfig:
     return SolverConfig(
         rho=settings["rho"],
         gamma=gamma,
         proximal_metrics=default_metrics(instance, scale=sigma),
-        max_iterations=settings["max_iter"] if max_iterations is None else max_iterations,
-        tolerance=settings["tol"] if tolerance is None else tolerance,
+        max_iterations=settings["max_iter"],
+        tolerance=settings["tol"],
         strict_theory_mode=strict,
         record_trajectory=record,
     )
@@ -606,11 +606,9 @@ def run_certify(settings: dict) -> int:
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     trajectory = result.trajectory
 
-    reference_config = _solver_config(
-        settings, gamma, CERTIFY_SIGMA, instance, strict=True, record=False,
-        tolerance=settings["tol"] * 1e-2,
-        max_iterations=settings["max_iter"] * 10,
-    )
+    reference_config = dataclasses.replace(
+        config, tolerance=settings["tol"] * 1e-2,
+        max_iterations=settings["max_iter"] * 10, record_trajectory=False)
     reference = solve(problem, reference_config, result.state).final
 
     metrics = assemble_metrics(problem, config)

@@ -10,7 +10,7 @@ live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,11 +29,9 @@ __all__ = [
     "BlockSpec",
     "BlockProblem",
     "PrimalDualPoint",
-    "ViOperatorValue",
     "check_point",
     "pack_point",
     "unpack_point",
-    "pack_vi_value",
     "evaluate_objective",
     "constraint_residual",
     "primal_feasibility",
@@ -107,11 +105,18 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class BlockProblem:
-    """A separable convex program with a single linear coupling constraint."""
+    """A separable convex program with a single linear coupling constraint.
+
+    ``slices`` fixes the layout of the packed primal-dual vector
+    ``w = (x_1, ..., x_m, y)`` that the variational inequality and the
+    certificate metrics act on: one slice per block, in block order, then
+    the multiplier's. It is the one place the offsets are computed.
+    """
 
     blocks: tuple[BlockSpec, ...]
     rhs: np.ndarray
     constraint_dim: int
+    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.blocks) < 2:
@@ -129,6 +134,11 @@ class BlockProblem:
                     f"constraint dimension is {self.constraint_dim}",
                     block=i,
                 )
+        slices, offset = [], 0
+        for dim in (*self.block_dims, self.constraint_dim):
+            slices.append(slice(offset, offset + dim))
+            offset += dim
+        object.__setattr__(self, "slices", tuple(slices))
 
     @property
     def num_blocks(self) -> int:
@@ -139,12 +149,8 @@ class BlockProblem:
         return tuple(block.dim for block in self.blocks)
 
     @property
-    def total_primal_dim(self) -> int:
-        return sum(self.block_dims)
-
-    @property
     def total_dim(self) -> int:
-        return self.total_primal_dim + self.constraint_dim
+        return self.slices[-1].stop
 
 
 @dataclass(frozen=True)
@@ -156,17 +162,6 @@ class PrimalDualPoint:
 
     def copy(self) -> "PrimalDualPoint":
         return PrimalDualPoint(tuple(x.copy() for x in self.primal), self.dual.copy())
-
-
-@dataclass(frozen=True)
-class ViOperatorValue:
-    """Value of the affine skew operator of the variational inequality.
-
-    Block parts are ``-A_i' y``; the constraint part is ``sum_i A_i x_i - b``.
-    """
-
-    block_parts: tuple[np.ndarray, ...]
-    constraint_part: np.ndarray
 
 
 def check_point(problem: BlockProblem, point: PrimalDualPoint) -> None:
@@ -187,27 +182,23 @@ def check_point(problem: BlockProblem, point: PrimalDualPoint) -> None:
         )
 
 
-def pack_point(problem: BlockProblem, point: PrimalDualPoint) -> np.ndarray:
-    """Concatenate ``(x_1, ..., x_m, y)`` into one vector."""
-    return np.concatenate([*point.primal, point.dual])
+def pack_point(problem: BlockProblem, point: PrimalDualPoint,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The packed vector ``(x_1, ..., x_m, y)``, laid out by
+    ``problem.slices``, written into ``out`` when given."""
+    return np.concatenate([*point.primal, point.dual], out=out)
 
 
 def unpack_point(problem: BlockProblem, vec: np.ndarray) -> PrimalDualPoint:
-    """Inverse of :func:`pack_point`."""
+    """Inverse of :func:`pack_point`: the blocks and the multiplier as views
+    of ``vec`` through ``problem.slices``, copying nothing, so writing to
+    ``vec`` changes the point."""
     if vec.shape != (problem.total_dim,):
         raise DimensionMismatchError(
             f"vector has shape {vec.shape}, expected ({problem.total_dim},)"
         )
-    primal = []
-    offset = 0
-    for dim in problem.block_dims:
-        primal.append(vec[offset : offset + dim].copy())
-        offset += dim
-    return PrimalDualPoint(tuple(primal), vec[offset:].copy())
-
-
-def pack_vi_value(value: ViOperatorValue) -> np.ndarray:
-    return np.concatenate([*value.block_parts, value.constraint_part])
+    *primal, dual = (vec[piece] for piece in problem.slices)
+    return PrimalDualPoint(tuple(primal), dual)
 
 
 def evaluate_objective(problem: BlockProblem, point: PrimalDualPoint) -> float:
@@ -231,11 +222,13 @@ def primal_feasibility(problem: BlockProblem, point: PrimalDualPoint) -> float:
     return float(np.linalg.norm(constraint_residual(problem, point)))
 
 
-def vi_operator(problem: BlockProblem, point: PrimalDualPoint) -> ViOperatorValue:
-    """Evaluate the variational-inequality operator at ``point``."""
+def vi_operator(problem: BlockProblem, point: PrimalDualPoint) -> np.ndarray:
+    """The variational-inequality operator at ``point``, packed like
+    ``pack_point``: ``-A_i' y`` in the slice of block ``i``, then the
+    residual ``sum_i A_i x_i - b`` in the multiplier's."""
     check_point(problem, point)
-    parts = tuple(-block.linear_map.adjoint(point.dual) for block in problem.blocks)
-    return ViOperatorValue(parts, constraint_residual(problem, point))
+    return np.concatenate([*(-block.linear_map.adjoint(point.dual) for block in problem.blocks),
+                           constraint_residual(problem, point)])
 
 
 def make_linearized_metric(block: BlockSpec, rho: float, tau: float) -> SymmetricOperator:
@@ -310,11 +303,13 @@ def feasible_probe(problem: BlockProblem, seed: int,
 
     The normals are Box-Muller pairs of ``splitmix64_uniform(seed, ...)``
     draws, filling the blocks in order and then the multiplier, so one seed
-    names one probe and drawing it never imports ``numpy.random``.
+    names one probe and drawing it never imports ``numpy.random``. The
+    blocks and the multiplier are copied out of the normals, so a probe
+    holds no more than its own entries.
     """
     total = problem.total_dim
     normals = scale * _box_muller(splitmix64_uniform(seed, total + total % 2))
     point = unpack_point(problem, normals[:total])
-    primal = tuple(x if block.projection is None else block.projection(x)
+    primal = tuple(x.copy() if block.projection is None else block.projection(x)
                    for block, x in zip(problem.blocks, point.primal))
-    return PrimalDualPoint(primal, point.dual)
+    return PrimalDualPoint(primal, point.dual.copy())

@@ -217,9 +217,9 @@ class FirstPhaseProduct:
         self.blocks = problem.blocks[:-1]
         self.prox = tuple(prox[:len(self.blocks)])
         self.rho = rho
-        offsets = np.cumsum([0] + [block.dim for block in self.blocks])
-        self._pieces = [slice(start, stop) for start, stop in zip(offsets, offsets[1:])]
-        self.dim = int(offsets[-1])
+        # the first-phase blocks lead the packed vector, so their slices are its own
+        self._pieces = problem.slices[:-2]
+        self.dim = problem.slices[-2].start
         self.coupling = structural_coupling(problem, prox, rho)
         self._images = [np.empty(problem.constraint_dim) for _ in self.blocks]
         self._total = np.empty(problem.constraint_dim)
@@ -260,19 +260,16 @@ class FirstPhaseProduct:
 def first_phase_dense(problem: BlockProblem, prox: Sequence[SymmetricOperator],
                       rho: float) -> np.ndarray:
     """Materialise the coupled first-phase metric."""
-    blocks = problem.blocks[:-1]
-    dims = [block.dim for block in blocks]
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    out = np.zeros((offsets[-1], offsets[-1]))
-    dense_maps = [block.linear_map.dense() for block in blocks]
-    for i, block in enumerate(blocks):
-        sl = slice(offsets[i], offsets[i + 1])
-        out[sl, sl] = prox[i].dense()
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            cross = -rho * (dense_maps[i].T @ dense_maps[j])
-            out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = cross
-            out[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = cross.T
+    pieces = problem.slices[:-2]
+    dim = problem.slices[-2].start
+    out = np.zeros((dim, dim))
+    dense_maps = [block.linear_map.dense() for block in problem.blocks[:-1]]
+    for i, piece in enumerate(pieces):
+        out[piece, piece] = prox[i].dense()
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        cross = -rho * (dense_maps[i].T @ dense_maps[j])
+        out[pieces[i], pieces[j]] = cross
+        out[pieces[j], pieces[i]] = cross.T
     return out
 
 
@@ -309,7 +306,8 @@ def first_phase_min_eig_estimate(problem: BlockProblem,
             (a, b), (_, d) = coupling
             return float((a + d) / 2 - math.hypot((a - d) / 2, b)), "exact"
         return min_eigenvalue_bound(coupling), "bound"
-    if sum(block.dim for block in problem.blocks[:-1]) <= VALIDATION_DENSE_CAP:
+    # the first-phase rows: every block but the last
+    if problem.slices[-2].start <= VALIDATION_DENSE_CAP:
         return min_eigenvalue_bound(first_phase_dense(problem, prox, rho)), "dense"
     # block Gershgorin with ||A_i'A_j|| <= ||A_i|| ||A_j||
     norms = [math.sqrt(gram_spectral_norm(block.linear_map))
@@ -441,13 +439,12 @@ class IterationState:
     k: int
     current: PrimalDualPoint
     auxiliary: PrimalDualPoint | None
-    previous: PrimalDualPoint | None
     first_step_norms: tuple[float, ...] | None
     epsilon: float = math.inf
 
     @classmethod
     def initial(cls, start: PrimalDualPoint) -> "IterationState":
-        return cls(k=0, current=start.copy(), auxiliary=None, previous=None,
+        return cls(k=0, current=start.copy(), auxiliary=None,
                    first_step_norms=None)
 
 
@@ -488,8 +485,8 @@ class TrajectoryRecord:
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of ``solve``. ``state`` is the final iteration state with
-    ``previous`` and ``auxiliary`` dropped (so ``state.current is final``);
-    passing it back to ``solve`` continues the run."""
+    ``auxiliary`` dropped (so ``state.current is final``); passing it back
+    to ``solve`` continues the run."""
 
     final: PrimalDualPoint
     iterations: int
@@ -654,7 +651,6 @@ def step(problem: BlockProblem, config: SolverConfig,
         k=state.k + 1,
         current=fresh_point,
         auxiliary=auxiliary,
-        previous=state.current,
         first_step_norms=denominators,
         epsilon=max(successive),
     )
@@ -703,5 +699,5 @@ def solve(problem: BlockProblem, config: SolverConfig,
         trajectory=trajectory,
         reports=tuple(reports),
         validation=validation,
-        state=replace(state, previous=None, auxiliary=None),
+        state=replace(state, auxiliary=None),
     )

@@ -23,10 +23,9 @@ from lgadmm.problem import (
     PrimalDualPoint,
     evaluate_objective,
     pack_point,
-    pack_vi_value,
     vi_operator,
 )
-from lgadmm.solver import IterationState, SolverConfig, first_phase_dense, validate_config
+from lgadmm.solver import SolverConfig, TrajectoryRecord, first_phase_dense, validate_config
 
 
 class DenseMetrics(MetricMatrices):
@@ -145,26 +144,25 @@ def adjoint_mismatch(amap: LinearMap, trials: int = 10, seed: int = 0) -> float:
 def vi_monotone_gap(problem: BlockProblem, w1: PrimalDualPoint,
                     w2: PrimalDualPoint) -> float:
     """``(w1 - w2)' (F(w1) - F(w2))``; identically zero for the affine skew ``F``."""
-    f1 = vi_operator(problem, w1)
-    f2 = vi_operator(problem, w2)
     diff = pack_point(problem, w1) - pack_point(problem, w2)
-    return float(diff @ (pack_vi_value(f1) - pack_vi_value(f2)))
+    return float(diff @ (vi_operator(problem, w1) - vi_operator(problem, w2)))
 
 
 def step_inequality_probe(problem: BlockProblem, metrics: MetricMatrices,
-                          state: IterationState,
+                          trajectory: TrajectoryRecord, k: int,
                           probe: PrimalDualPoint) -> float:
     """Margin of the one-step mixed variational inequality at a probe point.
 
     Returns ``objective(u) - objective(u_bar) + (w - w_bar)' F(w_bar)
-    - (w - w_bar)' Q (w^k - w_bar)`` for the step recorded in ``state``;
-    the inequality says this is nonnegative for every feasible ``w``,
-    with no positivity preconditions on the metrics.
+    - (w - w_bar)' Q (w^k - w_bar)`` for step ``k`` of ``trajectory``, from
+    ``trajectory.points[k]`` and ``trajectory.auxiliary(k)`` (which raises
+    ``IndexError`` for a step the trajectory does not hold); the
+    inequality says this is nonnegative for every feasible ``w``, with no
+    positivity preconditions on the metrics.
     """
-    if state.previous is None or state.auxiliary is None:
-        raise ValueError("state does not record a completed step")
+    auxiliary = trajectory.auxiliary(k)
     check_probe_feasible(problem, probe)
     lhs, rhs = _probe_terms(
-        _step_terms(problem, metrics, state.previous, state.auxiliary),
+        _step_terms(problem, metrics, trajectory.points[k], auxiliary),
         evaluate_objective(problem, probe), pack_point(problem, probe))
     return lhs - rhs

@@ -32,13 +32,11 @@ from lgadmm.problem import (
     PrimalDualPoint,
     evaluate_objective,
     feasible_probe,
-    pack_vi_value,
     vi_operator,
     zeros_point,
 )
 from lgadmm.solver import (
     FirstPhaseProduct,
-    IterationState,
     SolverConfig,
     TrajectoryRecord,
     first_phase_dense,
@@ -522,20 +520,19 @@ def test_update_recurrence_detects_corruption(strict_setup):
 
 def test_step_inequality_probe_zero_at_auxiliary(strict_setup):
     trajectory = strict_setup.trajectory
-    state = IterationState(
-        k=1, current=trajectory.points[1], auxiliary=trajectory.auxiliary(0),
-        previous=trajectory.points[0], first_step_norms=None)
     margin = step_inequality_probe(strict_setup.problem, strict_setup.metrics,
-                                   state, trajectory.auxiliary(0))
+                                   trajectory, 0, trajectory.auxiliary(0))
     assert margin == pytest.approx(0.0, abs=1e-10)
 
 
 def test_step_inequality_probe_requires_completed_step(strict_setup):
-    state = IterationState.initial(strict_setup.trajectory.points[0])
+    start = TrajectoryRecord(points=strict_setup.trajectory.points[:1],
+                             problem=strict_setup.problem,
+                             config=strict_setup.config)
     probe = feasible_probe(strict_setup.problem, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexError):
         step_inequality_probe(strict_setup.problem, strict_setup.metrics,
-                              state, probe)
+                              start, 0, probe)
 
 
 def test_step_inequality_check_on_strict_run(strict_setup):
@@ -611,7 +608,7 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
             value = vi_operator(problem, trajectory.auxiliary(k))
             lhs = (evaluate_objective(problem, probe)
                    - evaluate_objective(problem, trajectory.auxiliary(k))
-                   + float(diff @ pack_vi_value(value)))
+                   + float(diff @ value))
             rhs = float(diff @ apply_metric(metrics, "q", w[k] - wbar[k]))
             inequality.append(lhs - rhs + inequality_slack(lhs, rhs))
 
@@ -700,12 +697,12 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
         products.append(which)
         return _original(metrics, which, v, out=out)
 
-    def counted_pack(point, out, _original=certificates._pack_into):
+    def counted_pack(problem, point, out=None, _original=certificates.pack_point):
         packed.append(point)
-        return _original(point, out)
+        return _original(problem, point, out=out)
 
     monkeypatch.setattr(certificates, "apply_metric", counted_product)
-    monkeypatch.setattr(certificates, "_pack_into", counted_pack)
+    monkeypatch.setattr(certificates, "pack_point", counted_pack)
     monkeypatch.setattr(certificates, "auxiliary_point", counted_auxiliary)
 
     def distinct_buffers(steps):
@@ -721,8 +718,9 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
         record = replay(metrics, prefix, strict_setup.reference)
         assert Counter(products) == {"h": 2 * steps + 1, "n": steps, "m": steps}
         assert len(derived) == steps
-        assert Counter(map(id, packed)) == Counter(
-            map(id, prefix.points + [point for point, _ in derived]))
+        # the reference is packed once too, through the same function
+        assert Counter(map(id, packed)) == Counter(map(id, [
+            strict_setup.reference, *prefix.points, *(point for point, _ in derived)]))
         for report in (fejer_check(record), update_recurrence_check(record),
                        nonergodic_monotonicity_check(record),
                        nonergodic_rate_check(record)):

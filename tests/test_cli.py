@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_solve_strict_mode_rejects_benchmark_metrics(tmp_path):
     proc = run_cli(["solve", "--n", "6", "--strict",
                     "--out", str(tmp_path / "run")])
     assert proc.returncode == 2
+
+
+def test_certify_refuses_a_strict_option(tmp_path, capsys):
+    # certify always solves strict: a strict flag or key is an error, not a no-op
+    out = str(tmp_path / "run")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", "--n", "6", "--strict", "--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("strict = no\n")
+    assert cli.main(["certify", "--n", "6", "--config", str(config_file),
+                     "--out", out]) == 2
+    assert "not used by certify: ['strict']" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -247,8 +263,12 @@ def test_certify_reference_continues_the_strict_run(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "step", step)
     monkeypatch.setattr(cli, "solve", solve)
     assert cli.main(["certify", "--n", "6", "--out", str(tmp_path / "run")]) == 0
-    (strict_config, strict_start, strict), (_, reference_start, reference) = solves
-    assert strict_config.record_trajectory
+    (strict_config, strict_start, strict), (reference_config, reference_start, reference) = solves
+    assert strict_config.record_trajectory and strict_config.strict_theory_mode
+    # the reference config is the strict one, tighter and not recording
+    assert reference_config == replace(
+        strict_config, tolerance=strict_config.tolerance * 1e-2,
+        max_iterations=strict_config.max_iterations * 10, record_trajectory=False)
     assert isinstance(strict_start, PrimalDualPoint)
     assert reference_start is strict.state
     assert strict.iterations < reference.iterations

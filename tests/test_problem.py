@@ -111,9 +111,7 @@ def test_vi_operator_structure():
     y = np.array([3.0])
     point = PrimalDualPoint((np.array([1.0]), np.array([-1.0])), y)
     value = vi_operator(problem, point)
-    assert value.block_parts[0] == pytest.approx(-3.0)
-    assert value.block_parts[1] == pytest.approx(-6.0)
-    assert value.constraint_part == pytest.approx(1.0 - 2.0 - 0.5)
+    assert value.tolist() == pytest.approx([-3.0, -6.0, 1.0 - 2.0 - 0.5])
 
 
 def test_vi_gap_zero_at_equal_points(small_problem):
@@ -185,16 +183,54 @@ def test_make_linearized_metric_refuses_tau_inside_a_small_gap():
 
 
 def test_pack_unpack_roundtrip(small_problem):
+    problem = small_problem
+    # the slices tile [0, total_dim) in block order, the multiplier last
+    assert [(piece.start, piece.stop) for piece in problem.slices] == list(zip(
+        np.cumsum([0, *problem.block_dims]),
+        np.cumsum([*problem.block_dims, problem.constraint_dim])))
+    assert problem.slices[-1].stop == problem.total_dim
+
     rng = np.random.default_rng(23)
     point = PrimalDualPoint(
-        tuple(rng.standard_normal(d) for d in small_problem.block_dims),
-        rng.standard_normal(small_problem.constraint_dim))
-    vec = pack_point(small_problem, point)
-    assert vec.size == small_problem.total_dim
-    back = unpack_point(small_problem, vec)
-    for original, restored in zip(point.primal, back.primal):
+        tuple(rng.standard_normal(d) for d in problem.block_dims),
+        rng.standard_normal(problem.constraint_dim))
+    vec = pack_point(problem, point)
+    assert vec.shape == (problem.total_dim,)
+    for piece, part in zip(problem.slices, (*point.primal, point.dual)):
+        assert np.array_equal(vec[piece], part)
+    buffer = np.full(problem.total_dim, np.nan)
+    assert pack_point(problem, point, out=buffer) is buffer
+    assert np.array_equal(buffer, vec)
+
+    # unpacking copies nothing: every part is a view of the packed vector
+    back = unpack_point(problem, vec)
+    for original, restored in zip((*point.primal, point.dual),
+                                  (*back.primal, back.dual)):
         assert np.array_equal(original, restored)
-    assert np.array_equal(point.dual, back.dual)
+        assert np.shares_memory(restored, vec)
+    vec[problem.slices[1]] = 7.0
+    assert np.all(back.primal[1] == 7.0)
+    with pytest.raises(DimensionMismatchError):
+        unpack_point(problem, vec[:-1])
+
+    # F(w) packed: -A_i'y in each block's slice, then the residual
+    expected = np.concatenate([
+        *(-block.linear_map.adjoint(point.dual) for block in problem.blocks),
+        constraint_residual(problem, point)])
+    assert np.array_equal(vi_operator(problem, point), expected)
+
+
+@pytest.mark.parametrize("projected", [True, False])
+def test_feasible_probe_parts_own_their_memory(small_problem, projected):
+    # each part is copied out of the normals the probe is drawn from, so it
+    # shares memory with no other part and keeps no larger buffer alive
+    problem = small_problem if projected else scalar_zero_problem(3)
+    probe = feasible_probe(problem, 3)
+    parts = (*probe.primal, probe.dual)
+    for i, part in enumerate(parts):
+        assert part.base is None or part.base.nbytes == part.nbytes
+        for other in parts[i + 1:]:
+            assert not np.shares_memory(part, other)
 
 
 def test_check_point_rejects_wrong_shapes(small_problem):

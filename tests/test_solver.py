@@ -488,7 +488,6 @@ def test_solve_iteration_limit_reported(monkeypatch):
     assert result.state.k == 3
     assert result.state.current is result.final
     assert result.state.epsilon == result.final_epsilon
-    assert result.state.previous is None
     assert result.state.auxiliary is None
 
     # resuming at the budget stops without stepping
