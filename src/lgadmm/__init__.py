@@ -8,7 +8,6 @@ from .operators import (
     LinearizedMetric,
     ScaledIdentity,
     SymmetricOperator,
-    as_metric,
     gram_spectral_norm,
 )
 from .problem import (
@@ -21,7 +20,6 @@ from .problem import (
     feasible_probe,
     make_linearized_metric,
     pack_point,
-    primal_feasibility,
     unpack_point,
     vi_operator,
     zeros_point,
@@ -38,13 +36,11 @@ from .solver import (
     ValidationReport,
     auxiliary_point,
     first_phase_update,
-    identity_metrics,
     last_block_update,
     multiplier_update,
     solve,
     step,
     validate_config,
-    zero_metrics,
 )
 from .certificates import (
     CertificateReport,

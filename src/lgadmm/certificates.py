@@ -165,10 +165,6 @@ class MetricMatrices:
         return "configuration outside provable territory: " + "; ".join(pieces)
 
     @property
-    def first_dim(self) -> int:
-        return self._slices[0].stop
-
-    @property
     def total_dim(self) -> int:
         return self.problem.total_dim
 
@@ -378,15 +374,15 @@ class ReplayRecord:
 
 def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
            reference: PrimalDualPoint) -> ReplayRecord:
-    """Walk ``trajectory`` once, packing each point once into buffers
-    allocated once and deriving each auxiliary point there from the packed
-    ``w^k`` and ``w^{k+1}``: ``2T + 1`` H-products, ``T`` N- and ``T``
-    M-products."""
+    """Walk ``trajectory`` once, reading each packed ``w^k`` from its row and
+    deriving each auxiliary point from the rows of ``w^k`` and ``w^{k+1}``
+    into buffers allocated once: ``2T + 1`` H-products, ``T`` N- and ``T``
+    M-products. Writing to a row before the replay changes what it
+    measures; replacing an element of ``trajectory.points`` does not."""
     _require_trajectory(trajectory)
     problem, steps = metrics.problem, trajectory.steps
     ref = pack_point(problem, reference)
-    current, following, diff, product = (np.empty_like(ref) for _ in range(4))
-    current_point, following_point = (unpack_point(problem, v) for v in (current, following))
+    diff, product = np.empty_like(ref), np.empty_like(ref)
     move, back = np.empty(problem.blocks[-1].dim), np.empty(problem.blocks[-1].dim)
     dual_move = np.empty(problem.constraint_dim)
     derived = (np.empty(problem.constraint_dim), np.empty(problem.constraint_dim))
@@ -394,11 +390,13 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
     ref_dist, norms = np.empty(steps + 1), np.empty(steps + 1)
     gap, residual, h_step, cross, last_move = (np.empty(steps) for _ in range(5))
 
-    pack_point(problem, trajectory.points[0], out=current)
+    current = trajectory.row(0)
+    current_point = unpack_point(problem, current)
     ref_dist[0] = weighted_norm_sq(metrics, np.subtract(current, ref, out=diff), "h")
     norms[0] = np.linalg.norm(current)
     for k in range(steps):
-        pack_point(problem, trajectory.points[k + 1], out=following)
+        following = trajectory.row(k + 1)
+        following_point = unpack_point(problem, following)
         ref_dist[k + 1] = weighted_norm_sq(
             metrics, np.subtract(following, ref, out=diff), "h")
         norms[k + 1] = np.linalg.norm(following)
@@ -416,8 +414,7 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         np.subtract(current_point.primal[-1], following_point.primal[-1], out=move)
         cross[k] = move @ a_m.adjoint(dual_move, out=back)
         last_move[k] = p_m.quad(move)
-        current, following = following, current
-        current_point, following_point = following_point, current_point
+        current, current_point = following, following_point
     return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move)
 
 
@@ -564,12 +561,13 @@ def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
 
 
 def _step_terms(problem: BlockProblem, metrics: MetricMatrices,
-                current: PrimalDualPoint, auxiliary: PrimalDualPoint) -> tuple:
-    """The parts of the one-step inequality that every probe shares:
-    packed ``w_bar``, ``objective(u_bar)``, ``F(w_bar)`` and ``Q (w^k - w_bar)``."""
+                current: np.ndarray, auxiliary: PrimalDualPoint) -> tuple:
+    """The parts of the one-step inequality that every probe shares, from
+    the packed ``w^k`` and the auxiliary point: packed ``w_bar``,
+    ``objective(u_bar)``, ``F(w_bar)`` and ``Q (w^k - w_bar)``."""
     wbar = pack_point(problem, auxiliary)
     return (wbar, evaluate_objective(problem, auxiliary), vi_operator(problem, auxiliary),
-            apply_metric(metrics, "q", pack_point(problem, current) - wbar))
+            apply_metric(metrics, "q", current - wbar))
 
 
 def _probe_terms(step_terms: tuple, probe_objective: float,
@@ -590,7 +588,7 @@ def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
 
     At most ``max_samples`` evenly spaced steps are probed (the inequality
     is exact per step, so sampling loses nothing structurally); each margin
-    gets the usual scale-aware slack.
+    gets the usual scale-aware slack. ``w^k`` is read from its row.
     """
     name = "step_inequality"
     _require_trajectory(trajectory)
@@ -607,8 +605,7 @@ def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
                    for probe in probes]
     margins = []
     for k in sample:
-        terms = _step_terms(problem, metrics, trajectory.points[k],
-                            trajectory.auxiliary(k))
+        terms = _step_terms(problem, metrics, trajectory.row(k), trajectory.auxiliary(k))
         for probe_objective, probe_packed in probe_terms:
             lhs, rhs = _probe_terms(terms, probe_objective, probe_packed)
             margins.append(lhs - rhs + inequality_slack(lhs, rhs))

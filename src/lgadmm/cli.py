@@ -61,7 +61,6 @@ from .certificates import (
 )
 from .problem import (
     BlockProblemError,
-    PrimalDualPoint,
     evaluate_objective,
     feasible_probe,
     zeros_point,
@@ -561,13 +560,13 @@ def run_baseline_compare(settings: dict) -> int:
 
 
 def _corrupt_trajectory(trajectory, magnitude: float = 1e3) -> int:
-    """Shift one interior point so identity and contraction checks break."""
-    mid = len(trajectory.points) // 2
-    point = trajectory.points[mid]
-    primal = list(point.primal)
-    primal[0] = primal[0] + magnitude
-    trajectory.points[mid] = PrimalDualPoint(tuple(primal),
-                                             point.dual + magnitude)
+    """Shift one interior point, in its row, so identity and contraction
+    checks break."""
+    mid = (trajectory.steps + 1) // 2
+    first, *_, multiplier = trajectory.problem.slices
+    row = trajectory.row(mid)
+    row[first] += magnitude
+    row[multiplier] += magnitude
     return mid
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "ScaledIdentity",
     "DenseSymmetric",
     "LinearizedMetric",
-    "as_metric",
     "gram_spectral_norm",
     "gram_min_eigenvalue",
     "min_eigenvalue_bound",
@@ -259,17 +258,3 @@ class LinearizedMetric(SymmetricOperator):
 
     def min_eigenvalue(self) -> float:
         return self.tau - self.rho * self.gram_norm
-
-
-def as_metric(value: SymmetricOperator | float | np.ndarray, dim: int) -> SymmetricOperator:
-    """Coerce a scalar, array or operator into a symmetric operator of size ``dim``."""
-    if isinstance(value, SymmetricOperator):
-        if value.dim != dim:
-            raise ValueError(f"operator has dimension {value.dim}, expected {dim}")
-        return value
-    if np.isscalar(value):
-        return ScaledIdentity(dim, float(value))
-    op = DenseSymmetric(np.asarray(value, dtype=float))
-    if op.dim != dim:
-        raise ValueError(f"matrix has dimension {op.dim}, expected {dim}")
-    return op

@@ -34,7 +34,6 @@ __all__ = [
     "unpack_point",
     "evaluate_objective",
     "constraint_residual",
-    "primal_feasibility",
     "vi_operator",
     "make_linearized_metric",
     "zeros_point",
@@ -214,12 +213,6 @@ def constraint_residual(problem: BlockProblem, point: PrimalDualPoint) -> np.nda
     for block, x in zip(problem.blocks, point.primal):
         residual = residual + block.linear_map.apply(x)
     return residual
-
-
-def primal_feasibility(problem: BlockProblem, point: PrimalDualPoint) -> float:
-    """Euclidean norm of the coupling-constraint residual."""
-    check_point(problem, point)
-    return float(np.linalg.norm(constraint_residual(problem, point)))
 
 
 def vi_operator(problem: BlockProblem, point: PrimalDualPoint) -> np.ndarray:

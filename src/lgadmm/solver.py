@@ -35,6 +35,8 @@ from .problem import (
     check_point,
     constraint_residual,
     evaluate_objective,
+    pack_point,
+    unpack_point,
 )
 
 __all__ = [
@@ -54,8 +56,6 @@ __all__ = [
     "auxiliary_point",
     "step",
     "solve",
-    "identity_metrics",
-    "zero_metrics",
 ]
 
 # Below this, a first-step norm is treated as zero and the component's
@@ -63,6 +63,10 @@ __all__ = [
 ABSOLUTE_FALLBACK = 1e-14
 
 EIG_ZERO_TOL = 1e-10
+
+# Rows per chunk of a ``TrajectoryRecord``: the memory reserved ahead of
+# the points written is at most one chunk.
+TRAJECTORY_CHUNK_ROWS = 16
 
 # Up to this dimension the spectral estimators below fall back to an
 # eigendecomposition of the assembled metric; above it, to a lower bound.
@@ -132,15 +136,6 @@ class SolverConfig:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         object.__setattr__(self, "proximal_metrics", tuple(self.proximal_metrics))
-
-
-def identity_metrics(problem: BlockProblem, scale: float = 1.0) -> tuple[SymmetricOperator, ...]:
-    """Spherical metrics ``scale * I``, one per block."""
-    return tuple(ScaledIdentity(dim, scale) for dim in problem.block_dims)
-
-
-def zero_metrics(problem: BlockProblem) -> tuple[SymmetricOperator, ...]:
-    return identity_metrics(problem, 0.0)
 
 
 @dataclass(frozen=True)
@@ -448,11 +443,18 @@ class IterationState:
                    first_step_norms=None)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryRecord:
-    """Full iterate history ``points[k] = w^k``, ``k = 0..T``, recorded on
-    ``problem`` under ``config``; the diagnostics of step ``k`` are
+    """Full iterate history ``w^k``, ``k = 0..T``, recorded on ``problem``
+    under ``config``; the diagnostics of step ``k`` are
     ``SolveResult.reports[k]``.
+
+    ``w^k`` is stored once, packed, as ``row(k)``: the rows of chunks of
+    ``TRAJECTORY_CHUNK_ROWS`` rows laid out by ``problem.slices``, so at
+    most one chunk of rows is reserved but not yet written. ``points[k]``
+    is ``w^k`` unpacked, its arrays views of that row: writing through a
+    point changes the record, while replacing an element of the list does
+    not. A record built from a list of points packs it.
 
     Auxiliary points are not stored. The one of step ``k`` is a function of
     ``w^k`` and ``w^{k+1}``, which ``auxiliary(k)`` evaluates with
@@ -463,17 +465,42 @@ class TrajectoryRecord:
     problem: BlockProblem
     config: SolverConfig
 
+    def __post_init__(self):
+        given, self.points = self.points, []
+        self._chunks: list[np.ndarray] = []
+        # the record's own views; ``points`` is a list of the same objects
+        self._views: list[PrimalDualPoint] = []
+        for point in given:
+            self.append(point)
+
     @property
     def steps(self) -> int:
-        return len(self.points) - 1
+        return len(self._views) - 1
+
+    def append(self, point: PrimalDualPoint) -> None:
+        """Copy ``point`` into the next row, as ``w^{T+1}``."""
+        # a point of the right total size but another block split would pack silently
+        check_point(self.problem, point)
+        offset = len(self._views) % TRAJECTORY_CHUNK_ROWS
+        if not offset:
+            self._chunks.append(np.empty((TRAJECTORY_CHUNK_ROWS, self.problem.total_dim)))
+        row = pack_point(self.problem, point, out=self._chunks[-1][offset])
+        self._views.append(unpack_point(self.problem, row))
+        self.points.append(self._views[-1])
+
+    def row(self, k: int) -> np.ndarray:
+        """The packed ``w^k``, a view of the record."""
+        if not 0 <= k <= self.steps:
+            raise IndexError(f"point {k} outside a trajectory of {self.steps} steps")
+        return self._chunks[k // TRAJECTORY_CHUNK_ROWS][k % TRAJECTORY_CHUNK_ROWS]
 
     def auxiliary(self, k: int) -> PrimalDualPoint:
         """The auxiliary point of step ``k``, sharing its primal blocks with
         ``points[k + 1]``."""
         if not 0 <= k < self.steps:
             raise IndexError(f"step {k} outside a trajectory of {self.steps} steps")
-        return auxiliary_point(self.problem, self.config, self.points[k],
-                               self.points[k + 1].primal)
+        return auxiliary_point(self.problem, self.config, self._views[k],
+                               self._views[k + 1].primal)
 
     @property
     def auxiliaries(self) -> list[PrimalDualPoint]:
@@ -486,7 +513,8 @@ class TrajectoryRecord:
 class SolveResult:
     """Outcome of ``solve``. ``state`` is the final iteration state with
     ``auxiliary`` dropped (so ``state.current is final``); passing it back
-    to ``solve`` continues the run."""
+    to ``solve`` continues the run. Neither shares memory with
+    ``trajectory``, which holds copies."""
 
     final: PrimalDualPoint
     iterations: int
@@ -673,13 +701,14 @@ def solve(problem: BlockProblem, config: SolverConfig,
     exactly the iterate, ``iterations`` and ``final_epsilon`` of a fresh run
     under that config, because the stopping measure is tested before each
     step and ``max_iterations`` caps the absolute index ``k``, not the
-    number of new steps. ``reports`` (and the trajectory, which starts at
-    the state's ``current``) hold only the steps this call made.
+    number of new steps. ``reports`` (and the trajectory, which starts with
+    a copy of the state's ``current``) hold only the steps this call made.
     """
     state = (start if isinstance(start, IterationState)
              else IterationState.initial(start))
     check_point(problem, state.current)
     validation = validate_config(problem, config)
+    # the record copies each point into a row; the state keeps the step's arrays
     trajectory = (TrajectoryRecord([state.current], problem, config)
                   if config.record_trajectory else None)
     reports: list[StepReport] = []
@@ -688,7 +717,7 @@ def solve(problem: BlockProblem, config: SolverConfig,
         state, report = step(problem, config, state)
         reports.append(report)
         if trajectory is not None:
-            trajectory.points.append(state.current)
+            trajectory.append(state.current)
         converged = state.epsilon < config.tolerance
     return SolveResult(
         final=state.current,

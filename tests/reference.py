@@ -4,7 +4,9 @@ None of these is on a solver, certificate or command-line path: each is a
 second, deliberately naive way to the quantity a shipped function computes
 (dense certificate matrices, an iterative block oracle, random-probe
 adjoint and monotonicity defects, one step's variational inequality at a
-single probe).
+single probe, the replay that packs every point itself). The small
+helpers at the end (metric coercion, spherical metrics, the residual norm)
+serve the tests only.
 """
 
 from __future__ import annotations
@@ -13,19 +15,38 @@ import numpy as np
 
 from lgadmm.certificates import (
     MetricMatrices,
+    ReplayRecord,
     _probe_terms,
     _step_terms,
+    apply_metric,
     check_probe_feasible,
+    weighted_norm_sq,
 )
-from lgadmm.operators import BlockSignMap, LinearMap, gram_spectral_norm
+from lgadmm.operators import (
+    BlockSignMap,
+    DenseSymmetric,
+    LinearMap,
+    ScaledIdentity,
+    SymmetricOperator,
+    gram_spectral_norm,
+)
 from lgadmm.problem import (
     BlockProblem,
     PrimalDualPoint,
+    check_point,
+    constraint_residual,
     evaluate_objective,
     pack_point,
+    unpack_point,
     vi_operator,
 )
-from lgadmm.solver import SolverConfig, TrajectoryRecord, first_phase_dense, validate_config
+from lgadmm.solver import (
+    SolverConfig,
+    TrajectoryRecord,
+    auxiliary_point,
+    first_phase_dense,
+    validate_config,
+)
 
 
 class DenseMetrics(MetricMatrices):
@@ -36,6 +57,10 @@ class DenseMetrics(MetricMatrices):
     @property
     def n_min_eig(self) -> float:
         return self._n_min_eig
+
+    @property
+    def first_dim(self) -> int:
+        return self._slices[0].stop
 
 
 def assemble_dense_metrics(problem: BlockProblem, config: SolverConfig) -> DenseMetrics:
@@ -155,7 +180,7 @@ def step_inequality_probe(problem: BlockProblem, metrics: MetricMatrices,
 
     Returns ``objective(u) - objective(u_bar) + (w - w_bar)' F(w_bar)
     - (w - w_bar)' Q (w^k - w_bar)`` for step ``k`` of ``trajectory``, from
-    ``trajectory.points[k]`` and ``trajectory.auxiliary(k)`` (which raises
+    ``trajectory.row(k)`` and ``trajectory.auxiliary(k)`` (which raises
     ``IndexError`` for a step the trajectory does not hold); the
     inequality says this is nonnegative for every feasible ``w``, with no
     positivity preconditions on the metrics.
@@ -163,6 +188,78 @@ def step_inequality_probe(problem: BlockProblem, metrics: MetricMatrices,
     auxiliary = trajectory.auxiliary(k)
     check_probe_feasible(problem, probe)
     lhs, rhs = _probe_terms(
-        _step_terms(problem, metrics, trajectory.points[k], auxiliary),
+        _step_terms(problem, metrics, trajectory.row(k), auxiliary),
         evaluate_objective(problem, probe), pack_point(problem, probe))
     return lhs - rhs
+
+
+def packing_replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
+                   reference: PrimalDualPoint) -> ReplayRecord:
+    """``replay`` computed from ``trajectory.points`` instead of the rows:
+    each point is packed into one of two alternating buffers and each
+    auxiliary point is derived from those. The products and their order are
+    ``replay``'s, so the record must be bitwise equal."""
+    problem, steps = metrics.problem, trajectory.steps
+    ref = pack_point(problem, reference)
+    current, following, diff, product = (np.empty_like(ref) for _ in range(4))
+    current_point, following_point = (unpack_point(problem, v) for v in (current, following))
+    move, back = np.empty(problem.blocks[-1].dim), np.empty(problem.blocks[-1].dim)
+    dual_move = np.empty(problem.constraint_dim)
+    derived = (np.empty(problem.constraint_dim), np.empty(problem.constraint_dim))
+    a_m, p_m = problem.blocks[-1].linear_map, metrics.config.proximal_metrics[-1]
+    ref_dist, norms = np.empty(steps + 1), np.empty(steps + 1)
+    gap, residual, h_step, cross, last_move = (np.empty(steps) for _ in range(5))
+
+    pack_point(problem, trajectory.points[0], out=current)
+    ref_dist[0] = weighted_norm_sq(metrics, np.subtract(current, ref, out=diff), "h")
+    norms[0] = np.linalg.norm(current)
+    for k in range(steps):
+        pack_point(problem, trajectory.points[k + 1], out=following)
+        ref_dist[k + 1] = weighted_norm_sq(
+            metrics, np.subtract(following, ref, out=diff), "h")
+        norms[k + 1] = np.linalg.norm(following)
+        pack_point(problem, auxiliary_point(problem, trajectory.config, current_point,
+                                            following_point.primal, out=derived),
+                   out=diff)
+        gap[k] = weighted_norm_sq(metrics, np.subtract(current, diff, out=diff), "n")
+        apply_metric(metrics, "m", diff, out=product)
+        np.subtract(current, product, out=product)
+        residual[k] = np.linalg.norm(np.subtract(product, following, out=product))
+        h_step[k] = weighted_norm_sq(
+            metrics, np.subtract(current, following, out=diff), "h")
+        np.subtract(current_point.dual, following_point.dual, out=dual_move)
+        np.subtract(current_point.primal[-1], following_point.primal[-1], out=move)
+        cross[k] = move @ a_m.adjoint(dual_move, out=back)
+        last_move[k] = p_m.quad(move)
+        current, following = following, current
+        current_point, following_point = following_point, current_point
+    return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move)
+
+
+def as_metric(value: SymmetricOperator | float | np.ndarray, dim: int) -> SymmetricOperator:
+    """Coerce a scalar, array or operator into a symmetric operator of size ``dim``."""
+    if isinstance(value, SymmetricOperator):
+        if value.dim != dim:
+            raise ValueError(f"operator has dimension {value.dim}, expected {dim}")
+        return value
+    if np.isscalar(value):
+        return ScaledIdentity(dim, float(value))
+    op = DenseSymmetric(np.asarray(value, dtype=float))
+    if op.dim != dim:
+        raise ValueError(f"matrix has dimension {op.dim}, expected {dim}")
+    return op
+
+
+def identity_metrics(problem: BlockProblem, scale: float = 1.0) -> tuple[SymmetricOperator, ...]:
+    """Spherical metrics ``scale * I``, one per block."""
+    return tuple(ScaledIdentity(dim, scale) for dim in problem.block_dims)
+
+
+def zero_metrics(problem: BlockProblem) -> tuple[SymmetricOperator, ...]:
+    return identity_metrics(problem, 0.0)
+
+
+def primal_feasibility(problem: BlockProblem, point: PrimalDualPoint) -> float:
+    """Euclidean norm of the coupling-constraint residual."""
+    check_point(problem, point)
+    return float(np.linalg.norm(constraint_residual(problem, point)))

@@ -20,7 +20,7 @@ from lgadmm.calibration import (
 from lgadmm.operators import BlockSignMap, DenseSymmetric, ScaledIdentity
 from lgadmm.problem import PrimalDualPoint, evaluate_objective, zeros_point
 from lgadmm.solver import SolverConfig, solve
-from reference import projected_gradient_oracle
+from reference import primal_feasibility, projected_gradient_oracle
 
 
 def test_prng_deterministic_and_in_range():
@@ -239,7 +239,6 @@ def test_build_problem_shapes_and_examples():
     assert not problem.rhs.any()
     copies = PrimalDualPoint((instance.c.reshape(-1),) * 3, np.zeros(48))
     assert evaluate_objective(problem, copies) == pytest.approx(0.0)
-    from lgadmm.problem import primal_feasibility
     assert primal_feasibility(problem, copies) == pytest.approx(0.0, abs=1e-13)
 
 

@@ -36,6 +36,7 @@ from lgadmm.problem import (
     zeros_point,
 )
 from lgadmm.solver import (
+    TRAJECTORY_CHUNK_ROWS,
     FirstPhaseProduct,
     SolverConfig,
     TrajectoryRecord,
@@ -44,7 +45,12 @@ from lgadmm.solver import (
     last_condition_min_eig_estimate,
     solve,
 )
-from reference import assemble_dense_metrics, step_inequality_probe
+from reference import (
+    assemble_dense_metrics,
+    packing_replay,
+    primal_feasibility,
+    step_inequality_probe,
+)
 from synthetic import random_config, random_problem
 from util import chain_problem
 
@@ -436,8 +442,6 @@ def test_ergodic_average_memory_is_independent_of_length(count):
 
 
 def test_ergodic_average_feasibility_bounded_by_worst(small_problem, small_instance):
-    from lgadmm.problem import primal_feasibility
-
     config = SolverConfig(rho=1.0, gamma=1.5,
                           proximal_metrics=default_metrics(small_instance),
                           max_iterations=50, tolerance=1e-300,
@@ -496,6 +500,26 @@ def test_cross_term_stationary_equality(strict_setup):
                                      strict_setup.reference))
     assert report.passed
     assert report.worst_margin == pytest.approx(1e-8, rel=1e-6)
+
+
+def test_replay_of_rows_is_bitwise_the_packing_replay(strict_setup):
+    # the strict run spans several chunks of rows; a record built from a list
+    # (a prefix with one point shifted) and a one-point record are the others
+    trajectory = strict_setup.trajectory
+    assert trajectory.steps > 4 * TRAJECTORY_CHUNK_ROWS
+    points = list(trajectory.points[:TRAJECTORY_CHUNK_ROWS + 2])
+    points[5] = PrimalDualPoint(tuple(x + 1.0 for x in points[5].primal), points[5].dual)
+    records = [trajectory,
+               TrajectoryRecord(points=points, problem=strict_setup.problem,
+                                config=strict_setup.config),
+               TrajectoryRecord(points=points[:1], problem=strict_setup.problem,
+                                config=strict_setup.config)]
+    for record in records:
+        got = replay(strict_setup.metrics, record, strict_setup.reference)
+        expected = packing_replay(strict_setup.metrics, record, strict_setup.reference)
+        assert got.metrics is expected.metrics
+        for name in ("ref_dist", "norms", "gap", "residual", "h_step", "cross", "last_move"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 def test_update_recurrence_on_strict_run(strict_setup):
@@ -677,9 +701,10 @@ def _owner(array):
 def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
     # One pass: every map product of the replay, those that derive the
     # auxiliary points included, writes into a buffer and reads from buffers
-    # that outlive one step, so the number of distinct buffers does not grow
-    # with the trajectory. Each point is packed once, each auxiliary point is
-    # derived and packed once, and each metric product is made once.
+    # that outlive one step or from the record's rows, so the number of
+    # distinct buffers does not grow with the trajectory. The recorded points
+    # are read from their rows, not packed; each auxiliary point is derived
+    # and packed once, and each metric product is made once.
     calls, products, packed, derived = [], [], [], []
     for name in ("apply", "adjoint"):
         def recording(self, v, out=None, _original=getattr(BlockSignMap, name)):
@@ -718,16 +743,19 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
         record = replay(metrics, prefix, strict_setup.reference)
         assert Counter(products) == {"h": 2 * steps + 1, "n": steps, "m": steps}
         assert len(derived) == steps
-        # the reference is packed once too, through the same function
+        # besides the auxiliary points, only the reference is packed
         assert Counter(map(id, packed)) == Counter(map(id, [
-            strict_setup.reference, *prefix.points, *(point for point, _ in derived)]))
+            strict_setup.reference, *(point for point, _ in derived)]))
         for report in (fejer_check(record), update_recurrence_check(record),
                        nonergodic_monotonicity_check(record),
                        nonergodic_rate_check(record)):
             assert report.passed
         assert calls and all(out is not None for _, out in calls)
+        rows = {id(_owner(prefix.row(k))) for k in range(steps + 1)}
+        # the replay never writes into the record
+        assert not rows & {id(_owner(out)) for _, out in calls}
         census = (len({id(_owner(out)) for _, out in calls}),
-                  len({id(_owner(v)) for v, _ in calls}), len(calls))
+                  len({id(_owner(v)) for v, _ in calls} - rows), len(calls))
         # derived in place from the packed iterates, bitwise the step's point
         for k, (_, dual) in enumerate(derived):
             assert np.array_equal(dual, prefix.auxiliary(k).dual)

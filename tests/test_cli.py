@@ -12,6 +12,7 @@ import pytest
 
 from lgadmm import DivergenceError, PrimalDualPoint
 from lgadmm import cli, solver
+from reference import identity_metrics
 from util import scalar_zero_problem
 
 
@@ -246,6 +247,24 @@ def test_certify_negative_control_fails(tmp_path):
             check["passed"] is False), check["check"]
 
 
+def test_negative_control_does_not_reach_the_answer(tmp_path):
+    # after one step the corrupted point is w^1, the last row; the corruption
+    # writes into the row, so a final iterate that shared the row's memory
+    # would report the corrupted objective
+    summaries = {}
+    for name, flags, code in (("clean", [], 0), ("negative", ["--negative-control"], 4)):
+        out = tmp_path / name
+        assert cli.main(["certify", "--n", "6", "--max-iter", "1", *flags,
+                         "--out", str(out)]) == code
+        summaries[name] = json.loads((out / "summary.json").read_text())
+    clean, negative = summaries["clean"], summaries["negative"]
+    assert negative["corrupted_iteration"] == negative["iterations"] == 1
+    assert "update_recurrence" in negative["failed_checks"]
+    assert clean["failed_checks"] == []
+    assert negative["objective"] == clean["objective"]
+    assert negative["final_epsilon"] == clean["final_epsilon"]
+
+
 def test_certify_reference_continues_the_strict_run(tmp_path, monkeypatch):
     steps = []
     solves = []
@@ -388,7 +407,7 @@ def running_example():
     """Three scalar blocks, no objectives, identity maps, zero right side."""
     problem = scalar_zero_problem(num_blocks=3)
     config = solver.SolverConfig(
-        rho=1.0, gamma=1.0, proximal_metrics=solver.identity_metrics(problem))
+        rho=1.0, gamma=1.0, proximal_metrics=identity_metrics(problem))
     start = PrimalDualPoint(
         (np.array([1.0]), np.array([1.0]), np.array([1.0])), np.zeros(1))
     return problem, solver.solve(problem, config, start)

@@ -10,11 +10,10 @@ from lgadmm.operators import (
     DenseSymmetric,
     LinearizedMetric,
     ScaledIdentity,
-    as_metric,
     gram_min_eigenvalue,
     gram_spectral_norm,
 )
-from reference import adjoint_mismatch
+from reference import adjoint_mismatch, as_metric
 from util import gapped_matrix
 
 

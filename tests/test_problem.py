@@ -23,13 +23,12 @@ from lgadmm.problem import (
     feasible_probe,
     make_linearized_metric,
     pack_point,
-    primal_feasibility,
     splitmix64_uniform,
     unpack_point,
     vi_operator,
     zeros_point,
 )
-from reference import vi_monotone_gap
+from reference import primal_feasibility, vi_monotone_gap
 from util import chain_problem, gapped_matrix, quadratic_spec, scalar_zero_problem
 
 

@@ -24,33 +24,34 @@ from lgadmm.operators import (
 from lgadmm.problem import (
     BlockProblem,
     BlockSpec,
+    DimensionMismatchError,
     PrimalDualPoint,
     SpectralThresholdError,
     make_linearized_metric,
     pack_point,
-    primal_feasibility,
     zeros_point,
 )
 from lgadmm.solver import (
+    TRAJECTORY_CHUNK_ROWS,
     VALIDATION_DENSE_CAP,
     ConfigError,
     DivergenceError,
     IterationState,
     OracleError,
     SolverConfig,
+    TrajectoryRecord,
     auxiliary_point,
     first_phase_dense,
     first_phase_min_eig_estimate,
     first_phase_update,
-    identity_metrics,
     last_block_update,
     last_condition_min_eig_estimate,
     multiplier_update,
     solve,
     step,
     validate_config,
-    zero_metrics,
 )
+from reference import identity_metrics, primal_feasibility, zero_metrics
 from util import chain_problem, gapped_matrix, quadratic_spec, scalar_zero_problem
 
 RUNNING_EXAMPLE_START = PrimalDualPoint(
@@ -592,6 +593,67 @@ def test_recorded_trajectory_stores_no_auxiliary_multipliers():
     assert retained < allowance, (retained, allowance)
 
 
+def test_recorded_points_are_views_of_packed_rows():
+    # 40 steps fill two chunks of rows and part of a third
+    assert 2 * TRAJECTORY_CHUNK_ROWS < 41 < 3 * TRAJECTORY_CHUNK_ROWS
+    instance = generate_instance(4, seed=1)
+    problem = build_problem(instance)
+    config = SolverConfig(rho=1.0, gamma=1.5,
+                          proximal_metrics=default_metrics(instance, scale=4.0),
+                          max_iterations=40, tolerance=1e-300,
+                          record_trajectory=True)
+    result = solve(problem, config, zeros_point(problem))
+    trajectory = result.trajectory
+    assert trajectory.steps == 40 and len(trajectory.points) == 41
+    rows = [trajectory.row(k) for k in range(41)]
+    for k, (point, row) in enumerate(zip(trajectory.points, rows)):
+        assert row.shape == (problem.total_dim,)
+        assert all(np.shares_memory(x, row) for x in (*point.primal, point.dual)), k
+        assert pack_point(problem, point).tobytes() == row.tobytes(), k
+    # the returned iterate is the step's own, never a view of the record
+    assert result.state.current is result.final
+    assert pack_point(problem, result.final).tobytes() == rows[-1].tobytes()
+    for x in (*result.final.primal, result.final.dual):
+        assert not any(np.shares_memory(x, row) for row in rows)
+    for k in (-1, 41):
+        with pytest.raises(IndexError):
+            trajectory.row(k)
+
+    # writing through a point changes the record; replacing an element does not
+    view, before = trajectory.points[20], trajectory.auxiliary(19).dual.copy()
+    trajectory.points[20] = zeros_point(problem)
+    assert np.array_equal(trajectory.auxiliary(19).dual, before)
+    assert rows[20].any()
+    view.primal[0][:] += 1.0
+    assert pack_point(problem, view).tobytes() == trajectory.row(20).tobytes()
+    assert not np.array_equal(trajectory.auxiliary(19).dual, before)
+
+
+def test_record_built_from_a_list_packs_it():
+    problem = scalar_zero_problem(num_blocks=3)
+    given = [PrimalDualPoint((np.array([k]), np.array([-k]), np.array([2.0 * k])),
+                             np.array([0.5 * k]))
+             for k in range(TRAJECTORY_CHUNK_ROWS + 3, 0, -1)]
+    config = SolverConfig(rho=1.0, gamma=1.0, proximal_metrics=identity_metrics(problem))
+    record = TrajectoryRecord(points=given, problem=problem, config=config)
+    assert record.steps == len(given) - 1 == len(record.points) - 1
+    assert record.points is not given
+    for k, point in enumerate(given):
+        assert record.row(k).tobytes() == pack_point(problem, point).tobytes()
+        assert record.points[k] is not point
+        assert pack_point(problem, record.points[k]).tobytes() == record.row(k).tobytes()
+        assert not any(np.shares_memory(x, record.row(k))
+                       for x in (*point.primal, point.dual))
+    # the record copied the list: changing the given points leaves it as it was
+    given[0].dual[0] = 99.0
+    assert record.row(0)[-1] == 0.5 * len(given)
+    # four entries in a three-block layout of the same total size
+    misplaced = PrimalDualPoint((np.zeros(2), np.zeros(0), np.zeros(1)), np.zeros(1))
+    with pytest.raises(DimensionMismatchError):
+        record.append(misplaced)
+    assert record.steps == len(given) - 1
+
+
 def strict_and_reference_configs(instance):
     """The strict certify configuration and its tighter reference twin."""
     strict = SolverConfig(rho=1.0, gamma=1.5,
@@ -641,7 +703,8 @@ def test_resume_when_tolerance_already_met_takes_no_step(monkeypatch):
     assert again.reports == ()
     assert again.final is strict.final
     assert len(again.trajectory.points) == 1
-    assert again.trajectory.points[0] is strict.final
+    # the record holds its own copy of w^0, bitwise the point it resumed from
+    assert again.trajectory.row(0).tobytes() == pack_point(problem, strict.final).tobytes()
 
 
 def nan_block():
