@@ -24,8 +24,8 @@ depends on the solver, never the reverse.
 Every certificate below evaluates one provable inequality on a
 recorded trajectory, with an explicit scale-aware slack for floating-point
 error, and reports the worst margin observed. Checks whose proofs need
-matrix conditions the configuration does not satisfy are skipped with a
-recorded reason, never silently passed. The five checks that walk the
+conditions that validation left unproven are skipped with validation's
+reason, never silently passed. The five checks that walk the
 trajectory read one ``ReplayRecord``, which ``replay`` measures in one pass.
 """
 
@@ -45,7 +45,6 @@ from .problem import (
     vi_operator,
 )
 from .solver import (
-    EIG_ZERO_TOL,
     FirstPhaseProduct,
     SolverConfig,
     TrajectoryRecord,
@@ -78,6 +77,9 @@ __all__ = [
 ]
 
 SLACK_COEFF = 1e-8
+
+# the conditions of ``ValidationReport.unproven`` behind the contraction checks
+_STRICT_CONDITIONS = ("first_phase", "last_condition")
 
 
 class CertificateError(Exception):
@@ -143,26 +145,19 @@ class MetricMatrices:
         return min(v.first_phase_min_eig, v.last_metric_min_eig,
                    (2.0 - self.config.gamma) / self.config.rho)
 
-    @property
-    def strict_ok(self) -> bool:
-        """Whether the matrix conditions behind the contraction
-        certificates hold for this configuration."""
-        return (self.validation.first_phase_positive
-                and self.validation.last_condition_min_eig > EIG_ZERO_TOL)
+    def unproven_reason(self, *conditions: str) -> str | None:
+        """Validation's reasons for those of ``conditions`` (keys of
+        ``ValidationReport.unproven``) it left unproven, or ``None``."""
+        unproven = self.validation.unproven
+        return "; ".join(unproven[c] for c in conditions if c in unproven) or None
 
     @property
     def strict_reason(self) -> str | None:
-        if self.strict_ok:
-            return None
-        v = self.validation
-        pieces = []
-        if not v.first_phase_positive:
-            pieces.append(f"coupled first-phase metric min eigenvalue "
-                          f"{v.first_phase_min_eig:.6g} ({v.first_phase_method})")
-        if v.last_condition_min_eig <= EIG_ZERO_TOL:
-            pieces.append(f"last-block condition min eigenvalue "
-                          f"{v.last_condition_min_eig:.6g} ({v.last_condition_method})")
-        return "configuration outside provable territory: " + "; ".join(pieces)
+        return self.unproven_reason(*_STRICT_CONDITIONS)
+
+    @property
+    def strict_ok(self) -> bool:
+        return self.strict_reason is None
 
     @property
     def total_dim(self) -> int:
@@ -326,9 +321,16 @@ def _finish(check: str, margins, details: dict | None = None,
     )
 
 
-def _require_trajectory(trajectory) -> None:
+def _require_trajectory(trajectory, metrics: MetricMatrices) -> None:
+    # a trajectory recorded under other rho, gamma or metrics would fail falsely
     if trajectory is None or not getattr(trajectory, "points", None):
         raise ValueError("a recorded trajectory is required for this check")
+    mine, theirs = trajectory.config, metrics.config
+    if (trajectory.problem is not metrics.problem
+            or (mine.rho, mine.gamma, *map(id, mine.proximal_metrics))
+            != (theirs.rho, theirs.gamma, *map(id, theirs.proximal_metrics))):
+        raise ValueError("the trajectory was recorded on another problem or "
+                         "configuration than the metrics")
 
 
 def check_probe_feasible(problem: BlockProblem, point: PrimalDualPoint,
@@ -379,7 +381,7 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
     into buffers allocated once: ``2T + 1`` H-products, ``T`` N- and ``T``
     M-products. Writing to a row before the replay changes what it
     measures; replacing an element of ``trajectory.points`` does not."""
-    _require_trajectory(trajectory)
+    _require_trajectory(trajectory, metrics)
     problem, steps = metrics.problem, trajectory.steps
     ref = pack_point(problem, reference)
     diff, product = np.empty_like(ref), np.empty_like(ref)
@@ -442,11 +444,9 @@ def nonergodic_monotonicity_check(record: ReplayRecord) -> CertificateReport:
     last-block proximal metric; skipped when either fails.
     """
     name = "step_monotonicity"
-    metrics = record.metrics
-    if not metrics.strict_ok:
-        return _skipped(name, metrics.strict_reason)
-    if metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
-        return _skipped(name, "last-block proximal metric is not positive semidefinite")
+    reason = record.metrics.unproven_reason(*_STRICT_CONDITIONS, "last_metric")
+    if reason:
+        return _skipped(name, reason)
     now, following = record.h_step[:-1], record.h_step[1:]
     return _finish(name, now - following + inequality_slack(now, following))
 
@@ -461,10 +461,9 @@ def nonergodic_rate_check(record: ReplayRecord) -> CertificateReport:
     """
     name = "nonergodic_rate"
     metrics = record.metrics
-    if not metrics.strict_ok:
-        return _skipped(name, metrics.strict_reason)
-    if metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
-        return _skipped(name, "last-block proximal metric is not positive semidefinite")
+    reason = metrics.unproven_reason(*_STRICT_CONDITIONS, "last_metric")
+    if reason:
+        return _skipped(name, reason)
     if record.steps < 1:
         return _finish(name, [])
     constant = record.ref_dist[0] / sigma_gamma(metrics.config.gamma) + record.last_move[0]
@@ -485,8 +484,9 @@ def cross_term_check(record: ReplayRecord) -> CertificateReport:
     proximal metric to be positive semidefinite.
     """
     name = "cross_term"
-    if record.metrics.validation.last_metric_min_eig < -EIG_ZERO_TOL:
-        return _skipped(name, "last-block proximal metric is not positive semidefinite")
+    reason = record.metrics.unproven_reason("last_metric")
+    if reason:
+        return _skipped(name, reason)
     # each step's last-block move against the previous step's
     lhs, gain, loss = record.cross[1:], 0.5 * record.last_move[1:], 0.5 * record.last_move[:-1]
     return _finish(name, lhs - gain + loss + inequality_slack(lhs, gain, loss))
@@ -591,7 +591,7 @@ def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
     gets the usual scale-aware slack. ``w^k`` is read from its row.
     """
     name = "step_inequality"
-    _require_trajectory(trajectory)
+    _require_trajectory(trajectory, metrics)
     if trajectory.steps < 1:
         return _finish(name, [])
     count = min(max_samples, trajectory.steps)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import math
 import multiprocessing
 import os
 import sys
@@ -214,29 +213,19 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 
 
 def _check_settings(settings: dict) -> None:
+    """Judge the settings before any output directory or pool exists: the
+    solver's scalars by one ``SolverConfig`` per relaxation factor the
+    command will run, then the rules of the command line alone."""
     if settings["n"] < 2:
         raise ConfigError(f"n must be at least 2, got {settings['n']}")
-    # the wording of SolverConfig's checks, made before any pool starts
-    if not (math.isfinite(settings["rho"]) and settings["rho"] > 0):
-        raise ConfigError(f"rho must be positive and finite, got {settings['rho']}")
-    if not (math.isfinite(settings["tol"]) and settings["tol"] > 0):
-        raise ConfigError(f"tolerance must be positive, got {settings['tol']}")
-    if settings["max_iter"] < 1:
-        raise ConfigError("max-iter must be at least 1")
-    if "gamma" in settings and not 0.0 < settings["gamma"] < 2.0:
-        raise ConfigError(
-            f"gamma must lie strictly between 0 and 2, got {settings['gamma']}"
-        )
-    if "gamma_grid" in settings:
-        bad = [g for g in settings["gamma_grid"] if not 0.0 < g < 2.0]
-        if bad:
-            raise ConfigError(f"gamma grid values outside (0, 2): {bad}")
-    if settings.get("repeat") is not None and settings["repeat"] < 1:
-        raise ConfigError("repeat must be at least 1")
-    if settings.get("workers") is not None and settings["workers"] < 1:
-        raise ConfigError("workers must be at least 1")
-    if settings.get("probes") is not None and settings["probes"] < 1:
-        raise ConfigError("probes must be at least 1")
+    gammas = (settings["gamma_grid"] if "gamma_grid" in settings
+              else (settings["gamma"],) if "gamma" in settings else COMPARE_GAMMAS)
+    for gamma in gammas:
+        SolverConfig(rho=settings["rho"], gamma=gamma, proximal_metrics=(),
+                     max_iterations=settings["max_iter"], tolerance=settings["tol"])
+    for key in ("repeat", "workers", "probes"):
+        if settings.get(key) is not None and settings[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
 
 
 def _solver_config(settings: dict, gamma: float, sigma: float,

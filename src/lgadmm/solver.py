@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class SolverConfig:
     rho : float
         Penalty parameter of the augmented term, positive.
     gamma : float
-        Relaxation factor applied to the last block's target, in (0, 2).
+        Relaxation factor of the last block's target, strictly between 0 and 2.
     proximal_metrics : tuple of SymmetricOperator
         One metric per block. Zero metrics are allowed outside strict mode.
     max_iterations, tolerance
@@ -127,10 +128,11 @@ class SolverConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
+        # the one place these scalars are judged; each comparison refuses NaN
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ConfigError(f"rho must be positive and finite, got {self.rho}")
-        if not math.isfinite(self.gamma):
-            raise ConfigError(f"gamma must be finite, got {self.gamma}")
+        if not 0.0 < self.gamma < 2.0:
+            raise ConfigError(f"gamma must lie strictly between 0 and 2, got {self.gamma}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -143,13 +145,12 @@ class ValidationReport:
     """What validation could establish about a (problem, config) pair.
 
     ``first_phase_min_eig`` refers to the coupled first-phase metric (the
-    proximal metrics on the diagonal, ``-rho A_i'A_j`` off it); the solver
-    theory wants it positive definite. ``last_condition_min_eig`` refers to
-    ``P_m + (rho/gamma) A_m'A_m``, and ``last_metric_min_eig`` to ``P_m``
-    alone, which some of the rate certificates additionally rely on. Each
-    eigenvalue comes with the method that produced it: ``"exact"`` when the
-    first-phase metric is ``K (x) I`` (see ``structural_coupling``) with a
-    2x2 ``K`` and the value is ``lambda_min(K)`` in closed form;
+    proximal metrics on the diagonal, ``-rho A_i'A_j`` off it),
+    ``last_condition_min_eig`` to ``P_m + (rho/gamma) A_m'A_m`` and
+    ``last_metric_min_eig`` to ``P_m``. Each eigenvalue comes with the
+    method that produced it: ``"exact"`` when the first-phase metric is
+    ``K (x) I`` (see ``structural_coupling``) with a 2x2 ``K`` and the
+    value is ``lambda_min(K)`` in closed form;
     ``"operator"`` for two blocks, where it is the first proximal metric
     itself; ``"dense"`` for an eigendecomposition up to
     ``VALIDATION_DENSE_CAP`` rows, whose computed ``lambda_min`` less a
@@ -163,32 +164,36 @@ class ValidationReport:
     norms and Gram eigenvalues are exact for sign and dense maps; for any
     other map they are the trivial bounds ``inf`` and ``0``. Every value is
     therefore exact or a lower bound.
+
+    ``unproven`` is the verdict that strict mode and the certificates read.
+    It maps each theory condition these values leave unproven to the
+    reason, in the order ``"first_phase"`` and ``"last_condition"`` (the
+    metric positive definite), ``"last_metric"`` (``P_m`` positive
+    semidefinite, which the step-monotonicity, rate and cross-term
+    certificates additionally need).
     """
 
     gamma: float
-    first_phase_metric_spd: tuple[bool, ...]
     first_phase_min_eig: float
     first_phase_method: str
-    first_phase_positive: bool
     last_condition_min_eig: float
     last_condition_method: str
     last_metric_min_eig: float
     strict: bool
-    warnings: tuple[str, ...]
+    unproven: Mapping[str, str]
+
+    @property
+    def first_phase_positive(self) -> bool:
+        return "first_phase" not in self.unproven
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(self.unproven.values())
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "first_phase_metric_spd": list(self.first_phase_metric_spd),
-            "first_phase_min_eig": self.first_phase_min_eig,
-            "first_phase_method": self.first_phase_method,
-            "first_phase_positive": self.first_phase_positive,
-            "last_condition_min_eig": self.last_condition_min_eig,
-            "last_condition_method": self.last_condition_method,
-            "last_metric_min_eig": self.last_metric_min_eig,
-            "strict": self.strict,
-            "warnings": list(self.warnings),
-        }
+        out = {key: value for key, value in vars(self).items() if key != "unproven"}
+        return dict(out, first_phase_positive=self.first_phase_positive,
+                    warnings=list(self.warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +338,12 @@ def last_condition_min_eig_estimate(problem: BlockProblem,
 def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationReport:
     """Check the configuration against the problem and the theory conditions.
 
-    Always raises ``ConfigError`` for structural problems: a relaxation
-    factor outside (0, 2), or metrics that do not match the block
-    dimensions. The matrix conditions (coupled first-phase metric positive
-    definite, ``P_m + (rho/gamma) A_m'A_m`` positive definite) are reported,
-    and additionally raise under ``strict_theory_mode``.
+    Always raises ``ConfigError`` for metrics that do not match the block
+    dimensions; ``SolverConfig`` has already judged the scalars. The matrix
+    conditions are recorded as ``ValidationReport.unproven``, and any
+    unproven one raises under ``strict_theory_mode``. Each is unproven
+    unless its comparison holds, so a NaN estimate proves nothing.
     """
-    if not 0.0 < config.gamma < 2.0:
-        raise ConfigError(
-            f"gamma must lie strictly between 0 and 2, got {config.gamma}"
-        )
     if len(config.proximal_metrics) != problem.num_blocks:
         raise ConfigError(
             f"{len(config.proximal_metrics)} proximal metrics for "
@@ -354,56 +355,43 @@ def validate_config(problem: BlockProblem, config: SolverConfig) -> ValidationRe
                 f"proximal metric {i} has dimension {metric.dim}, block has {dim}"
             )
 
-    warnings: list[str] = []
-
-    first_phase_spd = tuple(
-        metric.min_eigenvalue() > EIG_ZERO_TOL
-        for metric in config.proximal_metrics[:-1]
-    )
-
+    unproven: dict[str, str] = {}
     first_eig, first_method = first_phase_min_eig_estimate(
         problem, config.proximal_metrics, config.rho)
-    first_positive = first_eig > EIG_ZERO_TOL
-    if not first_positive:
-        warnings.append(
+    last_eig, last_method = last_condition_min_eig_estimate(
+        problem, config.proximal_metrics[-1], config.rho, config.gamma)
+    p_m_eig = config.proximal_metrics[-1].min_eigenvalue()
+    if not first_eig > EIG_ZERO_TOL:
+        unproven["first_phase"] = (
             "coupled first-phase metric is not positive definite "
             f"(min eigenvalue {first_eig:.6g} by {first_method}); "
             "convergence certificates are not provable for this configuration"
         )
-
-    last_eig, last_method = last_condition_min_eig_estimate(
-        problem, config.proximal_metrics[-1], config.rho, config.gamma)
-    if last_eig <= EIG_ZERO_TOL:
-        warnings.append(
+    if not last_eig > EIG_ZERO_TOL:
+        unproven["last_condition"] = (
             "last-block condition P_m + (rho/gamma) A_m'A_m is not certified "
             f"positive definite (min eigenvalue {last_eig:.6g} by {last_method})"
         )
-
-    p_m_eig = config.proximal_metrics[-1].min_eigenvalue()
-    if p_m_eig < -EIG_ZERO_TOL:
-        warnings.append(
+    if not p_m_eig >= -EIG_ZERO_TOL:
+        unproven["last_metric"] = (
             f"last-block proximal metric is indefinite (min eigenvalue {p_m_eig:.6g}); "
-            "the step-monotonicity and rate certificates additionally assume it "
+            "the step-monotonicity, rate and cross-term certificates assume it "
             "positive semidefinite"
         )
 
-    if config.strict_theory_mode and warnings:
-        raise ConfigError(
-            "strict theory mode: " + "; ".join(warnings)
-        )
-
-    return ValidationReport(
+    report = ValidationReport(
         gamma=config.gamma,
-        first_phase_metric_spd=first_phase_spd,
         first_phase_min_eig=first_eig,
         first_phase_method=first_method,
-        first_phase_positive=first_positive,
         last_condition_min_eig=last_eig,
         last_condition_method=last_method,
         last_metric_min_eig=p_m_eig,
         strict=config.strict_theory_mode,
-        warnings=tuple(warnings),
+        unproven=MappingProxyType(unproven),
     )
+    if config.strict_theory_mode and report.unproven:
+        raise ConfigError("strict theory mode: " + "; ".join(report.warnings))
+    return report
 
 
 @dataclass(frozen=True)

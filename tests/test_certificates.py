@@ -2,6 +2,7 @@
 
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from lgadmm.problem import (
 )
 from lgadmm.solver import (
     TRAJECTORY_CHUNK_ROWS,
+    ConfigError,
     FirstPhaseProduct,
     SolverConfig,
     TrajectoryRecord,
@@ -44,6 +46,7 @@ from lgadmm.solver import (
     first_phase_min_eig_estimate,
     last_condition_min_eig_estimate,
     solve,
+    validate_config,
 )
 from reference import (
     assemble_dense_metrics,
@@ -764,3 +767,87 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
     short, long = distinct_buffers(10), distinct_buffers(200)
     assert long[2] > 10 * short[2]
     assert long[:2] == short[:2]
+
+
+def test_certificates_refuse_a_trajectory_recorded_under_another_configuration(strict_setup):
+    # metrics at another gamma or rho replayed a correct run into false failures
+    problem, config = strict_setup.problem, strict_setup.config
+    trajectory, reference = strict_setup.trajectory, strict_setup.reference
+    probes = [feasible_probe(problem, 9)]
+    others = [
+        assemble_metrics(problem, replace(config, gamma=1.0)),
+        assemble_metrics(problem, replace(config, rho=2.0)),
+        # equal values, but not the metric objects the run was recorded with
+        assemble_metrics(problem, replace(config, proximal_metrics=default_metrics(
+            strict_setup.instance, scale=4.0))),
+        assemble_metrics(build_problem(strict_setup.instance), config),
+    ]
+    for metrics in others:
+        with pytest.raises(ValueError, match="recorded on another problem"):
+            replay(metrics, trajectory, reference)
+        with pytest.raises(ValueError, match="recorded on another problem"):
+            step_inequality_check(problem, metrics, trajectory, probes, max_samples=2)
+    # the stopping rule and the recording flag are not part of the metrics
+    same = assemble_metrics(problem, replace(config, tolerance=1e-3, max_iterations=5,
+                                             record_trajectory=False))
+    record = replay(same, trajectory, reference)
+    assert update_recurrence_check(record).passed and fejer_check(record).passed
+    assert step_inequality_check(problem, same, trajectory, probes, max_samples=2).passed
+
+
+def _calibration_case(sigma, gamma):
+    instance = generate_instance(5, seed=7)
+    problem = build_problem(instance)
+    return problem, SolverConfig(rho=1.0, gamma=gamma,
+                                 proximal_metrics=default_metrics(instance, scale=sigma))
+
+
+def _synthetic_case(seed, constraint_dim, last_scale):
+    problem = random_problem(seed, num_blocks=3, dims=(2, 2, 3),
+                             constraint_dim=constraint_dim)
+    return problem, SolverConfig(rho=1.0, gamma=1.0, proximal_metrics=(
+        ScaledIdentity(2, 3.0), ScaledIdentity(2, 3.0), ScaledIdentity(3, last_scale)))
+
+
+@pytest.mark.parametrize("make, args, unproven", [
+    (_calibration_case, (0.5, 0.5), {"first_phase"}),
+    (_calibration_case, (0.5, 1.5), {"first_phase"}),
+    (_calibration_case, (4.0, 0.5), set()),
+    (_calibration_case, (4.0, 1.5), set()),
+    # the case of test_rate_checks_skip_on_indefinite_last_metric
+    (_synthetic_case, (11, 6, -0.01), {"last_metric"}),
+    # P_m = 0 and a 2x3 last map: P_m + (rho/gamma) A_m'A_m is singular
+    (_synthetic_case, (12, 2, 0.0), {"last_condition"}),
+], ids=["calibration-0.5-0.5", "calibration-0.5-1.5", "calibration-4-0.5",
+        "calibration-4-1.5", "indefinite-last-metric", "singular-last-condition"])
+def test_strict_mode_refuses_exactly_what_some_certificate_skips(make, args, unproven):
+    problem, config = make(*args)
+    recorded = replace(config, max_iterations=12, tolerance=1e-300, record_trajectory=True)
+    result = solve(problem, recorded, zeros_point(problem))
+    trajectory = result.trajectory
+    metrics = assemble_metrics(problem, recorded)
+    assert set(metrics.validation.unproven) == unproven
+    probes = [feasible_probe(problem, seed) for seed in (31, 32)]
+    record = replay(metrics, trajectory, result.final)
+    reports = [
+        update_recurrence_check(record),
+        fejer_check(record),
+        nonergodic_monotonicity_check(record),
+        nonergodic_rate_check(record),
+        cross_term_check(record),
+        ergodic_gap_check(problem, metrics, ergodic_average(trajectory.auxiliaries),
+                          probes, trajectory.points[0], trajectory.steps - 1),
+        step_inequality_check(problem, metrics, trajectory, probes),
+    ]
+    skipped = [report for report in reports if report.skipped]
+    try:
+        validate_config(problem, replace(recorded, strict_theory_mode=True))
+    except ConfigError as exc:
+        refusal = str(exc)
+    else:
+        refusal = None
+    assert (refusal is not None) == bool(skipped), (refusal, [r.check for r in skipped])
+    # one condition is unproven at most, and a skip gives its sentence, as strict mode does
+    for report in skipped:
+        assert report.skipped_reason in metrics.validation.warnings, report.check
+        assert report.skipped_reason in refusal

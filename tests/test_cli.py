@@ -180,6 +180,28 @@ def test_gamma_sweep_refuses_non_finite_values_before_the_pool(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--gamma", "2.5"], "gamma must lie strictly between 0 and 2, got 2.5"),
+    (["solve", "--gamma", "nan"], "gamma must lie strictly between 0 and 2, got nan"),
+    (["certify", "--gamma", "0"], "gamma must lie strictly between 0 and 2, got 0.0"),
+    (["gamma-sweep", "--workers", "2", "--gamma-grid", "0.5,2.0"],
+     "gamma must lie strictly between 0 and 2, got 2.0"),
+    (["gamma-sweep", "--workers", "2", "--max-iter", "0"],
+     "max_iterations must be at least 1"),
+    (["baseline-compare", "--max-iter", "0"], "max_iterations must be at least 1"),
+])
+def test_solver_scalars_are_refused_in_solver_config_wording_before_any_output(
+        tmp_path, monkeypatch, capsys, args, message):
+    def no_pool(*args):
+        raise AssertionError("the sweep started a pool")
+
+    monkeypatch.setattr(cli, "_spawn_map", no_pool)
+    out = tmp_path / "run"
+    assert cli.main([*args, "--n", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gamma_sweep_strict_rejects_benchmark_metrics(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(["gamma-sweep", "--n", "6", "--gamma-grid", "1.0",

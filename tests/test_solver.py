@@ -89,7 +89,7 @@ def test_validate_config_two_block_example():
     assert report.first_phase_min_eig == pytest.approx(2.0)
     assert report.first_phase_method == "operator"
     assert report.first_phase_positive
-    assert report.first_phase_metric_spd == (True,)
+    assert report.unproven == {}
     assert report.warnings == ()
 
 
@@ -101,8 +101,8 @@ def test_validate_config_benchmark_settings_warn():
     report = validate_config(problem, config)
     assert report.first_phase_min_eig == pytest.approx(-0.5, abs=1e-8)
     assert not report.first_phase_positive
-    assert report.first_phase_metric_spd == (True, True)
-    assert report.warnings
+    assert list(report.unproven) == ["first_phase"]
+    assert report.warnings == (report.unproven["first_phase"],)
     assert report.last_condition_min_eig == pytest.approx(2.5, abs=1e-8)
 
 
@@ -285,11 +285,16 @@ def test_maps_of_unknown_norm_get_trivial_bounds():
 
 
 def test_validate_config_gamma_range():
+    # SolverConfig judges gamma, so no config outside (0, 2) reaches validation
     problem = scalar_zero_problem()
-    config = SolverConfig(rho=1.0, gamma=2.0,
-                          proximal_metrics=identity_metrics(problem))
+    metrics = identity_metrics(problem)
+    for gamma in (2.0, 0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="gamma must lie strictly between 0 and 2"):
+            SolverConfig(rho=1.0, gamma=gamma, proximal_metrics=metrics)
+    config = SolverConfig(rho=1.0, gamma=1.999, proximal_metrics=metrics)
+    assert validate_config(problem, config).gamma == 1.999
     with pytest.raises(ConfigError):
-        validate_config(problem, config)
+        replace(config, gamma=2.0)
 
 
 def test_validate_config_metric_mismatch():
@@ -571,26 +576,30 @@ def test_derived_auxiliary_points_are_bitwise_the_steps(monkeypatch, gamma, scal
 
 
 def test_recorded_trajectory_stores_no_auxiliary_multipliers():
-    # the T + 1 points fit the allowance; one stored multiplier per step would
-    # add T * constraint_dim * 8 bytes, twice the margin left for the rest
+    # the record's contract is its T + 1 written rows plus at most one chunk
+    # of reserved rows; the rest must fit in half a multiplier per step, so
+    # one stored multiplier per step exceeds the allowance. 96 steps leave
+    # 15 rows of the last chunk reserved, 100 steps leave 11.
     instance = generate_instance(20, seed=0)
     problem = build_problem(instance)
-    config = SolverConfig(rho=1.0, gamma=1.5,
-                          proximal_metrics=default_metrics(instance, scale=4.0),
-                          max_iterations=100, tolerance=1e-300,
-                          record_trajectory=True)
-    start = zeros_point(problem)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        result = solve(problem, config, start)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    steps = result.trajectory.steps
-    assert steps == 100
-    allowance = 8 * ((steps + 1) * problem.total_dim + steps * problem.constraint_dim // 2)
-    assert retained < allowance, (retained, allowance)
+    for max_iterations in (96, 100):
+        config = SolverConfig(rho=1.0, gamma=1.5,
+                              proximal_metrics=default_metrics(instance, scale=4.0),
+                              max_iterations=max_iterations, tolerance=1e-300,
+                              record_trajectory=True)
+        start = zeros_point(problem)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = solve(problem, config, start)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        steps = result.trajectory.steps
+        assert steps == max_iterations
+        rows = steps + 1 + TRAJECTORY_CHUNK_ROWS
+        allowance = 8 * (rows * problem.total_dim + steps * problem.constraint_dim // 2)
+        assert retained < allowance, (steps, retained, allowance)
 
 
 def test_recorded_points_are_views_of_packed_rows():
@@ -764,6 +773,36 @@ def test_solver_does_not_import_certificates():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any("certificates" in name for name in imported), imported
+
+
+def test_each_scalar_and_theory_rule_is_decided_in_one_place():
+    # SolverConfig judges gamma (sigma_gamma is a function of a bare float),
+    # validation alone compares eigenvalues with EIG_ZERO_TOL, and the command
+    # line leaves rho, tol, max-iter and gamma to SolverConfig
+    import lgadmm
+
+    package = Path(lgadmm.__file__).parent
+    owners = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and "strictly between 0 and 2" in node.value):
+                    owners.add((path.name, getattr(top, "name", None)))
+    assert owners == {("solver.py", "SolverConfig"), ("certificates.py", "sigma_gamma")}
+    certificates = ast.parse((package / "certificates.py").read_text())
+    assert "EIG_ZERO_TOL" not in {node.id for node in ast.walk(certificates)
+                                  if isinstance(node, ast.Name)}
+    assert "EIG_ZERO_TOL" not in {alias.name for node in ast.walk(certificates)
+                                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+    cli_tree = ast.parse((package / "cli.py").read_text())
+    check = next(node for node in cli_tree.body
+                 if getattr(node, "name", None) == "_check_settings")
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    compared = {sub.value for node in ast.walk(check)
+                if isinstance(node, ast.Compare) and isinstance(node.ops[0], ordering)
+                for sub in ast.walk(node) if isinstance(sub, ast.Constant)}
+    assert not compared & {"rho", "tol", "max_iter", "gamma", "gamma_grid"}, compared
 
 
 def test_package_does_not_import_numpy_random():
