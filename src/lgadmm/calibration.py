@@ -206,6 +206,7 @@ def build_problem(instance: CalibrationInstance) -> BlockProblem:
     def objective(x: np.ndarray) -> float:
         return 0.5 * float(np.sum((x - c_flat) ** 2))
 
+    # looked up at call time, so a wrapped ``project_psd`` is the one called
     def psd_projection(mat: np.ndarray) -> np.ndarray:
         return project_psd(mat)
 
@@ -215,26 +216,13 @@ def build_problem(instance: CalibrationInstance) -> BlockProblem:
     def flat(projection):
         return lambda v: projection(v.reshape(n, n)).reshape(-1)
 
-    blocks = (
-        BlockSpec(
-            dim=d, linear_map=maps.a1,
-            subproblem_oracle=calibration_block_oracle(instance.c, maps.a1, psd_projection),
-            objective_oracle=objective,
-            projection=flat(psd_projection),
-        ),
-        BlockSpec(
-            dim=d, linear_map=maps.a2,
-            subproblem_oracle=calibration_block_oracle(instance.c, maps.a2, psd_projection),
-            objective_oracle=objective,
-            projection=flat(psd_projection),
-        ),
-        BlockSpec(
-            dim=d, linear_map=maps.a3,
-            subproblem_oracle=calibration_block_oracle(instance.c, maps.a3, box_projection),
-            objective_oracle=objective,
-            projection=flat(box_projection),
-        ),
-    )
+    copies = ((maps.a1, psd_projection), (maps.a2, psd_projection),
+              (maps.a3, box_projection))
+    blocks = tuple(
+        BlockSpec(dim=d, linear_map=amap,
+                  subproblem_oracle=calibration_block_oracle(instance.c, amap, projection),
+                  objective_oracle=objective, projection=flat(projection))
+        for amap, projection in copies)
     return BlockProblem(blocks=blocks, rhs=np.zeros(maps.constraint_dim),
                         constraint_dim=maps.constraint_dim)
 

@@ -526,33 +526,40 @@ def ergodic_average(points: Iterable[PrimalDualPoint]) -> PrimalDualPoint:
     return PrimalDualPoint(tuple(primal), dual)
 
 
-def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
-                      average: PrimalDualPoint,
+def _probe_terms(problem: BlockProblem, probes: Sequence[PrimalDualPoint]
+                 ) -> list[tuple[float, np.ndarray]]:
+    """``(objective, packed point)`` of each probe, once each is checked
+    feasible: an infeasible probe is an error, not a failure."""
+    for probe in probes:
+        check_probe_feasible(problem, probe)
+    return [(evaluate_objective(problem, probe), pack_point(problem, probe))
+            for probe in probes]
+
+
+def ergodic_gap_check(metrics: MetricMatrices, average: PrimalDualPoint,
                       probes: Sequence[PrimalDualPoint],
                       start: PrimalDualPoint, t: int) -> CertificateReport:
     """O(1/t) bound on the mixed objective-plus-linear gap of the ergodic
-    average, tested against feasible probe points.
+    average, tested against feasible probe points of ``metrics.problem``.
 
     ``average`` is the mean of the ``t + 1`` auxiliary points produced up to
     step ``t`` and ``start`` is the point the run began from. For every
     probe ``w`` the gap
     ``objective(average) - objective(w) + (average - w)' F(w)`` must stay
-    below ``||w - start||_H^2 / (2 (t + 1))``. Probes must lie in the
-    feasible set; an infeasible probe is an error, not a failure.
+    below ``||w - start||_H^2 / (2 (t + 1))``.
     """
     name = "ergodic_gap"
     if not metrics.strict_ok:
         return _skipped(name, metrics.strict_reason)
     if t < 0:
         raise ValueError("t must be a nonnegative step index")
+    problem = metrics.problem
     avg_packed = pack_point(problem, average)
     start_packed = pack_point(problem, start)
     avg_objective = evaluate_objective(problem, average)
     margins = []
-    for probe in probes:
-        check_probe_feasible(problem, probe)
-        probe_packed = pack_point(problem, probe)
-        gap = (avg_objective - evaluate_objective(problem, probe)
+    for probe, (probe_objective, probe_packed) in zip(probes, _probe_terms(problem, probes)):
+        gap = (avg_objective - probe_objective
                + float((avg_packed - probe_packed) @ vi_operator(problem, probe)))
         bound = weighted_norm_sq(metrics, probe_packed - start_packed, "h") / (2.0 * (t + 1))
         margins.append(bound - gap + inequality_slack(bound, gap))
@@ -560,31 +567,11 @@ def ergodic_gap_check(problem: BlockProblem, metrics: MetricMatrices,
                    iterations=t + 1)
 
 
-def _step_terms(problem: BlockProblem, metrics: MetricMatrices,
-                current: np.ndarray, auxiliary: PrimalDualPoint) -> tuple:
-    """The parts of the one-step inequality that every probe shares, from
-    the packed ``w^k`` and the auxiliary point: packed ``w_bar``,
-    ``objective(u_bar)``, ``F(w_bar)`` and ``Q (w^k - w_bar)``."""
-    wbar = pack_point(problem, auxiliary)
-    return (wbar, evaluate_objective(problem, auxiliary), vi_operator(problem, auxiliary),
-            apply_metric(metrics, "q", current - wbar))
-
-
-def _probe_terms(step_terms: tuple, probe_objective: float,
-                 probe_packed: np.ndarray) -> tuple[float, float]:
-    """Both sides of the one-step inequality at one feasible probe."""
-    wbar, wbar_objective, f_wbar, q_step = step_terms
-    diff = probe_packed - wbar
-    lhs = probe_objective - wbar_objective + float(diff @ f_wbar)
-    rhs = float(diff @ q_step)
-    return lhs, rhs
-
-
-def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
-                          trajectory: TrajectoryRecord,
+def step_inequality_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
                           probes: Sequence[PrimalDualPoint],
                           max_samples: int = 25) -> CertificateReport:
-    """Evaluate the one-step mixed inequality on sampled iterations.
+    """Evaluate the one-step mixed inequality on sampled iterations, against
+    feasible probe points of ``metrics.problem``.
 
     At most ``max_samples`` evenly spaced steps are probed (the inequality
     is exact per step, so sampling loses nothing structurally); each margin
@@ -594,20 +581,25 @@ def step_inequality_check(problem: BlockProblem, metrics: MetricMatrices,
     _require_trajectory(trajectory, metrics)
     if trajectory.steps < 1:
         return _finish(name, [])
+    problem = metrics.problem
     count = min(max_samples, trajectory.steps)
     # the truncated linspace is nondecreasing, so dropping repeats in order
     # sorts it as np.unique would (which imports numpy.ma on first use)
     sample = list(dict.fromkeys(
         np.linspace(0, trajectory.steps - 1, count).astype(int).tolist()))
-    for probe in probes:
-        check_probe_feasible(problem, probe)
-    probe_terms = [(evaluate_objective(problem, probe), pack_point(problem, probe))
-                   for probe in probes]
+    probe_terms = _probe_terms(problem, probes)
     margins = []
     for k in sample:
-        terms = _step_terms(problem, metrics, trajectory.row(k), trajectory.auxiliary(k))
+        # w_bar, objective(u_bar), F(w_bar) and Q (w^k - w_bar) serve every probe
+        auxiliary = trajectory.auxiliary(k)
+        wbar = pack_point(problem, auxiliary)
+        wbar_objective = evaluate_objective(problem, auxiliary)
+        f_wbar = vi_operator(problem, auxiliary)
+        q_step = apply_metric(metrics, "q", trajectory.row(k) - wbar)
         for probe_objective, probe_packed in probe_terms:
-            lhs, rhs = _probe_terms(terms, probe_objective, probe_packed)
+            diff = probe_packed - wbar
+            lhs = probe_objective - wbar_objective + float(diff @ f_wbar)
+            rhs = float(diff @ q_step)
             margins.append(lhs - rhs + inequality_slack(lhs, rhs))
     details = {"sampled_iterations": sample,
                "num_probes": len(probes)}

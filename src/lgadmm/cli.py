@@ -337,13 +337,8 @@ def _sweep_cell(task: tuple) -> dict:
     n, seed, rho, gamma, tol, max_iter = task
     instance = generate_instance(n, seed)
     problem = build_problem(instance)
-    config = SolverConfig(
-        rho=rho,
-        gamma=gamma,
-        proximal_metrics=default_metrics(instance, scale=BENCHMARK_SIGMA),
-        max_iterations=max_iter,
-        tolerance=tol,
-    )
+    config = _solver_config(dict(rho=rho, tol=tol, max_iter=max_iter), gamma,
+                            BENCHMARK_SIGMA, instance, strict=False, record=False)
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     return {
         "gamma": gamma,
@@ -470,9 +465,13 @@ def run_gamma_sweep(settings: dict) -> int:
     return 0
 
 
-def _monotone_after_burn_in(curve: list[float]) -> bool:
+def _monotone_after_burn_in(curve: list[float]) -> bool | None:
+    """Whether the curve never rises after its burn-in; ``None`` when fewer
+    than two points follow the burn-in, so there was nothing to check."""
     skip = max(10, int(len(curve) * BURN_IN_FRACTION))
     tail = curve[skip:]
+    if len(tail) < 2:
+        return None
     return all(b <= a + 1e-8 * (1.0 + abs(a)) for a, b in zip(tail, tail[1:]))
 
 
@@ -481,7 +480,8 @@ def run_baseline_compare(settings: dict) -> int:
 
     Writes ``compare_curves.csv`` (per-iteration objective values, one
     column per run) and ``compare_summary.csv`` (iterations, seconds,
-    objective, final epsilon, convergence and curve-shape flags per run),
+    objective, final epsilon, convergence and curve-shape flags per run; the
+    monotonicity cell is empty when too few steps follow the burn-in),
     plus a ``summary.json`` holding the iteration ratio and the relative
     objective gap between the two runs.
 
@@ -568,7 +568,8 @@ def run_certify(settings: dict) -> int:
     tighter tolerance and 10 times the iteration budget; it continues the
     strict run from its final state instead of starting again from zero,
     which gives the same reference bit for bit (the strict run is a prefix
-    of the tighter one) after only the steps beyond it. All checks are
+    of the tighter one) after only the steps beyond it; the summary's
+    ``reference`` says how that solve ended. All checks are
     written to ``certificates.json``; any failed check turns into exit
     code 4. The ``negative_control`` setting corrupts one recorded point
     first, to prove the checks can fail.
@@ -597,7 +598,8 @@ def run_certify(settings: dict) -> int:
     reference_config = dataclasses.replace(
         config, tolerance=settings["tol"] * 1e-2,
         max_iterations=settings["max_iter"] * 10, record_trajectory=False)
-    reference = solve(problem, reference_config, result.state).final
+    reference_run = solve(problem, reference_config, result.state)
+    reference = reference_run.final
 
     metrics = assemble_metrics(problem, config)
     probes = [feasible_probe(problem, settings["seed"] + 2_000_000 + j)
@@ -617,10 +619,9 @@ def run_certify(settings: dict) -> int:
         nonergodic_monotonicity_check(record),
         nonergodic_rate_check(record),
         cross_term_check(record),
-        ergodic_gap_check(problem, metrics, average, probes,
-                          trajectory.points[0],
+        ergodic_gap_check(metrics, average, probes, trajectory.points[0],
                           trajectory.steps - 1),
-        step_inequality_check(problem, metrics, trajectory, probes),
+        step_inequality_check(metrics, trajectory, probes),
     ]
     failed = [r.check for r in reports if r.passed is False]
     skipped = [r.check for r in reports if r.skipped]
@@ -633,6 +634,9 @@ def run_certify(settings: dict) -> int:
         "num_probes": settings["probes"],
         "negative_control": bool(settings["negative_control"]),
         "corrupted_iteration": corrupted_at,
+        "reference": {"iterations": reference_run.iterations,
+                      "stop_reason": reference_run.stop_reason,
+                      "final_epsilon": reference_run.final_epsilon},
         "validation": result.validation.to_dict(),
         "metric_conditions": metrics.to_dict(),
         "failed_checks": failed,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -108,9 +109,9 @@ class SolverConfig:
     proximal_metrics : tuple of SymmetricOperator
         One metric per block. Zero metrics are allowed outside strict mode.
     max_iterations, tolerance
-        Stopping controls; the solver stops when the largest relative
-        successive change over blocks and multiplier drops below
-        ``tolerance``.
+        Stopping controls: an integer cap of at least 1, and a positive
+        ``tolerance`` on the largest relative successive change over
+        blocks and multiplier.
     strict_theory_mode : bool
         When set, validation insists on the matrix conditions under which
         every convergence certificate is provable, and fails loudly
@@ -133,6 +134,11 @@ class SolverConfig:
             raise ConfigError(f"rho must be positive and finite, got {self.rho}")
         if not 0.0 < self.gamma < 2.0:
             raise ConfigError(f"gamma must lie strictly between 0 and 2, got {self.gamma}")
+        try:
+            operator.index(self.max_iterations)
+        except TypeError:
+            raise ConfigError(f"max_iterations must be an integer, "
+                              f"got {self.max_iterations!r}") from None
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -445,8 +451,8 @@ class TrajectoryRecord:
     not. A record built from a list of points packs it.
 
     Auxiliary points are not stored. The one of step ``k`` is a function of
-    ``w^k`` and ``w^{k+1}``, which ``auxiliary(k)`` evaluates with
-    ``auxiliary_point``, bitwise what the step computed.
+    ``w^k`` and ``w^{k+1}``, which ``auxiliary(k)`` evaluates from their rows
+    with ``auxiliary_point``, bitwise what the step computed.
     """
 
     points: list[PrimalDualPoint]
@@ -456,25 +462,24 @@ class TrajectoryRecord:
     def __post_init__(self):
         given, self.points = self.points, []
         self._chunks: list[np.ndarray] = []
-        # the record's own views; ``points`` is a list of the same objects
-        self._views: list[PrimalDualPoint] = []
+        self._rows = 0
         for point in given:
             self.append(point)
 
     @property
     def steps(self) -> int:
-        return len(self._views) - 1
+        return self._rows - 1
 
     def append(self, point: PrimalDualPoint) -> None:
         """Copy ``point`` into the next row, as ``w^{T+1}``."""
         # a point of the right total size but another block split would pack silently
         check_point(self.problem, point)
-        offset = len(self._views) % TRAJECTORY_CHUNK_ROWS
+        offset = self._rows % TRAJECTORY_CHUNK_ROWS
         if not offset:
             self._chunks.append(np.empty((TRAJECTORY_CHUNK_ROWS, self.problem.total_dim)))
         row = pack_point(self.problem, point, out=self._chunks[-1][offset])
-        self._views.append(unpack_point(self.problem, row))
-        self.points.append(self._views[-1])
+        self._rows += 1
+        self.points.append(unpack_point(self.problem, row))
 
     def row(self, k: int) -> np.ndarray:
         """The packed ``w^k``, a view of the record."""
@@ -483,12 +488,13 @@ class TrajectoryRecord:
         return self._chunks[k // TRAJECTORY_CHUNK_ROWS][k % TRAJECTORY_CHUNK_ROWS]
 
     def auxiliary(self, k: int) -> PrimalDualPoint:
-        """The auxiliary point of step ``k``, sharing its primal blocks with
-        ``points[k + 1]``."""
+        """The auxiliary point of step ``k``; its primal blocks are views of
+        ``row(k + 1)``."""
         if not 0 <= k < self.steps:
             raise IndexError(f"step {k} outside a trajectory of {self.steps} steps")
-        return auxiliary_point(self.problem, self.config, self._views[k],
-                               self._views[k + 1].primal)
+        return auxiliary_point(self.problem, self.config,
+                               unpack_point(self.problem, self.row(k)),
+                               unpack_point(self.problem, self.row(k + 1)).primal)
 
     @property
     def auxiliaries(self) -> list[PrimalDualPoint]:

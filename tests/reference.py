@@ -16,8 +16,6 @@ import numpy as np
 from lgadmm.certificates import (
     MetricMatrices,
     ReplayRecord,
-    _probe_terms,
-    _step_terms,
     apply_metric,
     check_probe_feasible,
     weighted_norm_sq,
@@ -173,23 +171,25 @@ def vi_monotone_gap(problem: BlockProblem, w1: PrimalDualPoint,
     return float(diff @ (vi_operator(problem, w1) - vi_operator(problem, w2)))
 
 
-def step_inequality_probe(problem: BlockProblem, metrics: MetricMatrices,
-                          trajectory: TrajectoryRecord, k: int,
-                          probe: PrimalDualPoint) -> float:
+def step_inequality_probe(metrics: MetricMatrices, trajectory: TrajectoryRecord,
+                          k: int, probe: PrimalDualPoint) -> float:
     """Margin of the one-step mixed variational inequality at a probe point.
 
     Returns ``objective(u) - objective(u_bar) + (w - w_bar)' F(w_bar)
     - (w - w_bar)' Q (w^k - w_bar)`` for step ``k`` of ``trajectory``, from
     ``trajectory.row(k)`` and ``trajectory.auxiliary(k)`` (which raises
-    ``IndexError`` for a step the trajectory does not hold); the
-    inequality says this is nonnegative for every feasible ``w``, with no
-    positivity preconditions on the metrics.
+    ``IndexError`` for a step the trajectory does not hold), on
+    ``metrics.problem``; the inequality says this is nonnegative for every
+    feasible ``w``, with no positivity preconditions on the metrics.
     """
+    problem = metrics.problem
     auxiliary = trajectory.auxiliary(k)
     check_probe_feasible(problem, probe)
-    lhs, rhs = _probe_terms(
-        _step_terms(problem, metrics, trajectory.row(k), auxiliary),
-        evaluate_objective(problem, probe), pack_point(problem, probe))
+    wbar = pack_point(problem, auxiliary)
+    diff = pack_point(problem, probe) - wbar
+    lhs = (evaluate_objective(problem, probe) - evaluate_objective(problem, auxiliary)
+           + float(diff @ vi_operator(problem, auxiliary)))
+    rhs = float(diff @ apply_metric(metrics, "q", trajectory.row(k) - wbar))
     return lhs - rhs
 
 

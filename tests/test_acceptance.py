@@ -201,7 +201,7 @@ def test_criterion_04_trajectory_certificates_strict_run(n20_strict_run):
         nonergodic_monotonicity_check(record),
         cross_term_check(record),
         nonergodic_rate_check(record),
-        ergodic_gap_check(problem, metrics, average, probes,
+        ergodic_gap_check(metrics, average, probes,
                           trajectory.points[0],
                           len(trajectory.auxiliaries) - 1),
     ]

@@ -460,9 +460,8 @@ def test_ergodic_gap_bound_on_strict_run(strict_setup):
     probes = [feasible_probe(strict_setup.problem, s) for s in range(31, 41)]
     trajectory = strict_setup.trajectory
     average = ergodic_average(trajectory.auxiliaries)
-    report = ergodic_gap_check(strict_setup.problem, strict_setup.metrics,
-                               average, probes, trajectory.points[0],
-                               len(trajectory.auxiliaries) - 1)
+    report = ergodic_gap_check(strict_setup.metrics, average, probes,
+                               trajectory.points[0], len(trajectory.auxiliaries) - 1)
     assert report.passed
     assert report.details["num_probes"] == 10
 
@@ -470,9 +469,8 @@ def test_ergodic_gap_bound_on_strict_run(strict_setup):
 def test_ergodic_gap_self_probe_trivially_passes(strict_setup):
     trajectory = strict_setup.trajectory
     average = ergodic_average(trajectory.auxiliaries)
-    report = ergodic_gap_check(strict_setup.problem, strict_setup.metrics,
-                               average, [average], trajectory.points[0],
-                               len(trajectory.auxiliaries) - 1)
+    report = ergodic_gap_check(strict_setup.metrics, average, [average],
+                               trajectory.points[0], len(trajectory.auxiliaries) - 1)
     assert report.passed
 
 
@@ -481,9 +479,8 @@ def test_ergodic_gap_detects_falsified_bound(strict_setup):
     # right side to ~0 must fail the check
     far = feasible_probe(strict_setup.problem, 4, scale=5.0)
     probe = feasible_probe(strict_setup.problem, 5)
-    report = ergodic_gap_check(strict_setup.problem, strict_setup.metrics,
-                               far, [probe], strict_setup.trajectory.points[0],
-                               10**9)
+    report = ergodic_gap_check(strict_setup.metrics, far, [probe],
+                               strict_setup.trajectory.points[0], 10**9)
     assert report.passed is False
 
 
@@ -547,8 +544,8 @@ def test_update_recurrence_detects_corruption(strict_setup):
 
 def test_step_inequality_probe_zero_at_auxiliary(strict_setup):
     trajectory = strict_setup.trajectory
-    margin = step_inequality_probe(strict_setup.problem, strict_setup.metrics,
-                                   trajectory, 0, trajectory.auxiliary(0))
+    margin = step_inequality_probe(strict_setup.metrics, trajectory, 0,
+                                   trajectory.auxiliary(0))
     assert margin == pytest.approx(0.0, abs=1e-10)
 
 
@@ -558,13 +555,12 @@ def test_step_inequality_probe_requires_completed_step(strict_setup):
                              config=strict_setup.config)
     probe = feasible_probe(strict_setup.problem, 8)
     with pytest.raises(IndexError):
-        step_inequality_probe(strict_setup.problem, strict_setup.metrics,
-                              start, 0, probe)
+        step_inequality_probe(strict_setup.metrics, start, 0, probe)
 
 
 def test_step_inequality_check_on_strict_run(strict_setup):
     probes = [feasible_probe(strict_setup.problem, s) for s in range(9, 12)]
-    report = step_inequality_check(strict_setup.problem, strict_setup.metrics,
+    report = step_inequality_check(strict_setup.metrics,
                                    strict_setup.trajectory, probes,
                                    max_samples=10)
     assert report.passed
@@ -578,8 +574,8 @@ def test_step_inequality_check_rejects_infeasible_probe(strict_setup):
     primal[2] = primal[2] + 3.0
     bad = PrimalDualPoint(tuple(primal), probe.dual)
     with pytest.raises(ProbeFeasibilityError):
-        step_inequality_check(strict_setup.problem, strict_setup.metrics,
-                              strict_setup.trajectory, [bad], max_samples=2)
+        step_inequality_check(strict_setup.metrics, strict_setup.trajectory, [bad],
+                              max_samples=2)
 
 
 def test_replay_matches_direct_per_step_evaluation(strict_setup):
@@ -646,7 +642,7 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
         (nonergodic_rate_check(record), rate),
         (update_recurrence_check(record), recurrence),
         (cross_term_check(record), cross),
-        (step_inequality_check(problem, metrics, trajectory, probes,
+        (step_inequality_check(metrics, trajectory, probes,
                                max_samples=7), inequality),
     ]
     for report, margins in reports:
@@ -666,12 +662,31 @@ def test_step_inequality_check_shares_work_across_probes_and_steps(
             return _original(*args, **kwargs)
         monkeypatch.setattr(certificates, name, counted)
     probes = [feasible_probe(strict_setup.problem, s) for s in range(13, 17)]
-    report = step_inequality_check(strict_setup.problem, strict_setup.metrics,
+    report = step_inequality_check(strict_setup.metrics,
                                    strict_setup.trajectory, probes,
                                    max_samples=6)
     assert report.passed
     assert calls == {"check_probe_feasible": len(probes),
                      "vi_operator": len(report.details["sampled_iterations"])}
+
+
+def test_probe_checks_evaluate_on_the_metrics_problem(strict_setup, monkeypatch):
+    # every problem the probe checks evaluate on is the metrics' own
+    metrics, trajectory = strict_setup.metrics, strict_setup.trajectory
+    seen = []
+    for name in ("check_probe_feasible", "evaluate_objective", "vi_operator", "pack_point"):
+        def recorded(problem, *args, _original=getattr(certificates, name), **kwargs):
+            seen.append(problem)
+            return _original(problem, *args, **kwargs)
+        monkeypatch.setattr(certificates, name, recorded)
+    probes = [feasible_probe(strict_setup.problem, s) for s in (17, 18)]
+    reports = [
+        ergodic_gap_check(metrics, ergodic_average(trajectory.auxiliaries), probes,
+                          trajectory.points[0], trajectory.steps - 1),
+        step_inequality_check(metrics, trajectory, probes, max_samples=3),
+    ]
+    assert all(report.passed for report in reports)
+    assert len(seen) > 2 * len(probes) and all(problem is metrics.problem for problem in seen)
 
 
 def test_report_serialization(strict_setup):
@@ -786,13 +801,13 @@ def test_certificates_refuse_a_trajectory_recorded_under_another_configuration(s
         with pytest.raises(ValueError, match="recorded on another problem"):
             replay(metrics, trajectory, reference)
         with pytest.raises(ValueError, match="recorded on another problem"):
-            step_inequality_check(problem, metrics, trajectory, probes, max_samples=2)
+            step_inequality_check(metrics, trajectory, probes, max_samples=2)
     # the stopping rule and the recording flag are not part of the metrics
     same = assemble_metrics(problem, replace(config, tolerance=1e-3, max_iterations=5,
                                              record_trajectory=False))
     record = replay(same, trajectory, reference)
     assert update_recurrence_check(record).passed and fejer_check(record).passed
-    assert step_inequality_check(problem, same, trajectory, probes, max_samples=2).passed
+    assert step_inequality_check(same, trajectory, probes, max_samples=2).passed
 
 
 def _calibration_case(sigma, gamma):
@@ -835,9 +850,9 @@ def test_strict_mode_refuses_exactly_what_some_certificate_skips(make, args, unp
         nonergodic_monotonicity_check(record),
         nonergodic_rate_check(record),
         cross_term_check(record),
-        ergodic_gap_check(problem, metrics, ergodic_average(trajectory.auxiliaries),
+        ergodic_gap_check(metrics, ergodic_average(trajectory.auxiliaries),
                           probes, trajectory.points[0], trajectory.steps - 1),
-        step_inequality_check(problem, metrics, trajectory, probes),
+        step_inequality_check(metrics, trajectory, probes),
     ]
     skipped = [report for report in reports if report.skipped]
     try:

@@ -241,6 +241,18 @@ def test_certify_passes_and_reports_checks(tmp_path):
     assert summary["failed_checks"] == []
 
 
+def test_certify_records_how_its_reference_ended(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["certify", "--n", "8", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    reference = summary["reference"]
+    assert set(reference) == {"iterations", "stop_reason", "final_epsilon"}
+    assert reference["stop_reason"] == "tolerance"
+    assert reference["final_epsilon"] < summary["tolerance"] * 1e-2
+    assert summary["iterations"] < reference["iterations"] <= 10 * summary["max_iterations"]
+    assert json.loads((out / "certificates.json").read_text())["summary"] == summary
+
+
 def test_certify_sigma_gamma_tracks_gamma(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(["certify", "--n", "6", "--gamma", "1.0",
@@ -468,6 +480,19 @@ def test_csv_cells_follow_one_rule(tmp_path):
         assert flag == ("true" if x > 0 else "false")
         assert (count, missing) == (str(i), "")
     assert len(lines) == len(floats) + 1
+
+
+def test_compare_leaves_monotonicity_empty_when_nothing_follows_the_burn_in(tmp_path):
+    # the burn-in skips at least 10 points, so 5-point curves check nothing
+    out = tmp_path / "run"
+    assert cli.main(["baseline-compare", "--n", "6", "--max-iter", "5",
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "compare_summary.csv").read_text().splitlines()[1:]]
+    assert [(row[1], row[6]) for row in rows] == [("5", ""), ("5", "")]
+    assert cli._monotone_after_burn_in([3.0, 2.0] * 5 + [1.0]) is None
+    assert cli._monotone_after_burn_in([3.0] * 10 + [2.0, 1.0]) is True
+    assert cli._monotone_after_burn_in([3.0] * 10 + [1.0, 2.0]) is False
 
 
 def test_compare_curves_leave_the_shorter_run_empty(tmp_path):

@@ -1,6 +1,7 @@
 """Solver loop: phase updates, multiplier, auxiliary point, stopping rule."""
 
 import ast
+import inspect
 import re
 import tracemalloc
 from dataclasses import replace
@@ -74,9 +75,20 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(rho=1.0, gamma=1.0, proximal_metrics=metrics,
                      tolerance=0.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(rho=1.0, gamma=1.0, proximal_metrics=metrics,
-                     max_iterations=0)
+    for cap in (0, -3, np.int64(0)):
+        with pytest.raises(ConfigError, match="^max_iterations must be at least 1$"):
+            SolverConfig(rho=1.0, gamma=1.0, proximal_metrics=metrics, max_iterations=cap)
+    assert SolverConfig(rho=1.0, gamma=1.0, proximal_metrics=metrics,
+                        max_iterations=np.int64(3)).max_iterations == 3
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), 10.5, 10.0, "10"])
+def test_solver_config_refuses_a_non_integer_iteration_cap(cap):
+    # a NaN cap would let solve take no step and blame the iteration limit
+    problem = scalar_zero_problem()
+    with pytest.raises(ConfigError, match="max_iterations must be an integer"):
+        SolverConfig(rho=1.0, gamma=1.0, proximal_metrics=identity_metrics(problem),
+                     max_iterations=cap)
 
 
 def test_validate_config_two_block_example():
@@ -568,7 +580,7 @@ def test_derived_auxiliary_points_are_bitwise_the_steps(monkeypatch, gamma, scal
     assert len(stepped) == trajectory.steps > 0
     for k, expected in enumerate(stepped):
         derived = trajectory.auxiliary(k)
-        assert derived.primal is trajectory.points[k + 1].primal
+        assert all(np.shares_memory(x, trajectory.row(k + 1)) for x in derived.primal)
         for a, b in zip((*derived.primal, derived.dual), (*expected.primal, expected.dual)):
             assert a.tobytes() == b.tobytes()
     with pytest.raises(IndexError):
@@ -627,6 +639,9 @@ def test_recorded_points_are_views_of_packed_rows():
     for k in (-1, 41):
         with pytest.raises(IndexError):
             trajectory.row(k)
+    # the rows are the record: it keeps no other list of the points
+    assert [name for name, value in vars(trajectory).items()
+            if isinstance(value, list)] == ["points", "_chunks"]
 
     # writing through a point changes the record; replacing an element does not
     view, before = trajectory.points[20], trajectory.auxiliary(19).dual.copy()
@@ -803,6 +818,29 @@ def test_each_scalar_and_theory_rule_is_decided_in_one_place():
                 if isinstance(node, ast.Compare) and isinstance(node.ops[0], ordering)
                 for sub in ast.walk(node) if isinstance(sub, ast.Constant)}
     assert not compared & {"rho", "tol", "max_iter", "gamma", "gamma_grid"}, compared
+
+
+def test_each_fact_outside_the_step_has_one_source():
+    # the probe checks read their problem from the metrics, build_problem
+    # makes its copies from one table, and every CLI config comes from
+    # _solver_config
+    import lgadmm
+    from lgadmm import certificates
+
+    for name in certificates.__all__:
+        value = getattr(certificates, name)
+        if inspect.isfunction(value):
+            assert not {"problem", "metrics"} <= set(inspect.signature(value).parameters), name
+    package = Path(lgadmm.__file__).parent
+
+    def calls(tree, callee):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == callee]
+
+    assert len(calls(ast.parse((package / "calibration.py").read_text()), "BlockSpec")) == 1
+    cell = next(node for node in ast.parse((package / "cli.py").read_text()).body
+                if getattr(node, "name", None) == "_sweep_cell")
+    assert not calls(cell, "SolverConfig") and calls(cell, "_solver_config")
 
 
 def test_package_does_not_import_numpy_random():
