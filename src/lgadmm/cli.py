@@ -28,11 +28,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -364,6 +362,13 @@ def _spearman(xs: list, ys: list) -> float:
     return float(rx @ ry) / denom if denom else 0.0
 
 
+def ProcessPoolExecutor(*args, **kwargs):
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported on the first
+    call: only a sweep with more than one worker loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+    return pool_class(*args, **kwargs)
+
+
 def _spawn_map(function, tasks: list, workers: int) -> list:
     """``map`` over a pool of freshly spawned processes with single-threaded BLAS.
 
@@ -372,6 +377,8 @@ def _spawn_map(function, tasks: list, workers: int) -> list:
     (forked workers would inherit this process's BLAS as it is), and
     restored afterwards.
     """
+    import multiprocessing
+
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
     try:

@@ -208,10 +208,12 @@ def evaluate_objective(problem: BlockProblem, point: PrimalDualPoint) -> float:
 
 
 def constraint_residual(problem: BlockProblem, point: PrimalDualPoint) -> np.ndarray:
-    """The coupling-constraint residual ``sum_i A_i x_i - b``."""
-    residual = -problem.rhs
+    """The coupling-constraint residual ``sum_i A_i x_i - b``, accumulated
+    in place from ``-b`` in block order through one image array."""
+    residual = np.negative(problem.rhs)
+    image = np.empty(problem.constraint_dim)
     for block, x in zip(problem.blocks, point.primal):
-        residual = residual + block.linear_map.apply(x)
+        np.add(residual, block.linear_map.apply(x, out=image), out=residual)
     return residual
 
 

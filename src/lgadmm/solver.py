@@ -552,16 +552,21 @@ def first_phase_update(problem: BlockProblem, config: SolverConfig,
     Every target is built from the same iterate: block ``j`` sees the
     residual contribution of all other blocks, including the last one, at
     their current values. The result therefore does not depend on the order
-    in which the blocks are processed.
+    in which the blocks are processed. The image sum runs in place from zero
+    (bitwise ``np.sum(images, axis=0)``), and each target is combined in
+    place, in the order ``(b + y/rho) - (sum_i A_i x_i - A_j x_j)``.
     """
     point = state.current
-    maps = [block.linear_map for block in problem.blocks]
-    images = [amap.apply(x) for amap, x in zip(maps, point.primal)]
-    total = np.sum(images, axis=0)
-    base = problem.rhs + point.dual / config.rho
+    images = [block.linear_map.apply(x) for block, x in zip(problem.blocks, point.primal)]
+    total = np.zeros(problem.constraint_dim)
+    for image in images:
+        np.add(total, image, out=total)
+    base = np.divide(point.dual, config.rho)
+    np.add(problem.rhs, base, out=base)
     fresh = []
     for j in range(problem.num_blocks - 1):
-        target = base - (total - images[j])
+        target = np.subtract(total, images[j])
+        np.subtract(base, target, out=target)
         fresh.append(_apply_oracle(problem, config, j, target,
                                    point.primal[j], state.k))
     return tuple(fresh)
@@ -569,9 +574,11 @@ def first_phase_update(problem: BlockProblem, config: SolverConfig,
 
 def _first_phase_image_sum(problem: BlockProblem,
                            first_phase: Sequence[np.ndarray]) -> np.ndarray:
+    # from zero in block order, every product written into one image array
     total = np.zeros(problem.constraint_dim)
+    image = np.empty(problem.constraint_dim)
     for block, x in zip(problem.blocks[:-1], first_phase):
-        total += block.linear_map.apply(x)
+        np.add(total, block.linear_map.apply(x, out=image), out=total)
     return total
 
 
@@ -582,15 +589,18 @@ def last_block_update(problem: BlockProblem, config: SolverConfig,
 
     The fresh first-phase residual enters scaled by ``gamma``; the remainder
     of the target keeps the last block's own old residual, so ``gamma = 1``
-    recovers the plain alternating scheme.
+    recovers the plain alternating scheme. The target is combined left to
+    right in place; the old residual reuses the fresh sum's array.
     """
     point = state.current
-    last = problem.blocks[-1]
-    fresh_sum = _first_phase_image_sum(problem, first_phase)
-    relaxed_old = problem.rhs - last.linear_map.apply(point.primal[-1])
-    target = (problem.rhs + point.dual / config.rho
-              - config.gamma * fresh_sum
-              - (1.0 - config.gamma) * relaxed_old)
+    last = problem.blocks[-1].linear_map
+    image = _first_phase_image_sum(problem, first_phase)
+    target = np.divide(point.dual, config.rho)
+    np.add(problem.rhs, target, out=target)
+    np.subtract(target, np.multiply(config.gamma, image, out=image), out=target)
+    np.subtract(problem.rhs, last.apply(point.primal[-1], out=image), out=image)
+    np.subtract(target, np.multiply(1.0 - config.gamma, image, out=image), out=target)
+    del image  # freed before the oracle allocates
     return _apply_oracle(problem, config, problem.num_blocks - 1, target,
                          point.primal[-1], state.k)
 
@@ -598,16 +608,19 @@ def last_block_update(problem: BlockProblem, config: SolverConfig,
 def multiplier_update(problem: BlockProblem, config: SolverConfig,
                       state: IterationState,
                       fresh_primal: Sequence[np.ndarray]) -> np.ndarray:
-    """Multiplier step matching the relaxed last-block target."""
+    """Multiplier step matching the relaxed last-block target; the drift is
+    combined left to right in place, through one image array."""
     point = state.current
-    last = problem.blocks[-1]
-    fresh_sum = _first_phase_image_sum(problem, fresh_primal)
-    relaxed_old = problem.rhs - last.linear_map.apply(point.primal[-1])
-    drift = (config.gamma * fresh_sum
-             + (1.0 - config.gamma) * relaxed_old
-             + last.linear_map.apply(fresh_primal[-1])
-             - problem.rhs)
-    return point.dual - config.rho * drift
+    last = problem.blocks[-1].linear_map
+    drift = _first_phase_image_sum(problem, fresh_primal)
+    np.multiply(config.gamma, drift, out=drift)
+    image = np.empty(problem.constraint_dim)
+    np.subtract(problem.rhs, last.apply(point.primal[-1], out=image), out=image)
+    np.add(drift, np.multiply(1.0 - config.gamma, image, out=image), out=drift)
+    np.add(drift, last.apply(fresh_primal[-1], out=image), out=drift)
+    np.subtract(drift, problem.rhs, out=drift)
+    np.multiply(config.rho, drift, out=drift)
+    return np.subtract(point.dual, drift, out=drift)
 
 
 def auxiliary_point(problem: BlockProblem, config: SolverConfig,

@@ -4,7 +4,8 @@ None of these is on a solver, certificate or command-line path: each is a
 second, deliberately naive way to the quantity a shipped function computes
 (dense certificate matrices, an iterative block oracle, random-probe
 adjoint and monotonicity defects, one step's variational inequality at a
-single probe, the replay that packs every point itself). The small
+single probe, the replay that packs every point itself, the step's
+constraint-space algebra as allocating expressions). The small
 helpers at the end (metric coercion, spherical metrics, the residual norm)
 serve the tests only.
 """
@@ -234,6 +235,57 @@ def packing_replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         current, following = following, current
         current_point, following_point = following_point, current_point
     return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move)
+
+
+# The step's constraint-space algebra written as plain allocating
+# expressions, one temporary per operation: the solver combines the same
+# operations in the same order in place, and must match these byte for byte.
+
+def first_phase_targets(problem: BlockProblem, config: SolverConfig,
+                        point: PrimalDualPoint) -> list[np.ndarray]:
+    """The target each first-phase oracle is called with."""
+    images = [block.linear_map.apply(x) for block, x in zip(problem.blocks, point.primal)]
+    total = np.sum(images, axis=0)
+    base = problem.rhs + point.dual / config.rho
+    return [base - (total - images[j]) for j in range(problem.num_blocks - 1)]
+
+
+def _first_phase_image_sum(problem: BlockProblem, first_phase) -> np.ndarray:
+    total = np.zeros(problem.constraint_dim)
+    for block, x in zip(problem.blocks[:-1], first_phase):
+        total += block.linear_map.apply(x)
+    return total
+
+
+def last_block_target(problem: BlockProblem, config: SolverConfig,
+                      point: PrimalDualPoint, first_phase) -> np.ndarray:
+    """The relaxed target the last-block oracle is called with."""
+    fresh_sum = _first_phase_image_sum(problem, first_phase)
+    relaxed_old = problem.rhs - problem.blocks[-1].linear_map.apply(point.primal[-1])
+    return (problem.rhs + point.dual / config.rho
+            - config.gamma * fresh_sum
+            - (1.0 - config.gamma) * relaxed_old)
+
+
+def updated_multiplier(problem: BlockProblem, config: SolverConfig,
+                       point: PrimalDualPoint, fresh_primal) -> np.ndarray:
+    """The multiplier after the step from ``point`` to ``fresh_primal``."""
+    last = problem.blocks[-1].linear_map
+    fresh_sum = _first_phase_image_sum(problem, fresh_primal)
+    relaxed_old = problem.rhs - last.apply(point.primal[-1])
+    drift = (config.gamma * fresh_sum
+             + (1.0 - config.gamma) * relaxed_old
+             + last.apply(fresh_primal[-1])
+             - problem.rhs)
+    return point.dual - config.rho * drift
+
+
+def allocating_residual(problem: BlockProblem, point: PrimalDualPoint) -> np.ndarray:
+    """``sum_i A_i x_i - b``, one new array per term."""
+    residual = -problem.rhs
+    for block, x in zip(problem.blocks, point.primal):
+        residual = residual + block.linear_map.apply(x)
+    return residual
 
 
 def as_metric(value: SymmetricOperator | float | np.ndarray, dim: int) -> SymmetricOperator:

@@ -155,6 +155,54 @@ def test_sweep_pool_workers_start_with_single_threaded_blas(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "3"
 
 
+def test_sweep_pool_is_built_through_the_module_level_factory(monkeypatch):
+    # the benchmark's tracer counts workers by replacing cli.ProcessPoolExecutor
+    calls = []
+
+    class InlinePool:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, tasks):
+            return map(function, tasks)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return InlinePool()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+    assert cli._spawn_map(abs, [-1, 2, -3], 2) == [1, 2, 3]
+    [(args, kwargs)] = calls
+    assert args == () and set(kwargs) == {"max_workers", "mp_context"}
+    assert kwargs["max_workers"] == 2
+    assert kwargs["mp_context"].get_start_method() == "spawn"
+
+
+def test_only_a_parallel_sweep_imports_the_worker_pool(tmp_path):
+    script = f"""
+import sys
+import lgadmm.cli as cli
+def report():
+    print([name in sys.modules for name in ("multiprocessing", "concurrent.futures.process")])
+report()
+assert cli.main(["certify", "--n", "8", "--out", {str(tmp_path / "certify")!r}]) == 0
+report()
+assert cli.main(["baseline-compare", "--n", "10", "--out", {str(tmp_path / "compare")!r}]) == 0
+report()
+# the factory loads both; a pool starts no process before its first task
+with cli.ProcessPoolExecutor(max_workers=1):
+    pass
+report()
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert lines == ["[False, False]"] * 3 + ["[True, True]"]
+
+
 def test_gamma_sweep_rejects_grid_outside_range(tmp_path):
     proc = run_cli(["gamma-sweep", "--n", "6", "--gamma-grid", "0.5,2.0",
                     "--out", str(tmp_path / "run")])

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lgadmm import solver
 from lgadmm.calibration import build_problem, default_metrics, generate_instance
 from lgadmm.certificates import weighted_norm_sq
 from lgadmm.operators import (
@@ -28,6 +29,7 @@ from lgadmm.problem import (
     DimensionMismatchError,
     PrimalDualPoint,
     SpectralThresholdError,
+    constraint_residual,
     make_linearized_metric,
     pack_point,
     zeros_point,
@@ -52,6 +54,7 @@ from lgadmm.solver import (
     step,
     validate_config,
 )
+import reference
 from reference import identity_metrics, primal_feasibility, zero_metrics
 from util import chain_problem, gapped_matrix, quadratic_spec, scalar_zero_problem
 
@@ -444,6 +447,113 @@ def test_dual_move_identity_on_calibration_steps():
                + config.gamma * (wk.dual - aux.dual))
         scale = 1.0 + float(np.linalg.norm(lhs))
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
+
+
+def signed_zero_entries(rng, size):
+    """Mostly zeros of both signs, some normals."""
+    return rng.choice([0.0, -0.0, 1.0], size=size, p=[0.4, 0.4, 0.2]) * rng.standard_normal(size)
+
+
+def recording_sign_problem(seen):
+    """Three sign-map blocks whose oracles record their target and return
+    ``A_i' target``; ``rhs`` holds zeros of both signs."""
+    d = 60
+    rng = np.random.default_rng(11)
+    # every sign in two slots, so a column of images can be all -0.0
+    maps = (BlockSignMap((1, -1, 0), d), BlockSignMap((-1, 1, -1), d),
+            BlockSignMap((-1, 1, 1), d))
+
+    def spec(amap):
+        def oracle(target, center, rho, metric):
+            seen.append(target.copy())
+            return amap.adjoint(target)
+        return BlockSpec(dim=d, linear_map=amap, subproblem_oracle=oracle,
+                         objective_oracle=lambda x: 0.0)
+
+    rhs = np.where(rng.random(3 * d) < 0.5, -0.0, signed_zero_entries(rng, 3 * d))
+    return BlockProblem(blocks=tuple(spec(amap) for amap in maps), rhs=rhs,
+                        constraint_dim=3 * d), rng
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.2, 1.0, 1.5, 1.9])
+def test_in_place_step_algebra_is_bitwise_the_allocating_expressions(gamma):
+    seen = []
+    problem, rng = recording_sign_problem(seen)
+    config = SolverConfig(rho=0.7, gamma=gamma, proximal_metrics=identity_metrics(problem))
+    primal = tuple(signed_zero_entries(rng, dim) for dim in problem.block_dims)
+    duals = (np.zeros(problem.constraint_dim), np.full(problem.constraint_dim, -0.0),
+             signed_zero_entries(rng, problem.constraint_dim))
+    for dual in duals:
+        point = PrimalDualPoint(primal, dual)
+        state = IterationState(k=0, current=point, auxiliary=None, first_step_norms=None)
+        seen.clear()
+        first = first_phase_update(problem, config, state)
+        targets = reference.first_phase_targets(problem, config, point)
+        assert len(seen) == len(targets) and all(map(same_bytes, seen, targets))
+        assert all(same_bytes(x, block.linear_map.adjoint(t))
+                   for x, block, t in zip(first, problem.blocks, targets))
+        seen.clear()
+        last = last_block_update(problem, config, state, first)
+        target = reference.last_block_target(problem, config, point, first)
+        assert same_bytes(seen[0], target)
+        assert same_bytes(last, problem.blocks[-1].linear_map.adjoint(target))
+        fresh = (*first, last)
+        assert same_bytes(multiplier_update(problem, config, state, fresh),
+                          reference.updated_multiplier(problem, config, point, fresh))
+        for where in (point, PrimalDualPoint(fresh, dual)):
+            assert same_bytes(constraint_residual(problem, where),
+                              reference.allocating_residual(problem, where))
+
+    # the first-phase image sum is np.sum's, whose add starts from +0.0:
+    # started from the first image it would keep a column of -0.0
+    images = [block.linear_map.apply(x) for block, x in zip(problem.blocks, primal[:-1])]
+    total = solver._first_phase_image_sum(problem, primal[:-1])
+    assert same_bytes(total, np.sum(images, axis=0))
+    assert not same_bytes(total, images[0] + images[1])
+    # first_phase_update's own sum cannot show its start in a target: where
+    # every image is -0.0 both starts give total - image_j = +0.0
+
+
+def constraint_vectors_at_peak(problem, call):
+    """The ``tracemalloc`` peak of ``call()`` above what was allocated before,
+    in constraint-space vectors of 8 * constraint_dim bytes."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / (8 * problem.constraint_dim)
+
+
+def test_step_algebra_holds_few_constraint_vectors_at_once():
+    # the allocating expressions peaked at 5.02, 5.02 and 3.02 vectors
+    instance = generate_instance(30, seed=0)
+    problem = build_problem(instance)
+    config = SolverConfig(rho=1.0, gamma=1.5,
+                          proximal_metrics=default_metrics(instance, scale=4.0))
+    state = IterationState.initial(zeros_point(problem))
+    for _ in range(3):
+        state, _ = step(problem, config, state)
+    first = first_phase_update(problem, config, state)
+    fresh = (*first, last_block_update(problem, config, state, first))
+    peaks = {
+        "last_block_update": constraint_vectors_at_peak(
+            problem, lambda: last_block_update(problem, config, state, first)),
+        "multiplier_update": constraint_vectors_at_peak(
+            problem, lambda: multiplier_update(problem, config, state, fresh)),
+        "constraint_residual": constraint_vectors_at_peak(
+            problem, lambda: constraint_residual(problem, state.current)),
+    }
+    bounds = {"last_block_update": 3.5, "multiplier_update": 2.5,
+              "constraint_residual": 2.5}
+    assert all(peaks[name] <= bound for name, bound in bounds.items()), peaks
 
 
 def test_step_fixed_point():
