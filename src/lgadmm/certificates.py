@@ -25,14 +25,15 @@ Every certificate below evaluates one provable inequality on a
 recorded trajectory, with an explicit scale-aware slack for floating-point
 error, and reports the worst margin observed. Checks whose proofs need
 conditions that validation left unproven are skipped with validation's
-reason, never silently passed. The five checks that walk the
-trajectory read one ``ReplayRecord``, which ``replay`` measures in one pass.
+reason, never silently passed. All seven checks read one ``ReplayRecord``,
+which ``replay`` measures in one pass over the trajectory, deriving each
+auxiliary point once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +78,9 @@ __all__ = [
 ]
 
 SLACK_COEFF = 1e-8
+
+# the one-step mixed inequality is evaluated at this many evenly spaced steps at most
+STEP_SAMPLES = 25
 
 # the conditions of ``ValidationReport.unproven`` behind the contraction checks
 _STRICT_CONDITIONS = ("first_phase", "last_condition")
@@ -358,6 +362,14 @@ class ReplayRecord:
     ``h_step[k] = ||w^k - w^{k+1}||_H^2``,
     ``cross[k] = (x_m^k - x_m^{k+1})' A_m' (y^k - y^{k+1})`` and
     ``last_move[k] = ||x_m^k - x_m^{k+1}||_{P_m}^2``.
+
+    ``auxiliary_sum`` is the packed sum of ``w_bar^0..w_bar^{T-1}``, added
+    in trajectory order from zero. ``probes`` holds, per probe ``w``,
+    ``(objective(w), packed w, ||w - w^0||_H^2)``. The one-step mixed
+    inequality is evaluated at the steps ``sampled``: at ``sampled[i]`` and
+    probe ``j``, ``step_terms[0, i, j]`` is its left side
+    ``objective(w) - objective(w_bar) + (w - w_bar)' F(w_bar)`` and
+    ``step_terms[1, i, j]`` its right side ``(w - w_bar)' Q (w^k - w_bar)``.
     """
 
     metrics: MetricMatrices
@@ -368,6 +380,10 @@ class ReplayRecord:
     h_step: np.ndarray
     cross: np.ndarray
     last_move: np.ndarray
+    auxiliary_sum: np.ndarray
+    probes: tuple
+    sampled: tuple[int, ...]
+    step_terms: np.ndarray
 
     @property
     def steps(self) -> int:
@@ -375,16 +391,19 @@ class ReplayRecord:
 
 
 def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
-           reference: PrimalDualPoint) -> ReplayRecord:
+           reference: PrimalDualPoint, probes: Sequence[PrimalDualPoint]) -> ReplayRecord:
     """Walk ``trajectory`` once, reading each packed ``w^k`` from its row and
-    deriving each auxiliary point from the rows of ``w^k`` and ``w^{k+1}``
-    into buffers allocated once: ``2T + 1`` H-products, ``T`` N- and ``T``
-    M-products. Writing to a row before the replay changes what it
+    deriving each auxiliary point once, from the rows of ``w^k`` and
+    ``w^{k+1}``, into buffers allocated once: ``2T + 1`` H-products, one
+    more per probe, ``T`` N- and ``T`` M-products, and one Q-product per
+    sampled step. The probes are checked first: an infeasible probe is an
+    error, not a failure. Writing to a row before the replay changes what it
     measures; replacing an element of ``trajectory.points`` does not."""
     _require_trajectory(trajectory, metrics)
     problem, steps = metrics.problem, trajectory.steps
     ref = pack_point(problem, reference)
-    diff, product = np.empty_like(ref), np.empty_like(ref)
+    diff, product, wbar = (np.empty_like(ref) for _ in range(3))
+    auxiliary_sum = np.zeros_like(ref)
     move, back = np.empty(problem.blocks[-1].dim), np.empty(problem.blocks[-1].dim)
     dual_move = np.empty(problem.constraint_dim)
     derived = (np.empty(problem.constraint_dim), np.empty(problem.constraint_dim))
@@ -394,6 +413,19 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
 
     current = trajectory.row(0)
     current_point = unpack_point(problem, current)
+    probe_terms = []
+    for probe in probes:
+        check_probe_feasible(problem, probe)
+        packed = pack_point(problem, probe)
+        probe_terms.append((evaluate_objective(problem, probe), packed,
+                            weighted_norm_sq(metrics, packed - current, "h")))
+    # at most STEP_SAMPLES evenly spaced steps: the truncated linspace is
+    # nondecreasing, so dropping repeats in order sorts it as np.unique would
+    # (which imports numpy.ma on first use)
+    sampled = tuple(dict.fromkeys(np.linspace(
+        0, steps - 1, min(STEP_SAMPLES, steps)).astype(int).tolist()))
+    sample_row = {k: i for i, k in enumerate(sampled)}
+    step_terms = np.empty((2, len(sampled), len(probe_terms)))
     ref_dist[0] = weighted_norm_sq(metrics, np.subtract(current, ref, out=diff), "h")
     norms[0] = np.linalg.norm(current)
     for k in range(steps):
@@ -402,14 +434,24 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         ref_dist[k + 1] = weighted_norm_sq(
             metrics, np.subtract(following, ref, out=diff), "h")
         norms[k + 1] = np.linalg.norm(following)
-        # the packed auxiliary point goes into diff, then w^k - w_bar^k replaces it
-        pack_point(problem, auxiliary_point(problem, trajectory.config, current_point,
-                                            following_point.primal, out=derived),
-                   out=diff)
-        gap[k] = weighted_norm_sq(metrics, np.subtract(current, diff, out=diff), "n")
+        auxiliary = auxiliary_point(problem, trajectory.config, current_point,
+                                    following_point.primal, out=derived)
+        pack_point(problem, auxiliary, out=wbar)
+        auxiliary_sum += wbar
+        gap[k] = weighted_norm_sq(metrics, np.subtract(current, wbar, out=diff), "n")
         apply_metric(metrics, "m", diff, out=product)
         np.subtract(current, product, out=product)
         residual[k] = np.linalg.norm(np.subtract(product, following, out=product))
+        if k in sample_row:
+            # objective(u_bar), F(w_bar) and Q (w^k - w_bar) serve every probe
+            wbar_objective = evaluate_objective(problem, auxiliary)
+            f_wbar = vi_operator(problem, auxiliary)
+            apply_metric(metrics, "q", diff, out=product)
+            for j, (probe_objective, probe_packed, _) in enumerate(probe_terms):
+                np.subtract(probe_packed, wbar, out=diff)
+                step_terms[:, sample_row[k], j] = (
+                    probe_objective - wbar_objective + float(diff @ f_wbar),
+                    float(diff @ product))
         h_step[k] = weighted_norm_sq(
             metrics, np.subtract(current, following, out=diff), "h")
         np.subtract(current_point.dual, following_point.dual, out=dual_move)
@@ -417,7 +459,8 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         cross[k] = move @ a_m.adjoint(dual_move, out=back)
         last_move[k] = p_m.quad(move)
         current, current_point = following, following_point
-    return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move)
+    return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move,
+                        auxiliary_sum, tuple(probe_terms), sampled, step_terms)
 
 
 def fejer_check(record: ReplayRecord) -> CertificateReport:
@@ -502,105 +545,58 @@ def update_recurrence_check(record: ReplayRecord) -> CertificateReport:
     return _finish("update_recurrence", SLACK_COEFF - record.residual / scale)
 
 
-def ergodic_average(points: Iterable[PrimalDualPoint]) -> PrimalDualPoint:
-    """Plain average of primal-dual points (used on auxiliary sequences).
-
-    A running sum in iteration order, started from zero and divided by the
-    count: bitwise equal to ``np.mean`` over the stacked points, in the
-    memory of one point instead of all of them. ``points`` is read once, so
-    a generator that derives each point on demand works.
-    """
-    primal, dual, count = None, None, 0
-    for point in points:
-        if primal is None:
-            primal = [np.zeros(x.shape) for x in point.primal]
-            dual = np.zeros(point.dual.shape)
-        for total, x in zip(primal, point.primal):
-            total += x
-        dual += point.dual
-        count += 1
-    if not count:
+def ergodic_average(record: ReplayRecord) -> PrimalDualPoint:
+    """Plain average of the ``T`` auxiliary points ``record`` replayed: their
+    running sum, in trajectory order from zero, divided by ``T``. Bitwise
+    equal to ``np.mean`` over the stacked points, in the memory of one."""
+    if not record.steps:
         raise ValueError("cannot average zero points")
-    for total in (*primal, dual):
-        total /= count
-    return PrimalDualPoint(tuple(primal), dual)
+    return unpack_point(record.metrics.problem, record.auxiliary_sum / record.steps)
 
 
-def _probe_terms(problem: BlockProblem, probes: Sequence[PrimalDualPoint]
-                 ) -> list[tuple[float, np.ndarray]]:
-    """``(objective, packed point)`` of each probe, once each is checked
-    feasible: an infeasible probe is an error, not a failure."""
-    for probe in probes:
-        check_probe_feasible(problem, probe)
-    return [(evaluate_objective(problem, probe), pack_point(problem, probe))
-            for probe in probes]
-
-
-def ergodic_gap_check(metrics: MetricMatrices, average: PrimalDualPoint,
-                      probes: Sequence[PrimalDualPoint],
-                      start: PrimalDualPoint, t: int) -> CertificateReport:
+def ergodic_gap_check(record: ReplayRecord, average: PrimalDualPoint) -> CertificateReport:
     """O(1/t) bound on the mixed objective-plus-linear gap of the ergodic
-    average, tested against feasible probe points of ``metrics.problem``.
+    average, tested against the feasible probe points of ``record``.
 
-    ``average`` is the mean of the ``t + 1`` auxiliary points produced up to
-    step ``t`` and ``start`` is the point the run began from. For every
-    probe ``w`` the gap
+    ``average`` is the mean of the ``T`` auxiliary points of the replayed
+    trajectory (``ergodic_average``). For every probe ``w`` the gap
     ``objective(average) - objective(w) + (average - w)' F(w)`` must stay
-    below ``||w - start||_H^2 / (2 (t + 1))``.
+    below ``||w - w^0||_H^2 / (2 T)``.
     """
     name = "ergodic_gap"
+    metrics = record.metrics
     if not metrics.strict_ok:
         return _skipped(name, metrics.strict_reason)
-    if t < 0:
-        raise ValueError("t must be a nonnegative step index")
-    problem = metrics.problem
-    avg_packed = pack_point(problem, average)
-    start_packed = pack_point(problem, start)
-    avg_objective = evaluate_objective(problem, average)
-    margins = []
-    for probe, (probe_objective, probe_packed) in zip(probes, _probe_terms(problem, probes)):
-        gap = (avg_objective - probe_objective
-               + float((avg_packed - probe_packed) @ vi_operator(problem, probe)))
-        bound = weighted_norm_sq(metrics, probe_packed - start_packed, "h") / (2.0 * (t + 1))
-        margins.append(bound - gap + inequality_slack(bound, gap))
-    return _finish(name, margins, details={"num_probes": len(probes)},
-                   iterations=t + 1)
-
-
-def step_inequality_check(metrics: MetricMatrices, trajectory: TrajectoryRecord,
-                          probes: Sequence[PrimalDualPoint],
-                          max_samples: int = 25) -> CertificateReport:
-    """Evaluate the one-step mixed inequality on sampled iterations, against
-    feasible probe points of ``metrics.problem``.
-
-    At most ``max_samples`` evenly spaced steps are probed (the inequality
-    is exact per step, so sampling loses nothing structurally); each margin
-    gets the usual scale-aware slack. ``w^k`` is read from its row.
-    """
-    name = "step_inequality"
-    _require_trajectory(trajectory, metrics)
-    if trajectory.steps < 1:
+    if not record.steps:
         return _finish(name, [])
     problem = metrics.problem
-    count = min(max_samples, trajectory.steps)
-    # the truncated linspace is nondecreasing, so dropping repeats in order
-    # sorts it as np.unique would (which imports numpy.ma on first use)
-    sample = list(dict.fromkeys(
-        np.linspace(0, trajectory.steps - 1, count).astype(int).tolist()))
-    probe_terms = _probe_terms(problem, probes)
+    avg_packed = pack_point(problem, average)
+    avg_objective = evaluate_objective(problem, average)
     margins = []
-    for k in sample:
-        # w_bar, objective(u_bar), F(w_bar) and Q (w^k - w_bar) serve every probe
-        auxiliary = trajectory.auxiliary(k)
-        wbar = pack_point(problem, auxiliary)
-        wbar_objective = evaluate_objective(problem, auxiliary)
-        f_wbar = vi_operator(problem, auxiliary)
-        q_step = apply_metric(metrics, "q", trajectory.row(k) - wbar)
-        for probe_objective, probe_packed in probe_terms:
-            diff = probe_packed - wbar
-            lhs = probe_objective - wbar_objective + float(diff @ f_wbar)
-            rhs = float(diff @ q_step)
-            margins.append(lhs - rhs + inequality_slack(lhs, rhs))
-    details = {"sampled_iterations": sample,
-               "num_probes": len(probes)}
-    return _finish(name, margins, details=details)
+    for probe_objective, probe_packed, start_dist in record.probes:
+        probe = unpack_point(problem, probe_packed)
+        gap = (avg_objective - probe_objective
+               + float((avg_packed - probe_packed) @ vi_operator(problem, probe)))
+        bound = start_dist / (2.0 * record.steps)
+        margins.append(bound - gap + inequality_slack(bound, gap))
+    return _finish(name, margins, details={"num_probes": len(record.probes)},
+                   iterations=record.steps)
+
+
+def step_inequality_check(record: ReplayRecord) -> CertificateReport:
+    """The one-step mixed inequality at the sampled steps of ``record``,
+    against its feasible probe points.
+
+    The inequality is exact per step, so sampling at most ``STEP_SAMPLES``
+    evenly spaced steps loses nothing structurally. Each margin gets the
+    usual scale-aware slack, and the margin of a sampled step is its worst
+    over the probes, so ``worst_index`` and ``first_violation`` index
+    ``sampled_iterations``.
+    """
+    name = "step_inequality"
+    if not record.step_terms.size:
+        return _finish(name, [])
+    lhs, rhs = record.step_terms
+    margins = (lhs - rhs + inequality_slack(lhs, rhs)).min(axis=1)
+    return _finish(name, margins, details={"sampled_iterations": list(record.sampled),
+                                           "num_probes": len(record.probes)})

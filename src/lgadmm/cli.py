@@ -576,10 +576,11 @@ def run_certify(settings: dict) -> int:
     strict run from its final state instead of starting again from zero,
     which gives the same reference bit for bit (the strict run is a prefix
     of the tighter one) after only the steps beyond it; the summary's
-    ``reference`` says how that solve ended. All checks are
-    written to ``certificates.json``; any failed check turns into exit
-    code 4. The ``negative_control`` setting corrupts one recorded point
-    first, to prove the checks can fail.
+    ``reference`` says how that solve ended. One ``replay`` of the
+    trajectory, which derives each auxiliary point once, feeds all seven
+    checks; they are written to ``certificates.json``, and any failed check
+    turns into exit code 4. The ``negative_control`` setting corrupts one
+    recorded point first, to prove the checks can fail.
 
     Parameters
     ----------
@@ -616,19 +617,16 @@ def run_certify(settings: dict) -> int:
     if settings["negative_control"]:
         corrupted_at = _corrupt_trajectory(trajectory)
 
-    # the auxiliary points are derived one at a time and never held together
-    average = ergodic_average(trajectory.auxiliary(k) for k in range(trajectory.steps))
-    # one pass over the trajectory, after any corruption, for five checks
-    record = replay(metrics, trajectory, reference)
+    # one pass over the trajectory, after any corruption, for all seven checks
+    record = replay(metrics, trajectory, reference, probes)
     reports = [
         update_recurrence_check(record),
         fejer_check(record),
         nonergodic_monotonicity_check(record),
         nonergodic_rate_check(record),
         cross_term_check(record),
-        ergodic_gap_check(metrics, average, probes, trajectory.points[0],
-                          trajectory.steps - 1),
-        step_inequality_check(metrics, trajectory, probes),
+        ergodic_gap_check(record, ergodic_average(record)),
+        step_inequality_check(record),
     ]
     failed = [r.check for r in reports if r.passed is False]
     skipped = [r.check for r in reports if r.skipped]

@@ -499,7 +499,7 @@ class TrajectoryRecord:
     @property
     def auxiliaries(self) -> list[PrimalDualPoint]:
         """Every auxiliary point, derived afresh: O(T) memory, so the
-        certificates derive one at a time instead."""
+        certificates' ``replay`` derives each one once, in its pass, instead."""
         return [self.auxiliary(k) for k in range(self.steps)]
 
 

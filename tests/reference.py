@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from lgadmm.certificates import (
+    STEP_SAMPLES,
     MetricMatrices,
     ReplayRecord,
     apply_metric,
@@ -195,14 +196,16 @@ def step_inequality_probe(metrics: MetricMatrices, trajectory: TrajectoryRecord,
 
 
 def packing_replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
-                   reference: PrimalDualPoint) -> ReplayRecord:
+                   reference: PrimalDualPoint, probes=()) -> ReplayRecord:
     """``replay`` computed from ``trajectory.points`` instead of the rows:
     each point is packed into one of two alternating buffers and each
-    auxiliary point is derived from those. The products and their order are
-    ``replay``'s, so the record must be bitwise equal."""
+    auxiliary point is derived from those; the probe terms are allocating
+    expressions. The products and their order are ``replay``'s, so the
+    record must be bitwise equal."""
     problem, steps = metrics.problem, trajectory.steps
     ref = pack_point(problem, reference)
-    current, following, diff, product = (np.empty_like(ref) for _ in range(4))
+    current, following, diff, product, wbar = (np.empty_like(ref) for _ in range(5))
+    auxiliary_sum = np.zeros_like(ref)
     current_point, following_point = (unpack_point(problem, v) for v in (current, following))
     move, back = np.empty(problem.blocks[-1].dim), np.empty(problem.blocks[-1].dim)
     dual_move = np.empty(problem.constraint_dim)
@@ -212,6 +215,15 @@ def packing_replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
     gap, residual, h_step, cross, last_move = (np.empty(steps) for _ in range(5))
 
     pack_point(problem, trajectory.points[0], out=current)
+    probe_terms = []
+    for probe in probes:
+        check_probe_feasible(problem, probe)
+        packed = pack_point(problem, probe)
+        probe_terms.append((evaluate_objective(problem, probe), packed,
+                            weighted_norm_sq(metrics, packed - current, "h")))
+    sampled = tuple(np.unique(np.linspace(
+        0, steps - 1, min(STEP_SAMPLES, steps)).astype(int)).tolist())
+    step_terms = np.empty((2, len(sampled), len(probes)))
     ref_dist[0] = weighted_norm_sq(metrics, np.subtract(current, ref, out=diff), "h")
     norms[0] = np.linalg.norm(current)
     for k in range(steps):
@@ -219,13 +231,23 @@ def packing_replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         ref_dist[k + 1] = weighted_norm_sq(
             metrics, np.subtract(following, ref, out=diff), "h")
         norms[k + 1] = np.linalg.norm(following)
-        pack_point(problem, auxiliary_point(problem, trajectory.config, current_point,
-                                            following_point.primal, out=derived),
-                   out=diff)
-        gap[k] = weighted_norm_sq(metrics, np.subtract(current, diff, out=diff), "n")
+        auxiliary = auxiliary_point(problem, trajectory.config, current_point,
+                                    following_point.primal, out=derived)
+        pack_point(problem, auxiliary, out=wbar)
+        auxiliary_sum += wbar
+        gap[k] = weighted_norm_sq(metrics, np.subtract(current, wbar, out=diff), "n")
         apply_metric(metrics, "m", diff, out=product)
         np.subtract(current, product, out=product)
         residual[k] = np.linalg.norm(np.subtract(product, following, out=product))
+        if k in sampled:
+            objective = evaluate_objective(problem, auxiliary)
+            value = vi_operator(problem, auxiliary)
+            q_step = apply_metric(metrics, "q", diff)
+            for j, (probe_objective, probe_packed, _) in enumerate(probe_terms):
+                to_probe = probe_packed - wbar
+                step_terms[:, sampled.index(k), j] = (
+                    probe_objective - objective + float(to_probe @ value),
+                    float(to_probe @ q_step))
         h_step[k] = weighted_norm_sq(
             metrics, np.subtract(current, following, out=diff), "h")
         np.subtract(current_point.dual, following_point.dual, out=dual_move)
@@ -234,7 +256,8 @@ def packing_replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         last_move[k] = p_m.quad(move)
         current, following = following, current
         current_point, following_point = following_point, current_point
-    return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move)
+    return ReplayRecord(metrics, ref_dist, norms, gap, residual, h_step, cross, last_move,
+                        auxiliary_sum, tuple(probe_terms), sampled, step_terms)
 
 
 # The step's constraint-space algebra written as plain allocating

@@ -194,16 +194,13 @@ def test_criterion_04_trajectory_certificates_strict_run(n20_strict_run):
     problem, config, result, reference, metrics = n20_strict_run
     trajectory = result.trajectory
     probes = [feasible_probe(problem, s) for s in range(99, 109)]
-    average = ergodic_average(trajectory.auxiliaries)
-    record = replay(metrics, trajectory, reference)
+    record = replay(metrics, trajectory, reference, probes)
     reports = [
         fejer_check(record),
         nonergodic_monotonicity_check(record),
         cross_term_check(record),
         nonergodic_rate_check(record),
-        ergodic_gap_check(metrics, average, probes,
-                          trajectory.points[0],
-                          len(trajectory.auxiliaries) - 1),
+        ergodic_gap_check(record, ergodic_average(record)),
     ]
     for report in reports:
         assert report.passed is True, report.check

@@ -11,6 +11,7 @@ from lgadmm import certificates, solver
 from lgadmm.calibration import build_problem, default_metrics, generate_instance
 from lgadmm.certificates import (
     SLACK_COEFF,
+    STEP_SAMPLES,
     ProbeFeasibilityError,
     apply_metric,
     assemble_metrics,
@@ -65,6 +66,11 @@ def two_block_hand_config():
         proximal_metrics=(DenseSymmetric(np.array([[2.0]])),
                           DenseSymmetric(np.array([[1.0]]))))
     return problem, config
+
+
+def strict_replay(strict_setup, probes=()):
+    return replay(strict_setup.metrics, strict_setup.trajectory,
+                  strict_setup.reference, probes)
 
 
 def test_inequality_slack_scales_with_largest_term():
@@ -310,8 +316,7 @@ def test_probe_feasibility_guard(small_problem):
 
 
 def test_fejer_contraction_on_strict_run(strict_setup):
-    report = fejer_check(replay(strict_setup.metrics, strict_setup.trajectory,
-                                strict_setup.reference))
+    report = fejer_check(strict_replay(strict_setup))
     assert report.passed
     assert report.iterations_checked == strict_setup.trajectory.steps
     assert report.worst_margin >= 0.0
@@ -321,7 +326,7 @@ def test_fejer_vacuous_on_single_point_trajectory(strict_setup):
     start = strict_setup.trajectory.points[0]
     tiny = TrajectoryRecord(points=[start], problem=strict_setup.problem,
                             config=strict_setup.config)
-    report = fejer_check(replay(strict_setup.metrics, tiny, strict_setup.reference))
+    report = fejer_check(replay(strict_setup.metrics, tiny, strict_setup.reference, ()))
     assert report.passed
     assert report.iterations_checked == 0
     assert report.details.get("vacuous")
@@ -329,7 +334,7 @@ def test_fejer_vacuous_on_single_point_trajectory(strict_setup):
 
 def test_fejer_requires_trajectory(strict_setup):
     with pytest.raises(ValueError):
-        fejer_check(replay(strict_setup.metrics, None, strict_setup.reference))
+        fejer_check(replay(strict_setup.metrics, None, strict_setup.reference, ()))
 
 
 def test_checks_skip_outside_strict_conditions():
@@ -342,7 +347,7 @@ def test_checks_skip_outside_strict_conditions():
     result = solve(problem, config, zeros_point(problem))
     metrics = assemble_metrics(problem, config)
     assert not metrics.strict_ok
-    report = fejer_check(replay(metrics, result.trajectory, result.final))
+    report = fejer_check(replay(metrics, result.trajectory, result.final, ()))
     assert report.skipped
     assert report.passed is None
     assert "first-phase metric" in report.skipped_reason
@@ -367,7 +372,7 @@ def test_rate_checks_skip_on_indefinite_last_metric():
     metrics = assemble_metrics(problem, recorded)
     assert metrics.strict_ok
     assert metrics.validation.last_metric_min_eig == -0.01
-    record = replay(metrics, trajectory, reference)
+    record = replay(metrics, trajectory, reference, ())
     for report in (nonergodic_monotonicity_check(record),
                    nonergodic_rate_check(record),
                    cross_term_check(record)):
@@ -380,49 +385,66 @@ def test_rate_checks_skip_on_indefinite_last_metric():
 
 
 def test_step_monotonicity_on_strict_run(strict_setup):
-    report = nonergodic_monotonicity_check(replay(
-        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
+    report = nonergodic_monotonicity_check(strict_replay(strict_setup))
     assert report.passed
     assert report.worst_margin >= 0.0
 
 
 def test_rate_bound_on_strict_run(strict_setup):
-    report = nonergodic_rate_check(replay(
-        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
+    report = nonergodic_rate_check(strict_replay(strict_setup))
     assert report.passed
     assert report.details["tightest_t"] >= 1
 
 
+def hand_record(points, probes=()):
+    """The replay of a trajectory of ``points`` on the two-block hand problem."""
+    problem, config = two_block_hand_config()
+    trajectory = TrajectoryRecord(points=points, problem=problem, config=config)
+    return replay(assemble_metrics(problem, config), trajectory, points[0], probes)
+
+
 def test_ergodic_average_shapes():
+    # with A_1 = A_2 = 1, b = 0 and rho = 1 the auxiliary point of the step
+    # from w to w' is (x_1', x_2', y - x_1' - x_2)
     a = PrimalDualPoint((np.array([1.0]), np.array([3.0])), np.array([5.0]))
     b = PrimalDualPoint((np.array([2.0]), np.array([-1.0])), np.array([1.0]))
-    constant = ergodic_average([a, a, a])
+    constant = ergodic_average(hand_record([a, a, a]))
+    assert [x.shape for x in constant.primal] == [(1,), (1,)]
+    assert constant.dual.shape == (1,)
     assert constant.primal[0] == pytest.approx(1.0)
-    midpoint = ergodic_average([a, b])
+    assert constant.dual == pytest.approx(1.0)
+    # (2, -1, 0) and (1, 3, 1)
+    midpoint = ergodic_average(hand_record([a, b, a]))
     assert midpoint.primal[0] == pytest.approx(1.5)
     assert midpoint.primal[1] == pytest.approx(1.0)
-    assert midpoint.dual == pytest.approx(3.0)
+    assert midpoint.dual == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        ergodic_average([])
-    # read once, so a generator of derived points works too
-    assert ergodic_average(p for p in (a, b)).dual == midpoint.dual
-    with pytest.raises(ValueError):
-        ergodic_average(p for p in ())
+        ergodic_average(hand_record([a]))
+    # with no step the bound ||w - w^0||_H^2 / (2T) is infinite: vacuous
+    assert ergodic_gap_check(hand_record([a], [b]), b).details == {"vacuous": True}
 
 
-def random_points(rng, count, dims):
-    return [PrimalDualPoint(tuple(rng.standard_normal(d) for d in dims[:-1]),
-                            rng.standard_normal(dims[-1]))
-            for _ in range(count)]
+def random_trajectory(rng, steps, dims):
+    """A record of ``steps + 1`` random points on a random problem with
+    blocks of sizes ``dims[:-1]`` and a constraint of size ``dims[-1]``."""
+    problem = random_problem(int(rng.integers(1 << 30)), num_blocks=len(dims) - 1,
+                             dims=dims[:-1], constraint_dim=dims[-1])
+    points = [PrimalDualPoint(tuple(rng.standard_normal(d) for d in dims[:-1]),
+                              rng.standard_normal(dims[-1]))
+              for _ in range(steps + 1)]
+    config = random_config(rng, problem, dense_metrics=False)
+    return TrajectoryRecord(points=points, problem=problem, config=config)
 
 
 @pytest.mark.parametrize("count, dims", [
     (1, (3, 2, 4)), (2, (1, 1, 1)), (17, (5, 9, 6)), (300, (40, 40, 25))])
 def test_ergodic_average_is_bitwise_mean(count, dims):
-    points = random_points(np.random.default_rng(count), count, dims)
-    for point in points:
+    trajectory = random_trajectory(np.random.default_rng(count), count, dims)
+    for point in trajectory.points:
         point.primal[0][0] = -0.0  # np.mean sums from +0.0
-    average = ergodic_average(points)
+    metrics = assemble_metrics(trajectory.problem, trajectory.config)
+    average = ergodic_average(replay(metrics, trajectory, trajectory.points[0], ()))
+    points = trajectory.auxiliaries
     for i in range(len(dims) - 1):
         expected = np.mean([p.primal[i] for p in points], axis=0)
         assert average.primal[i].tobytes() == expected.tobytes()
@@ -432,16 +454,26 @@ def test_ergodic_average_is_bitwise_mean(count, dims):
 
 @pytest.mark.parametrize("count", [10, 400])
 def test_ergodic_average_memory_is_independent_of_length(count):
-    dims = (2000, 2000, 1000)
-    points = random_points(np.random.default_rng(0), count, dims)
-    point_bytes = 8 * sum(dims)
+    # beyond its per-step scalars, the replay that sums the auxiliary points
+    # and the average take the memory of a few points, whatever T is
+    instance = generate_instance(30, seed=0)
+    problem = build_problem(instance)
+    config = SolverConfig(rho=1.0, gamma=1.5,
+                          proximal_metrics=default_metrics(instance, scale=4.0))
+    rng = np.random.default_rng(0)
+    points = [PrimalDualPoint(tuple(rng.standard_normal(d) for d in problem.block_dims),
+                              rng.standard_normal(problem.constraint_dim))
+              for _ in range(count + 1)]
+    trajectory = TrajectoryRecord(points=points, problem=problem, config=config)
+    metrics = assemble_metrics(problem, config)
     tracemalloc.start()
     try:
-        ergodic_average(points)
+        ergodic_average(replay(metrics, trajectory, points[0], ()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * point_bytes
+    point_bytes = 8 * problem.total_dim
+    assert peak - 7 * 8 * (count + 1) < 16 * point_bytes
 
 
 def test_ergodic_average_feasibility_bounded_by_worst(small_problem, small_instance):
@@ -452,41 +484,36 @@ def test_ergodic_average_feasibility_bounded_by_worst(small_problem, small_insta
     result = solve(small_problem, config, zeros_point(small_problem))
     residuals = [primal_feasibility(small_problem, point)
                  for point in result.trajectory.auxiliaries]
-    average = ergodic_average(result.trajectory.auxiliaries)
+    record = replay(assemble_metrics(small_problem, config), result.trajectory, result.final, ())
+    average = ergodic_average(record)
     assert primal_feasibility(small_problem, average) <= max(residuals) + 1e-12
 
 
 def test_ergodic_gap_bound_on_strict_run(strict_setup):
     probes = [feasible_probe(strict_setup.problem, s) for s in range(31, 41)]
-    trajectory = strict_setup.trajectory
-    average = ergodic_average(trajectory.auxiliaries)
-    report = ergodic_gap_check(strict_setup.metrics, average, probes,
-                               trajectory.points[0], len(trajectory.auxiliaries) - 1)
+    record = strict_replay(strict_setup, probes)
+    report = ergodic_gap_check(record, ergodic_average(record))
     assert report.passed
     assert report.details["num_probes"] == 10
+    assert report.iterations_checked == strict_setup.trajectory.steps
 
 
 def test_ergodic_gap_self_probe_trivially_passes(strict_setup):
-    trajectory = strict_setup.trajectory
-    average = ergodic_average(trajectory.auxiliaries)
-    report = ergodic_gap_check(strict_setup.metrics, average, [average],
-                               trajectory.points[0], len(trajectory.auxiliaries) - 1)
+    average = ergodic_average(strict_replay(strict_setup))
+    report = ergodic_gap_check(strict_replay(strict_setup, [average]), average)
     assert report.passed
 
 
 def test_ergodic_gap_detects_falsified_bound(strict_setup):
-    # replacing the average with a far feasible point while shrinking the
-    # right side to ~0 must fail the check
+    # replacing the average with a far feasible point must fail the check
     far = feasible_probe(strict_setup.problem, 4, scale=5.0)
     probe = feasible_probe(strict_setup.problem, 5)
-    report = ergodic_gap_check(strict_setup.metrics, far, [probe],
-                               strict_setup.trajectory.points[0], 10**9)
+    report = ergodic_gap_check(strict_replay(strict_setup, [probe]), far)
     assert report.passed is False
 
 
 def test_cross_term_bound_on_strict_run(strict_setup):
-    report = cross_term_check(replay(
-        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
+    report = cross_term_check(strict_replay(strict_setup))
     assert report.passed
     assert report.worst_margin >= 0.0
 
@@ -497,7 +524,7 @@ def test_cross_term_stationary_equality(strict_setup):
                                   problem=strict_setup.problem,
                                   config=strict_setup.config)
     report = cross_term_check(replay(strict_setup.metrics, stationary,
-                                     strict_setup.reference))
+                                     strict_setup.reference, ()))
     assert report.passed
     assert report.worst_margin == pytest.approx(1e-8, rel=1e-6)
 
@@ -514,17 +541,26 @@ def test_replay_of_rows_is_bitwise_the_packing_replay(strict_setup):
                                 config=strict_setup.config),
                TrajectoryRecord(points=points[:1], problem=strict_setup.problem,
                                 config=strict_setup.config)]
+    probes = [feasible_probe(strict_setup.problem, s) for s in (19, 20, 21)]
+    arrays = ("ref_dist", "norms", "gap", "residual", "h_step", "cross", "last_move",
+              "auxiliary_sum", "step_terms")
     for record in records:
-        got = replay(strict_setup.metrics, record, strict_setup.reference)
-        expected = packing_replay(strict_setup.metrics, record, strict_setup.reference)
+        got = replay(strict_setup.metrics, record, strict_setup.reference, probes)
+        expected = packing_replay(strict_setup.metrics, record, strict_setup.reference, probes)
+        assert set(vars(got)) == {"metrics", "probes", "sampled", *arrays}
         assert got.metrics is expected.metrics
-        for name in ("ref_dist", "norms", "gap", "residual", "h_step", "cross", "last_move"):
+        assert got.sampled == expected.sampled
+        assert len(got.sampled) == min(STEP_SAMPLES, record.steps)
+        for name in arrays:
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert len(got.probes) == len(expected.probes) == len(probes)
+        for mine, theirs in zip(got.probes, expected.probes):
+            assert [np.asarray(term).tobytes() for term in mine] == \
+                [np.asarray(term).tobytes() for term in theirs]
 
 
 def test_update_recurrence_on_strict_run(strict_setup):
-    report = update_recurrence_check(replay(
-        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
+    report = update_recurrence_check(strict_replay(strict_setup))
     assert report.passed
 
 
@@ -538,7 +574,7 @@ def test_update_recurrence_detects_corruption(strict_setup):
     corrupted = TrajectoryRecord(points=points, problem=strict_setup.problem,
                                  config=strict_setup.config)
     report = update_recurrence_check(replay(strict_setup.metrics, corrupted,
-                                            strict_setup.reference))
+                                            strict_setup.reference, ()))
     assert report.passed is False
 
 
@@ -560,11 +596,14 @@ def test_step_inequality_probe_requires_completed_step(strict_setup):
 
 def test_step_inequality_check_on_strict_run(strict_setup):
     probes = [feasible_probe(strict_setup.problem, s) for s in range(9, 12)]
-    report = step_inequality_check(strict_setup.metrics,
-                                   strict_setup.trajectory, probes,
-                                   max_samples=10)
+    report = step_inequality_check(strict_replay(strict_setup, probes))
     assert report.passed
-    assert len(report.details["sampled_iterations"]) <= 10
+    sampled = report.details["sampled_iterations"]
+    assert len(sampled) == STEP_SAMPLES
+    assert sampled == sorted(set(sampled))
+    assert sampled[0] == 0 and sampled[-1] == strict_setup.trajectory.steps - 1
+    # one margin per sampled step, the worst over the probes
+    assert report.iterations_checked == len(sampled)
     assert report.details["num_probes"] == 3
 
 
@@ -574,8 +613,7 @@ def test_step_inequality_check_rejects_infeasible_probe(strict_setup):
     primal[2] = primal[2] + 3.0
     bad = PrimalDualPoint(tuple(primal), probe.dual)
     with pytest.raises(ProbeFeasibilityError):
-        step_inequality_check(strict_setup.metrics, strict_setup.trajectory, [bad],
-                              max_samples=2)
+        strict_replay(strict_setup, [bad])
 
 
 def test_replay_matches_direct_per_step_evaluation(strict_setup):
@@ -624,8 +662,10 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
         cross.append(lhs - gain + loss + inequality_slack(lhs, gain, loss))
     probes = [feasible_probe(problem, s) for s in range(12, 15)]
     inequality = []
-    sampled = np.unique(np.linspace(0, trajectory.steps - 1, 7).astype(int))
+    sampled = np.unique(np.linspace(0, trajectory.steps - 1, STEP_SAMPLES).astype(int))
     for k in sampled:
+        # a sampled step's margin is its worst over the probes
+        per_probe = []
         for probe in probes:
             diff = pack(probe) - wbar[k]
             value = vi_operator(problem, trajectory.auxiliary(k))
@@ -633,23 +673,24 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
                    - evaluate_objective(problem, trajectory.auxiliary(k))
                    + float(diff @ value))
             rhs = float(diff @ apply_metric(metrics, "q", w[k] - wbar[k]))
-            inequality.append(lhs - rhs + inequality_slack(lhs, rhs))
+            per_probe.append(lhs - rhs + inequality_slack(lhs, rhs))
+        inequality.append(min(per_probe))
 
-    record = replay(metrics, trajectory, reference)
+    record = replay(metrics, trajectory, reference, probes)
     reports = [
         (fejer_check(record), fejer),
         (nonergodic_monotonicity_check(record), monotone),
         (nonergodic_rate_check(record), rate),
         (update_recurrence_check(record), recurrence),
         (cross_term_check(record), cross),
-        (step_inequality_check(metrics, trajectory, probes,
-                               max_samples=7), inequality),
+        (step_inequality_check(record), inequality),
     ]
     for report, margins in reports:
         assert report.iterations_checked == len(margins), report.check
         assert report.worst_margin == min(margins), report.check
         assert report.details["worst_index"] == int(np.argmin(margins)), report.check
     assert reports[2][0].details["tightest_t"] == int(np.argmin(rate)) + 1
+    assert reports[5][0].details["sampled_iterations"] == sampled.tolist()
 
 
 def test_step_inequality_check_shares_work_across_probes_and_steps(
@@ -662,9 +703,7 @@ def test_step_inequality_check_shares_work_across_probes_and_steps(
             return _original(*args, **kwargs)
         monkeypatch.setattr(certificates, name, counted)
     probes = [feasible_probe(strict_setup.problem, s) for s in range(13, 17)]
-    report = step_inequality_check(strict_setup.metrics,
-                                   strict_setup.trajectory, probes,
-                                   max_samples=6)
+    report = step_inequality_check(strict_replay(strict_setup, probes))
     assert report.passed
     assert calls == {"check_probe_feasible": len(probes),
                      "vi_operator": len(report.details["sampled_iterations"])}
@@ -680,18 +719,17 @@ def test_probe_checks_evaluate_on_the_metrics_problem(strict_setup, monkeypatch)
             return _original(problem, *args, **kwargs)
         monkeypatch.setattr(certificates, name, recorded)
     probes = [feasible_probe(strict_setup.problem, s) for s in (17, 18)]
+    record = replay(metrics, trajectory, strict_setup.reference, probes)
     reports = [
-        ergodic_gap_check(metrics, ergodic_average(trajectory.auxiliaries), probes,
-                          trajectory.points[0], trajectory.steps - 1),
-        step_inequality_check(metrics, trajectory, probes, max_samples=3),
+        ergodic_gap_check(record, ergodic_average(record)),
+        step_inequality_check(record),
     ]
     assert all(report.passed for report in reports)
     assert len(seen) > 2 * len(probes) and all(problem is metrics.problem for problem in seen)
 
 
 def test_report_serialization(strict_setup):
-    report = update_recurrence_check(replay(
-        strict_setup.metrics, strict_setup.trajectory, strict_setup.reference))
+    report = update_recurrence_check(strict_replay(strict_setup))
     payload = report.to_dict()
     assert payload["check"] == "update_recurrence"
     assert payload["passed"] is True
@@ -722,8 +760,9 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
     # that outlive one step or from the record's rows, so the number of
     # distinct buffers does not grow with the trajectory. The recorded points
     # are read from their rows, not packed; each auxiliary point is derived
-    # and packed once, and each metric product is made once.
-    calls, products, packed, derived = [], [], [], []
+    # and packed once, and each metric product is made once. Only F
+    # allocates, once per sampled step.
+    calls, products, packed, derived, evaluated = [], [], [], [], []
     for name in ("apply", "adjoint"):
         def recording(self, v, out=None, _original=getattr(BlockSignMap, name)):
             # keeping the arrays alive keeps a freed buffer's address from being reused
@@ -744,6 +783,14 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
         packed.append(point)
         return _original(problem, point, out=out)
 
+    def set_aside(problem, point, _original=certificates.vi_operator):
+        made = len(calls)
+        value = _original(problem, point)
+        evaluated.append(calls[made:])
+        del calls[made:]
+        return value
+
+    monkeypatch.setattr(certificates, "vi_operator", set_aside)
     monkeypatch.setattr(certificates, "apply_metric", counted_product)
     monkeypatch.setattr(certificates, "pack_point", counted_pack)
     monkeypatch.setattr(certificates, "auxiliary_point", counted_auxiliary)
@@ -754,19 +801,24 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
                                   problem=strict_setup.problem,
                                   config=strict_setup.config)
         metrics = assemble_metrics(strict_setup.problem, strict_setup.config)
-        calls.clear()
-        products.clear()
-        packed.clear()
-        derived.clear()
-        record = replay(metrics, prefix, strict_setup.reference)
-        assert Counter(products) == {"h": 2 * steps + 1, "n": steps, "m": steps}
+        for made in (calls, products, packed, derived, evaluated):
+            made.clear()
+        record = replay(metrics, prefix, strict_setup.reference, probes)
+        sampled = min(STEP_SAMPLES, steps)
+        assert len(record.sampled) == sampled
+        # one H-product per probe for its ergodic bound, one Q-product per sampled step
+        assert Counter(products) == {"h": 2 * steps + 1 + len(probes), "n": steps,
+                                     "m": steps, "q": sampled}
         assert len(derived) == steps
-        # besides the auxiliary points, only the reference is packed
+        assert len(evaluated) == sampled
+        # besides the auxiliary points, only the reference and the probes are packed
         assert Counter(map(id, packed)) == Counter(map(id, [
-            strict_setup.reference, *(point for point, _ in derived)]))
+            strict_setup.reference, *probes, *(point for point, _ in derived)]))
         for report in (fejer_check(record), update_recurrence_check(record),
                        nonergodic_monotonicity_check(record),
-                       nonergodic_rate_check(record)):
+                       nonergodic_rate_check(record),
+                       ergodic_gap_check(record, ergodic_average(record)),
+                       step_inequality_check(record)):
             assert report.passed
         assert calls and all(out is not None for _, out in calls)
         rows = {id(_owner(prefix.row(k))) for k in range(steps + 1)}
@@ -779,6 +831,7 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
             assert np.array_equal(dual, prefix.auxiliary(k).dual)
         return census
 
+    probes = [feasible_probe(strict_setup.problem, s) for s in (22, 23)]
     short, long = distinct_buffers(10), distinct_buffers(200)
     assert long[2] > 10 * short[2]
     assert long[:2] == short[:2]
@@ -799,15 +852,15 @@ def test_certificates_refuse_a_trajectory_recorded_under_another_configuration(s
     ]
     for metrics in others:
         with pytest.raises(ValueError, match="recorded on another problem"):
-            replay(metrics, trajectory, reference)
+            replay(metrics, trajectory, reference, ())
         with pytest.raises(ValueError, match="recorded on another problem"):
-            step_inequality_check(metrics, trajectory, probes, max_samples=2)
+            replay(metrics, trajectory, reference, probes)
     # the stopping rule and the recording flag are not part of the metrics
     same = assemble_metrics(problem, replace(config, tolerance=1e-3, max_iterations=5,
                                              record_trajectory=False))
-    record = replay(same, trajectory, reference)
+    record = replay(same, trajectory, reference, probes)
     assert update_recurrence_check(record).passed and fejer_check(record).passed
-    assert step_inequality_check(same, trajectory, probes, max_samples=2).passed
+    assert step_inequality_check(record).passed
 
 
 def _calibration_case(sigma, gamma):
@@ -843,16 +896,15 @@ def test_strict_mode_refuses_exactly_what_some_certificate_skips(make, args, unp
     metrics = assemble_metrics(problem, recorded)
     assert set(metrics.validation.unproven) == unproven
     probes = [feasible_probe(problem, seed) for seed in (31, 32)]
-    record = replay(metrics, trajectory, result.final)
+    record = replay(metrics, trajectory, result.final, probes)
     reports = [
         update_recurrence_check(record),
         fejer_check(record),
         nonergodic_monotonicity_check(record),
         nonergodic_rate_check(record),
         cross_term_check(record),
-        ergodic_gap_check(metrics, ergodic_average(trajectory.auxiliaries),
-                          probes, trajectory.points[0], trajectory.steps - 1),
-        step_inequality_check(metrics, trajectory, probes),
+        ergodic_gap_check(record, ergodic_average(record)),
+        step_inequality_check(record),
     ]
     skipped = [report for report in reports if report.skipped]
     try:

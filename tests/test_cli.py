@@ -5,13 +5,14 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lgadmm import DivergenceError, PrimalDualPoint
-from lgadmm import cli, solver
+from lgadmm import certificates, cli, solver
 from reference import identity_metrics
 from util import scalar_zero_problem
 
@@ -622,8 +623,8 @@ report()
 
 
 def test_certify_never_holds_every_auxiliary_point(tmp_path, monkeypatch):
-    # the certificates derive each auxiliary point when they read it; the
-    # list of all of them would cost O(T) memory
+    # the replay derives each auxiliary point in its pass and keeps only
+    # their running sum; the list of all of them would cost O(T) memory
     def refuse(self):
         raise AssertionError("certify read TrajectoryRecord.auxiliaries")
 
@@ -631,3 +632,26 @@ def test_certify_never_holds_every_auxiliary_point(tmp_path, monkeypatch):
     assert cli.main(["certify", "--n", "6", "--out", str(tmp_path / "pass")]) == 0
     assert cli.main(["certify", "--n", "6", "--negative-control",
                      "--out", str(tmp_path / "fail")]) == 4
+
+
+@pytest.mark.parametrize("flags, code", [([], 0), (["--negative-control"], 4)])
+def test_certify_derives_each_auxiliary_point_once(tmp_path, monkeypatch, flags, code):
+    # outside the solver's steps, one replay derives the T auxiliary points,
+    # and the ergodic average and the step inequality read its record
+    derived = []
+
+    def counted(*args, _original=certificates.auxiliary_point, **kwargs):
+        derived.append("replay")
+        return _original(*args, **kwargs)
+
+    def counted_record(self, k, _original=solver.TrajectoryRecord.auxiliary):
+        derived.append("record")
+        return _original(self, k)
+
+    monkeypatch.setattr(certificates, "auxiliary_point", counted)
+    monkeypatch.setattr(solver.TrajectoryRecord, "auxiliary", counted_record)
+    out = tmp_path / "certify"
+    assert cli.main(["certify", "--n", "6", "--out", str(out), *flags]) == code
+    steps = json.loads((out / "summary.json").read_text())["iterations"]
+    assert steps > 0
+    assert Counter(derived) == {"replay": steps}
