@@ -46,6 +46,9 @@ __all__ = [
 
 DEFAULT_BOUND = 0.1
 
+# largest probe defect ``verify_stacked_maps`` accepts in a Gram product
+GRAM_PROBE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CalibrationInstance:
@@ -139,11 +142,12 @@ def stacked_maps(n: int) -> StackedMaps:
     )
 
 
-def verify_stacked_maps(maps: StackedMaps, tol: float = 1e-12) -> float:
+def verify_stacked_maps(maps: StackedMaps) -> float:
     """Check the structural Gram products; returns the worst probe defect.
 
     ``A_i.gram(A_j)`` must be 2 for ``i = j`` and -1 otherwise, and must
-    match ``A_i'A_j`` up to ``tol`` on a probe per pair, else ``ValueError``.
+    match ``A_i'A_j`` up to ``GRAM_PROBE_TOL`` on a probe per pair, else
+    ``ValueError``.
     The probes are deterministic splitmix draws centred on zero, so building
     a problem never imports ``numpy.random``.
     """
@@ -158,7 +162,7 @@ def verify_stacked_maps(maps: StackedMaps, tol: float = 1e-12) -> float:
             v = splitmix64_uniform(3 * i + j, ai.in_dim) - 0.5
             defect = float(np.max(np.abs(ai.adjoint(aj.apply(v)) - gram * v)))
             worst = max(worst, defect)
-    if worst > tol:
+    if worst > GRAM_PROBE_TOL:
         raise ValueError(f"stacked maps lost their structural Gram products "
                          f"(defect {worst:.3e})")
     return worst

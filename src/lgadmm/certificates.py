@@ -4,20 +4,21 @@ The scheme's convergence theory is phrased through three structured
 matrices on the primal-dual space, ordered as (first-phase blocks, last
 block, multiplier):
 
-* ``Q`` couples an auxiliary point to the variational inequality of the
-  problem (one step satisfies a mixed inequality against every feasible
-  point, with ``Q`` on the right-hand side);
 * ``M`` turns the auxiliary point into the actual update,
   ``w_next = w - M (w - w_bar)``;
-* ``H``, symmetric, factors ``Q = H M`` and induces the norm in which the
-  iterates contract toward the solution set.
+* ``H``, symmetric, induces the norm in which the iterates contract toward
+  the solution set;
+* ``Q = H M`` couples an auxiliary point to the variational inequality of
+  the problem (one step satisfies a mixed inequality against every
+  feasible point, with ``Q`` on the right-hand side), so a Q-product is an
+  H-product of an M-product and is never formed on its own.
 
 ``N = Q' + Q - M'H M`` is block diagonal and measures the per-step
-decrease. The checks need only products with these matrices, evaluated
-matrix-free; no dense realisation is ever built. The spectral conditions
-the checks are gated on (the coupled first-phase metric and
-``P_m + (rho/gamma) A_m'A_m`` positive definite, ``P_m`` positive
-semidefinite) are read from the ``ValidationReport`` of
+decrease. The checks need only products with H, M and N, which
+``MetricMatrices`` evaluates matrix-free; no dense realisation is ever
+built. The spectral conditions the checks are gated on (the coupled
+first-phase metric and ``P_m + (rho/gamma) A_m'A_m`` positive definite,
+``P_m`` positive semidefinite) are read from the ``ValidationReport`` of
 ``validate_config``, the one place that computes them; this module
 depends on the solver, never the reverse.
 
@@ -46,11 +47,11 @@ from .problem import (
     vi_operator,
 )
 from .solver import (
-    FirstPhaseProduct,
     SolverConfig,
     TrajectoryRecord,
     ValidationReport,
     auxiliary_point,
+    structural_coupling,
     validate_config,
 )
 
@@ -78,6 +79,9 @@ __all__ = [
 ]
 
 SLACK_COEFF = 1e-8
+
+# relative projection distance up to which a probe counts as feasible
+PROBE_TOL = 1e-8
 
 # the one-step mixed inequality is evaluated at this many evenly spaced steps at most
 STEP_SAMPLES = 25
@@ -115,11 +119,18 @@ def sigma_gamma(gamma: float) -> float:
 
 @dataclass
 class MetricMatrices:
-    """The certificate metrics for one (problem, config) pair.
+    """The certificate metrics for one (problem, config) pair, and the one
+    place their products are made: H, M and N, through ``apply_metric``.
 
-    Every check uses the structural (matrix-free) evaluators. The spectral
-    preconditions are the ones ``validate_config`` established, kept in
-    ``validation``.
+    Every check uses these structural (matrix-free) evaluators. The
+    first-phase rows of H and N are the coupled first-phase metric (prox
+    metrics on the diagonal, ``-rho A_i'A_j`` off it): ``K (x) I`` applied
+    to the blocks when ``structural_coupling`` gives ``K``, with no map
+    products, else one image per block, their sum and one adjoint per
+    block. The intermediates live in buffers allocated once, so repeated
+    products allocate nothing; one instance is therefore not safe to share
+    between threads. The spectral preconditions are the ones
+    ``validate_config`` established, kept in ``validation``.
     """
 
     problem: BlockProblem
@@ -135,9 +146,13 @@ class MetricMatrices:
         # and the buffers of ``apply_metric`` and ``weighted_norm_sq``
         last, multiplier = self.problem.slices[-2:]
         self._slices = (slice(0, last.start), last, multiplier)
-        self._first_phase = FirstPhaseProduct(
+        first_phase = self.problem.blocks[:-1]
+        self._coupling = structural_coupling(
             self.problem, self.config.proximal_metrics, self.config.rho)
+        self._images = [np.empty(self.problem.constraint_dim) for _ in first_phase]
+        self._total = np.empty(self.problem.constraint_dim)
         self._image = np.empty(self.problem.constraint_dim)
+        self._backs = [np.empty(block.dim) for block in first_phase]
         self._back = np.empty(self.problem.blocks[-1].dim)
         self._product = np.empty(self.problem.total_dim)
 
@@ -155,29 +170,45 @@ class MetricMatrices:
         unproven = self.validation.unproven
         return "; ".join(unproven[c] for c in conditions if c in unproven) or None
 
-    @property
-    def strict_reason(self) -> str | None:
-        return self.unproven_reason(*_STRICT_CONDITIONS)
-
-    @property
-    def strict_ok(self) -> bool:
-        return self.strict_reason is None
-
-    @property
-    def total_dim(self) -> int:
-        return self.problem.total_dim
-
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         first, last, multiplier = self._slices
         return v[first], v[last], v[multiplier]
 
     def to_dict(self) -> dict:
         """What the metrics add to ``validation``."""
+        reason = self.unproven_reason(*_STRICT_CONDITIONS)
         return {
             "n_min_eig": self.n_min_eig,
-            "strict_ok": self.strict_ok,
-            "strict_reason": self.strict_reason,
+            "strict_ok": reason is None,
+            "strict_reason": reason,
         }
+
+    def _apply_first_phase(self, r: np.ndarray, out: np.ndarray) -> None:
+        # the first-phase blocks lead the packed vector, so their slices are r's own
+        pieces = self.problem.slices[:-2]
+        if self._coupling is not None:
+            # out_i = sum_j K_ij r_j from zero: the metric is K (x) I, no map products
+            for i, (piece, back) in enumerate(zip(pieces, self._backs)):
+                out[piece] = 0.0
+                for j, other in enumerate(pieces):
+                    np.add(out[piece], np.multiply(self._coupling[i, j], r[other], out=back),
+                           out=out[piece])
+            return
+        blocks, prox = self.problem.blocks[:-1], self.config.proximal_metrics
+        for block, piece, image in zip(blocks, pieces, self._images):
+            block.linear_map.apply(r[piece], out=image)
+        # in place from zero, bitwise as np.sum(images, axis=0) without its stacked copy
+        total = self._total
+        total[:] = 0.0
+        for image in self._images:
+            np.add(total, image, out=total)
+        for i, (block, piece) in enumerate(zip(blocks, pieces)):
+            # prox_i x_i - rho * A_i'(total - A_i x_i)
+            np.subtract(total, self._images[i], out=self._image)
+            back = block.linear_map.adjoint(self._image, out=self._backs[i])
+            np.multiply(self.config.rho, back, out=back)
+            prox[i].apply(r[piece], out=out[piece])
+            np.subtract(out[piece], back, out=out[piece])
 
 
 def assemble_metrics(problem: BlockProblem, config: SolverConfig) -> MetricMatrices:
@@ -190,16 +221,16 @@ def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Structural (matrix-free) product of one certificate matrix with ``v``.
 
-    ``which`` is one of ``"q"``, ``"m"``, ``"h"``, ``"n"``; ``v`` is a packed
-    full-space vector. The product is written into ``out`` when given (which
-    must not overlap ``v``). The intermediates go to buffers that ``metrics``
-    keeps, so repeated products allocate nothing beyond ``out``; one
-    ``MetricMatrices`` is therefore not safe to share between threads.
+    ``which`` is one of ``"h"``, ``"m"``, ``"n"``; a Q-product is the
+    H-product of an M-product (``Q = H M``). ``v`` is a packed full-space
+    vector. The product is written into ``out`` when given (which must not
+    overlap ``v``). The intermediates go to buffers that ``metrics`` keeps,
+    so repeated products allocate nothing beyond ``out``.
     """
-    if which not in ("h", "m", "n", "q"):
+    if which not in ("h", "m", "n"):
         raise ValueError(f"unknown metric {which!r}")
     if out is None:
-        out = np.empty(metrics.total_dim)
+        out = np.empty(metrics.problem.total_dim)
     r, xm, y = metrics.split(v)
     out_r, out_m, out_y = metrics.split(out)
     image, back = metrics._image, metrics._back
@@ -216,34 +247,22 @@ def apply_metric(metrics: MetricMatrices, which: str, v: np.ndarray,
         np.multiply(gamma, y, out=out_y)
         np.add(image, out_y, out=out_y)
         return out
-    if r.size:
-        metrics._first_phase.apply(r, out=out_r)
-    if which == "h":
-        # P_m x_m + (rho/gamma) A_m'A_m x_m + ((1 - gamma)/gamma) A_m'y
-        p_m.apply(xm, out=out_m)
-        a_m.apply(xm, out=image)
-        np.multiply(rho / gamma, a_m.adjoint(image, out=back), out=back)
-        np.add(out_m, back, out=out_m)
-        np.multiply((1.0 - gamma) / gamma, a_m.adjoint(y, out=back), out=back)
-        np.add(out_m, back, out=out_m)
-        # ((1 - gamma)/gamma) A_m x_m + y/(gamma rho)
-        np.multiply((1.0 - gamma) / gamma, image, out=out_y)
-        np.divide(y, gamma * rho, out=image)
-        np.add(out_y, image, out=out_y)
-    elif which == "n":
+    metrics._apply_first_phase(r, out_r)
+    if which == "n":
         p_m.apply(xm, out=out_m)
         np.multiply((2.0 - gamma) / rho, y, out=out_y)
-    else:
-        # rho A_m'A_m x_m + P_m x_m + (1 - gamma) A_m'y
-        a_m.apply(xm, out=image)
-        np.multiply(rho, a_m.adjoint(image, out=back), out=out_m)
-        np.add(out_m, p_m.apply(xm, out=back), out=out_m)
-        np.multiply(1.0 - gamma, a_m.adjoint(y, out=back), out=back)
-        np.add(out_m, back, out=out_m)
-        # -A_m x_m + y/rho
-        np.negative(image, out=out_y)
-        np.divide(y, rho, out=image)
-        np.add(out_y, image, out=out_y)
+        return out
+    # P_m x_m + (rho/gamma) A_m'A_m x_m + ((1 - gamma)/gamma) A_m'y
+    p_m.apply(xm, out=out_m)
+    a_m.apply(xm, out=image)
+    np.multiply(rho / gamma, a_m.adjoint(image, out=back), out=back)
+    np.add(out_m, back, out=out_m)
+    np.multiply((1.0 - gamma) / gamma, a_m.adjoint(y, out=back), out=back)
+    np.add(out_m, back, out=out_m)
+    # ((1 - gamma)/gamma) A_m x_m + y/(gamma rho)
+    np.multiply((1.0 - gamma) / gamma, image, out=out_y)
+    np.divide(y, gamma * rho, out=image)
+    np.add(out_y, image, out=out_y)
     return out
 
 
@@ -337,15 +356,15 @@ def _require_trajectory(trajectory, metrics: MetricMatrices) -> None:
                          "configuration than the metrics")
 
 
-def check_probe_feasible(problem: BlockProblem, point: PrimalDualPoint,
-                         tol: float = 1e-8) -> None:
+def check_probe_feasible(problem: BlockProblem, point: PrimalDualPoint) -> None:
     """Raise ``ProbeFeasibilityError`` unless each block variable lies in its
-    constraint set (up to a relative projection distance ``tol``)."""
+    constraint set, up to a projection distance of ``PROBE_TOL`` relative to
+    ``1 + ||x||``."""
     for i, (block, x) in enumerate(zip(problem.blocks, point.primal)):
         if block.projection is None:
             continue
         dist = float(np.linalg.norm(block.projection(x) - x))
-        if dist > tol * (1.0 + float(np.linalg.norm(x))):
+        if dist > PROBE_TOL * (1.0 + float(np.linalg.norm(x))):
             raise ProbeFeasibilityError(
                 f"probe violates the constraint set of block {i} "
                 f"(projection distance {dist:.3e})")
@@ -369,7 +388,8 @@ class ReplayRecord:
     inequality is evaluated at the steps ``sampled``: at ``sampled[i]`` and
     probe ``j``, ``step_terms[0, i, j]`` is its left side
     ``objective(w) - objective(w_bar) + (w - w_bar)' F(w_bar)`` and
-    ``step_terms[1, i, j]`` its right side ``(w - w_bar)' Q (w^k - w_bar)``.
+    ``step_terms[1, i, j]`` its right side ``(w - w_bar)' Q (w^k - w_bar)``,
+    with ``Q (w^k - w_bar) = H M (w^k - w_bar)``.
     """
 
     metrics: MetricMatrices
@@ -395,14 +415,17 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
     """Walk ``trajectory`` once, reading each packed ``w^k`` from its row and
     deriving each auxiliary point once, from the rows of ``w^k`` and
     ``w^{k+1}``, into buffers allocated once: ``2T + 1`` H-products, one
-    more per probe, ``T`` N- and ``T`` M-products, and one Q-product per
-    sampled step. The probes are checked first: an infeasible probe is an
-    error, not a failure. Writing to a row before the replay changes what it
-    measures; replacing an element of ``trajectory.points`` does not."""
+    more per probe and one more per sampled step, and ``T`` N- and ``T``
+    M-products. At a sampled step the extra H-product is applied to the
+    M-product the recurrence residual already forms, which gives the
+    Q-product of the step inequality, since ``Q = H M``. The probes are
+    checked first: an infeasible probe is an error, not a failure. Writing
+    to a row before the replay changes what it measures; replacing an
+    element of ``trajectory.points`` does not."""
     _require_trajectory(trajectory, metrics)
     problem, steps = metrics.problem, trajectory.steps
     ref = pack_point(problem, reference)
-    diff, product, wbar = (np.empty_like(ref) for _ in range(3))
+    diff, product, q_step, wbar = (np.empty_like(ref) for _ in range(4))
     auxiliary_sum = np.zeros_like(ref)
     move, back = np.empty(problem.blocks[-1].dim), np.empty(problem.blocks[-1].dim)
     dual_move = np.empty(problem.constraint_dim)
@@ -440,18 +463,19 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         auxiliary_sum += wbar
         gap[k] = weighted_norm_sq(metrics, np.subtract(current, wbar, out=diff), "n")
         apply_metric(metrics, "m", diff, out=product)
-        np.subtract(current, product, out=product)
-        residual[k] = np.linalg.norm(np.subtract(product, following, out=product))
         if k in sample_row:
-            # objective(u_bar), F(w_bar) and Q (w^k - w_bar) serve every probe
+            # objective(u_bar), F(w_bar) and Q (w^k - w_bar) serve every probe;
+            # the last is H M (w^k - w_bar), made before the residual reuses the M-product
+            apply_metric(metrics, "h", product, out=q_step)
             wbar_objective = evaluate_objective(problem, auxiliary)
             f_wbar = vi_operator(problem, auxiliary)
-            apply_metric(metrics, "q", diff, out=product)
             for j, (probe_objective, probe_packed, _) in enumerate(probe_terms):
                 np.subtract(probe_packed, wbar, out=diff)
                 step_terms[:, sample_row[k], j] = (
                     probe_objective - wbar_objective + float(diff @ f_wbar),
-                    float(diff @ product))
+                    float(diff @ q_step))
+        np.subtract(current, product, out=product)
+        residual[k] = np.linalg.norm(np.subtract(product, following, out=product))
         h_step[k] = weighted_norm_sq(
             metrics, np.subtract(current, following, out=diff), "h")
         np.subtract(current_point.dual, following_point.dual, out=dual_move)
@@ -473,8 +497,9 @@ def fejer_check(record: ReplayRecord) -> CertificateReport:
     skipped otherwise.
     """
     name = "fejer_contraction"
-    if not record.metrics.strict_ok:
-        return _skipped(name, record.metrics.strict_reason)
+    reason = record.metrics.unproven_reason(*_STRICT_CONDITIONS)
+    if reason:
+        return _skipped(name, reason)
     before, decrease, after = record.ref_dist[:-1], record.gap, record.ref_dist[1:]
     return _finish(name, before - decrease - after
                    + inequality_slack(before, decrease, after))
@@ -565,8 +590,9 @@ def ergodic_gap_check(record: ReplayRecord, average: PrimalDualPoint) -> Certifi
     """
     name = "ergodic_gap"
     metrics = record.metrics
-    if not metrics.strict_ok:
-        return _skipped(name, metrics.strict_reason)
+    reason = metrics.unproven_reason(*_STRICT_CONDITIONS)
+    if reason:
+        return _skipped(name, reason)
     if not record.steps:
         return _finish(name, [])
     problem = metrics.problem

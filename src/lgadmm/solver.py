@@ -206,63 +206,6 @@ class ValidationReport:
 # Spectral preconditions: the coupled first-phase metric and the last-block
 # condition, established once by ``validate_config``.
 
-class FirstPhaseProduct:
-    """Products with the coupled first-phase metric (prox metrics on the
-    diagonal, ``-rho A_i'A_j`` off it).
-
-    When ``structural_coupling`` gives ``K``, a product is ``K (x) I`` applied
-    to the blocks, with no map products. Otherwise the intermediates (one
-    constraint-space image per block, their sum, the adjoint input, one
-    adjoint image per block) live in buffers allocated once, so a caller
-    that applies the metric many times allocates nothing per product. An
-    instance is therefore not safe to share between threads.
-    """
-
-    def __init__(self, problem: BlockProblem, prox: Sequence[SymmetricOperator],
-                 rho: float):
-        self.blocks = problem.blocks[:-1]
-        self.prox = tuple(prox[:len(self.blocks)])
-        self.rho = rho
-        # the first-phase blocks lead the packed vector, so their slices are its own
-        self._pieces = problem.slices[:-2]
-        self.dim = problem.slices[-2].start
-        self.coupling = structural_coupling(problem, prox, rho)
-        self._images = [np.empty(problem.constraint_dim) for _ in self.blocks]
-        self._total = np.empty(problem.constraint_dim)
-        self._others = np.empty(problem.constraint_dim)
-        self._backs = [np.empty(block.dim) for block in self.blocks]
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Return the product with the concatenated first-phase vector ``r``,
-        written into ``out`` when given (which must not overlap ``r``)."""
-        if out is None:
-            out = np.empty(self.dim)
-        pieces = self._pieces
-        if self.coupling is not None:
-            # out_i = sum_j K_ij r_j from zero: the metric is K (x) I, no map products
-            for i, (piece, back) in enumerate(zip(pieces, self._backs)):
-                out[piece] = 0.0
-                for j, other in enumerate(pieces):
-                    np.add(out[piece], np.multiply(self.coupling[i, j], r[other], out=back),
-                           out=out[piece])
-            return out
-        for block, piece, image in zip(self.blocks, pieces, self._images):
-            block.linear_map.apply(r[piece], out=image)
-        # in place from zero, bitwise as np.sum(images, axis=0) without its stacked copy
-        total = self._total
-        total[:] = 0.0
-        for image in self._images:
-            np.add(total, image, out=total)
-        for i, (block, piece) in enumerate(zip(self.blocks, pieces)):
-            # prox_i x_i - rho * A_i'(total - A_i x_i)
-            np.subtract(total, self._images[i], out=self._others)
-            back = block.linear_map.adjoint(self._others, out=self._backs[i])
-            np.multiply(self.rho, back, out=back)
-            self.prox[i].apply(r[piece], out=out[piece])
-            np.subtract(out[piece], back, out=out[piece])
-        return out
-
-
 def first_phase_dense(problem: BlockProblem, prox: Sequence[SymmetricOperator],
                       rho: float) -> np.ndarray:
     """Materialise the coupled first-phase metric."""

@@ -44,7 +44,6 @@ from lgadmm.solver import (
     SolverConfig,
     TrajectoryRecord,
     auxiliary_point,
-    first_phase_dense,
     validate_config,
 )
 
@@ -63,6 +62,22 @@ class DenseMetrics(MetricMatrices):
         return self._slices[0].stop
 
 
+def dense_first_phase(problem: BlockProblem, prox, rho: float) -> np.ndarray:
+    """The coupled first-phase metric from the stacked dense map
+    ``A = [A_1 ... A_{m-1}]``: ``blockdiag(P_i) - rho (A'A - blockdiag(A_i'A_i))``."""
+    maps = [block.linear_map.dense() for block in problem.blocks[:-1]]
+    stacked = np.hstack(maps)
+    own = np.zeros((stacked.shape[1], stacked.shape[1]))
+    diagonal = np.zeros_like(own)
+    offset = 0
+    for matrix, metric in zip(maps, prox):
+        piece = slice(offset, offset + matrix.shape[1])
+        own[piece, piece] = matrix.T @ matrix
+        diagonal[piece, piece] = metric.dense()
+        offset = piece.stop
+    return diagonal - rho * (stacked.T @ stacked - own)
+
+
 def assemble_dense_metrics(problem: BlockProblem, config: SolverConfig) -> DenseMetrics:
     """Materialise Q, M, H and N for a small problem and cross-check them.
 
@@ -78,7 +93,7 @@ def assemble_dense_metrics(problem: BlockProblem, config: SolverConfig) -> Dense
     total_dim, ell = problem.total_dim, problem.constraint_dim
     fp, lb, du = metrics._slices
 
-    g1 = first_phase_dense(problem, prox, rho)
+    g1 = dense_first_phase(problem, prox, rho)
     am = problem.blocks[-1].linear_map.dense()
     gram_m = am.T @ am
     pm_dense = prox[-1].dense()
@@ -121,7 +136,8 @@ def assemble_dense_metrics(problem: BlockProblem, config: SolverConfig) -> Dense
     metrics._n_min_eig = float(np.linalg.eigvalsh(n_mat)[0])
     # Positive definiteness of the first-phase metric propagates to H and N
     # for any relaxation factor in (0, 2).
-    assert not metrics.strict_ok or (metrics.h_min_eig > 0 and metrics.n_min_eig > 0), \
+    strict = metrics.unproven_reason("first_phase", "last_condition") is None
+    assert not strict or (metrics.h_min_eig > 0 and metrics.n_min_eig > 0), \
         (f"H or N lost positive definiteness (h {metrics.h_min_eig:.3e}, "
          f"n {metrics.n_min_eig:.3e}) despite a positive definite first-phase metric")
     return metrics
@@ -191,7 +207,9 @@ def step_inequality_probe(metrics: MetricMatrices, trajectory: TrajectoryRecord,
     diff = pack_point(problem, probe) - wbar
     lhs = (evaluate_objective(problem, probe) - evaluate_objective(problem, auxiliary)
            + float(diff @ vi_operator(problem, auxiliary)))
-    rhs = float(diff @ apply_metric(metrics, "q", trajectory.row(k) - wbar))
+    # Q = H M
+    q_step = apply_metric(metrics, "h", apply_metric(metrics, "m", trajectory.row(k) - wbar))
+    rhs = float(diff @ q_step)
     return lhs - rhs
 
 
@@ -237,12 +255,13 @@ def packing_replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
         auxiliary_sum += wbar
         gap[k] = weighted_norm_sq(metrics, np.subtract(current, wbar, out=diff), "n")
         apply_metric(metrics, "m", diff, out=product)
+        # Q = H M: the Q-product is taken of the M-product before the residual
+        q_step = apply_metric(metrics, "h", product) if k in sampled else None
         np.subtract(current, product, out=product)
         residual[k] = np.linalg.norm(np.subtract(product, following, out=product))
         if k in sampled:
             objective = evaluate_objective(problem, auxiliary)
             value = vi_operator(problem, auxiliary)
-            q_step = apply_metric(metrics, "q", diff)
             for j, (probe_objective, probe_packed, _) in enumerate(probe_terms):
                 to_probe = probe_packed - wbar
                 step_terms[:, sampled.index(k), j] = (

@@ -34,6 +34,9 @@ def test_prng_deterministic_and_in_range():
     assert not np.array_equal(a, c)
     # prefix stability: shorter draws are prefixes of longer ones
     assert np.array_equal(splitmix64_uniform(42, 10), a[:10])
+    assert splitmix64_uniform(42, 0).shape == (0,)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        splitmix64_uniform(42, -1)
 
 
 def test_generate_instance_construction():
@@ -63,6 +66,13 @@ def test_instance_invariants_enforced():
     with pytest.raises(ValueError):
         CalibrationInstance(n=2, c=np.eye(2),
                             h_lower=0.2 * np.ones((2, 2)),
+                            h_upper=0.1 * np.ones((2, 2)))
+    # the data matrix is n x n, and the bounds have its shape
+    with pytest.raises(ValueError, match=r"data matrix has shape \(2, 2\), expected \(3, 3\)"):
+        CalibrationInstance(n=3, c=np.eye(2), h_lower=-0.1 * np.ones((2, 2)),
+                            h_upper=0.1 * np.ones((2, 2)))
+    with pytest.raises(ValueError, match="bound matrices must match"):
+        CalibrationInstance(n=2, c=np.eye(2), h_lower=-0.1 * np.ones((3, 3)),
                             h_upper=0.1 * np.ones((2, 2)))
 
 

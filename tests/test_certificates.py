@@ -40,17 +40,18 @@ from lgadmm.problem import (
 from lgadmm.solver import (
     TRAJECTORY_CHUNK_ROWS,
     ConfigError,
-    FirstPhaseProduct,
     SolverConfig,
     TrajectoryRecord,
     first_phase_dense,
     first_phase_min_eig_estimate,
     last_condition_min_eig_estimate,
     solve,
+    structural_coupling,
     validate_config,
 )
 from reference import (
     assemble_dense_metrics,
+    dense_first_phase,
     packing_replay,
     primal_feasibility,
     step_inequality_probe,
@@ -99,7 +100,7 @@ def test_assembled_matrices_match_hand_computation():
     assert np.allclose(metrics.m_mat, [[1, 0, 0], [0, 1, 0], [0, -1, 1]])
     assert np.allclose(metrics.n_mat, np.diag([2.0, 1.0, 1.0]))
     assert metrics.g1 == pytest.approx(np.array([[2.0]]))
-    assert metrics.strict_ok
+    assert metrics.to_dict()["strict_ok"]
 
 
 def test_unit_relaxation_makes_h_block_diagonal():
@@ -139,7 +140,7 @@ def test_factorization_identities_on_random_configs():
 
 
 def test_weighted_norms_zero_vector(strict_setup):
-    v = np.zeros(strict_setup.metrics.total_dim)
+    v = np.zeros(strict_setup.problem.total_dim)
     for which in ("h", "n"):
         assert weighted_norm_sq(strict_setup.metrics, v, which) == 0.0
 
@@ -147,7 +148,7 @@ def test_weighted_norms_zero_vector(strict_setup):
 def test_weighted_norm_unit_dual():
     problem, config = two_block_hand_config()
     metrics = assemble_dense_metrics(problem, config)
-    v = np.zeros(metrics.total_dim)
+    v = np.zeros(problem.total_dim)
     v[-1] = 1.0
     assert weighted_norm_sq(metrics, v, "h") == pytest.approx(1.0)
 
@@ -160,22 +161,26 @@ def strict_dense(strict_setup):
 def test_weighted_norms_dense_and_matrix_free_agree(strict_setup, strict_dense):
     free = strict_setup.metrics
     dense = strict_dense
-    prox, rho = strict_setup.config.proximal_metrics, strict_setup.config.rho
-    first_phase = FirstPhaseProduct(strict_setup.problem, prox, rho)
+    prox = strict_setup.config.proximal_metrics
     rng = np.random.default_rng(12)
     for _ in range(5):
-        v = rng.standard_normal(dense.total_dim)
+        v = rng.standard_normal(strict_setup.problem.total_dim)
         r, xm, _ = free.split(v)
+        # the first-phase rows of an H-product are G1 r
+        g1_r = free.split(apply_metric(free, "h", v))[0]
         for expected, got in (
                 (v @ dense.h @ v, weighted_norm_sq(free, v, "h")),
                 (v @ dense.n_mat @ v, weighted_norm_sq(free, v, "n")),
-                (r @ dense.g1 @ r, r @ first_phase.apply(r)),
+                (r @ dense.g1 @ r, r @ g1_r),
                 (xm @ prox[-1].dense() @ xm, prox[-1].quad(xm))):
             assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
-        for which, matrix in (("q", dense.q), ("m", dense.m_mat),
-                              ("h", dense.h), ("n", dense.n_mat)):
+        for matrix, got in (
+                # Q = H M
+                (dense.q, apply_metric(free, "h", apply_metric(free, "m", v))),
+                (dense.m_mat, apply_metric(free, "m", v)),
+                (dense.h, apply_metric(free, "h", v)),
+                (dense.n_mat, apply_metric(free, "n", v))):
             expected = matrix @ v
-            got = apply_metric(free, which, v)
             assert np.linalg.norm(got - expected) <= 1e-12 * (
                 1.0 + np.linalg.norm(expected))
 
@@ -191,41 +196,57 @@ def test_default_metrics_take_preconditions_from_validation(strict_setup):
     assert set(metrics.to_dict()) == {"n_min_eig", "strict_ok", "strict_reason"}
 
 
+def _reference_first_phase(problem, prox, rho, r):
+    """The coupled first-phase product ``G1 r`` as allocating expressions:
+    ``sum_j K_ij r_j`` from zero when ``structural_coupling`` gives ``K``,
+    else ``P_i r_i - rho A_i'(sum_j A_j r_j - A_i r_i)`` with ``np.sum``."""
+    blocks = problem.blocks[:-1]
+    pieces = [r[piece] for piece in problem.slices[:-2]]
+    coupling = structural_coupling(problem, prox, rho)
+    if coupling is not None:
+        return np.concatenate([
+            sum((coupling[i, j] * other for j, other in enumerate(pieces)), np.zeros(x.size))
+            for i, x in enumerate(pieces)])
+    images = [block.linear_map.apply(x) for block, x in zip(blocks, pieces)]
+    total = np.sum(images, axis=0)
+    return np.concatenate([
+        prox[i].apply(x) - rho * block.linear_map.adjoint(total - images[i])
+        for i, (block, x) in enumerate(zip(blocks, pieces))])
+
+
 def test_first_phase_apply_matches_stacked_sum():
     # dense maps have no structural Gram, so the product goes through images
     problem = random_problem(15, num_blocks=4, constraint_dim=5)
     config = random_config(np.random.default_rng(15), problem)
     prox, rho = config.proximal_metrics, config.rho
-    blocks = problem.blocks[:-1]
+    assert structural_coupling(problem, prox, rho) is None
+    metrics = assemble_metrics(problem, config)
     rng = np.random.default_rng(14)
-    r = rng.standard_normal(sum(block.dim for block in blocks))
-    r[0] = -0.0
-    pieces = np.split(r, np.cumsum([block.dim for block in blocks])[:-1])
-    images = [block.linear_map.apply(x) for block, x in zip(blocks, pieces)]
-    total = np.sum(images, axis=0)
-    expected = np.concatenate([
-        prox[i].apply(x) - rho * block.linear_map.adjoint(total - images[i])
-        for i, (block, x) in enumerate(zip(blocks, pieces))])
-    got = FirstPhaseProduct(problem, prox, rho).apply(r)
+    v = rng.standard_normal(problem.total_dim)
+    v[0] = -0.0
+    r = metrics.split(v)[0]
+    expected = _reference_first_phase(problem, prox, rho, r)
+    # the first-phase rows of an H-product are G1 r
+    got = metrics.split(apply_metric(metrics, "h", v))[0]
     assert got.tobytes() == expected.tobytes()
-    out = np.full(r.size, np.nan)
-    assert FirstPhaseProduct(problem, prox, rho).apply(r, out=out) is out
-    assert out.tobytes() == expected.tobytes()
+    out = np.full(problem.total_dim, np.nan)
+    assert apply_metric(metrics, "h", v, out=out) is out
+    assert metrics.split(out)[0].tobytes() == expected.tobytes()
 
 
 def test_structural_first_phase_apply_matches_dense(strict_setup):
-    problem = strict_setup.problem
+    problem, metrics = strict_setup.problem, strict_setup.metrics
     prox, rho = strict_setup.config.proximal_metrics, strict_setup.config.rho
-    product = FirstPhaseProduct(problem, prox, rho)
-    assert product.coupling is not None
-    dense = first_phase_dense(problem, prox, rho)
+    assert structural_coupling(problem, prox, rho) is not None
+    dense = dense_first_phase(problem, prox, rho)
     rng = np.random.default_rng(16)
     for _ in range(5):
-        r = rng.standard_normal(product.dim)
-        expected = dense @ r
-        out = np.full(r.size, np.nan)
-        assert product.apply(r, out=out) is out
-        assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+        v = rng.standard_normal(problem.total_dim)
+        expected = dense @ metrics.split(v)[0]
+        out = np.full(problem.total_dim, np.nan)
+        assert apply_metric(metrics, "h", v, out=out) is out
+        got = metrics.split(out)[0]
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 def _reference_apply_metric(metrics, which, v):
@@ -237,17 +258,14 @@ def _reference_apply_metric(metrics, which, v):
     am_x = a_m.apply(xm)
     if which == "m":
         return np.concatenate([r, xm, -rho * am_x + gamma * y])
-    g1_r = FirstPhaseProduct(problem, prox, rho).apply(r)
+    g1_r = _reference_first_phase(problem, prox, rho, r)
     if which == "h":
         out_m = (p_m.apply(xm) + (rho / gamma) * a_m.adjoint(am_x)
                  + ((1.0 - gamma) / gamma) * a_m.adjoint(y))
         out_y = ((1.0 - gamma) / gamma) * am_x + y / (gamma * rho)
-    elif which == "n":
+    else:
         out_m = p_m.apply(xm)
         out_y = ((2.0 - gamma) / rho) * y
-    else:
-        out_m = rho * a_m.adjoint(am_x) + p_m.apply(xm) + (1.0 - gamma) * a_m.adjoint(y)
-        out_y = -am_x + y / rho
     return np.concatenate([g1_r, out_m, out_y])
 
 
@@ -257,18 +275,29 @@ def test_apply_metric_out_is_bitwise_the_allocating_product(strict_setup):
     dense = assemble_metrics(problem, random_config(np.random.default_rng(31), problem))
     rng = np.random.default_rng(32)
     for metrics in (strict_setup.metrics, dense):
-        v = rng.standard_normal(metrics.total_dim)
+        v = rng.standard_normal(metrics.problem.total_dim)
         signed_zeros = v.copy()
         signed_zeros[::3] = -0.0
         signed_zeros[1::3] = 0.0
         for vector in (v, signed_zeros):
-            for which in ("q", "m", "h", "n"):
-                out = np.full(metrics.total_dim, np.nan)
+            for which in ("m", "h", "n"):
+                out = np.full(metrics.problem.total_dim, np.nan)
                 assert apply_metric(metrics, which, vector, out=out) is out
                 expected = _reference_apply_metric(metrics, which, vector)
                 for got in (out, apply_metric(metrics, which, vector)):
                     assert np.array_equal(got, expected)
                     assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("product, which", [
+    # Q = H M is made as an H-product of an M-product, never on its own
+    (apply_metric, "q"), (apply_metric, "x"),
+    (weighted_norm_sq, "m"), (weighted_norm_sq, "q")])
+def test_unknown_metrics_are_refused(strict_setup, product, which):
+    v = np.ones(strict_setup.problem.total_dim)
+    args = (which, v) if product is apply_metric else (v, which)
+    with pytest.raises(ValueError, match="unknown metric"):
+        product(strict_setup.metrics, *args)
 
 
 def test_first_phase_min_eig_paths():
@@ -288,7 +317,10 @@ def test_first_phase_min_eig_paths():
     # less the backward-error margin
     problem = random_problem(17, num_blocks=4, constraint_dim=5)
     prox = random_config(np.random.default_rng(17), problem).proximal_metrics
-    truth = float(np.linalg.eigvalsh(first_phase_dense(problem, prox, 0.7))[0])
+    # the metric validation decomposes is the reference's, built from the stacked maps
+    metric = dense_first_phase(problem, prox, 0.7)
+    assert np.abs(first_phase_dense(problem, prox, 0.7) - metric).max() <= 1e-12
+    truth = float(np.linalg.eigvalsh(metric)[0])
     value, method = first_phase_min_eig_estimate(problem, prox, 0.7)
     assert method == "dense"
     assert value < truth
@@ -330,6 +362,14 @@ def test_fejer_vacuous_on_single_point_trajectory(strict_setup):
     assert report.passed
     assert report.iterations_checked == 0
     assert report.details.get("vacuous")
+    # with no step the rate bound and the step inequality compare nothing either,
+    # and neither does the step inequality with no probe
+    probe = feasible_probe(strict_setup.problem, 8)
+    no_step = replay(strict_setup.metrics, tiny, strict_setup.reference, [probe])
+    for report in (nonergodic_rate_check(no_step), step_inequality_check(no_step),
+                   step_inequality_check(strict_replay(strict_setup))):
+        assert (report.passed, report.iterations_checked, report.details) == (
+            True, 0, {"vacuous": True}), report.check
 
 
 def test_fejer_requires_trajectory(strict_setup):
@@ -346,11 +386,13 @@ def test_checks_skip_outside_strict_conditions():
                           record_trajectory=True)
     result = solve(problem, config, zeros_point(problem))
     metrics = assemble_metrics(problem, config)
-    assert not metrics.strict_ok
+    assert not metrics.to_dict()["strict_ok"]
     report = fejer_check(replay(metrics, result.trajectory, result.final, ()))
     assert report.skipped
     assert report.passed is None
     assert "first-phase metric" in report.skipped_reason
+    # the gate and the summary's metric conditions are one lookup
+    assert report.skipped_reason == metrics.to_dict()["strict_reason"]
 
 
 def test_rate_checks_skip_on_indefinite_last_metric():
@@ -370,7 +412,7 @@ def test_rate_checks_skip_on_indefinite_last_metric():
     reference = solve(problem, config(max_iterations=100_000, tolerance=1e-8),
                       zeros_point(problem)).final
     metrics = assemble_metrics(problem, recorded)
-    assert metrics.strict_ok
+    assert metrics.to_dict()["strict_ok"]
     assert metrics.validation.last_metric_min_eig == -0.01
     record = replay(metrics, trajectory, reference, ())
     for report in (nonergodic_monotonicity_check(record),
@@ -672,7 +714,9 @@ def test_replay_matches_direct_per_step_evaluation(strict_setup):
             lhs = (evaluate_objective(problem, probe)
                    - evaluate_objective(problem, trajectory.auxiliary(k))
                    + float(diff @ value))
-            rhs = float(diff @ apply_metric(metrics, "q", w[k] - wbar[k]))
+            # Q = H M
+            q_step = apply_metric(metrics, "h", apply_metric(metrics, "m", w[k] - wbar[k]))
+            rhs = float(diff @ q_step)
             per_probe.append(lhs - rhs + inequality_slack(lhs, rhs))
         inequality.append(min(per_probe))
 
@@ -739,13 +783,13 @@ def test_report_serialization(strict_setup):
 
 def test_strict_metrics_report_positive_minima(strict_setup, strict_dense):
     metrics = strict_setup.metrics
-    assert metrics.strict_ok
     assert metrics.validation.first_phase_min_eig > 0.0
     assert metrics.n_min_eig > 0.0
     assert strict_dense.h_min_eig > 0.0
     assert strict_dense.n_min_eig > 0.0
     payload = metrics.to_dict()
     assert payload["strict_ok"] is True
+    assert payload["strict_reason"] is None
 
 
 def _owner(array):
@@ -806,9 +850,10 @@ def test_replay_products_reuse_their_buffers(strict_setup, monkeypatch):
         record = replay(metrics, prefix, strict_setup.reference, probes)
         sampled = min(STEP_SAMPLES, steps)
         assert len(record.sampled) == sampled
-        # one H-product per probe for its ergodic bound, one Q-product per sampled step
-        assert Counter(products) == {"h": 2 * steps + 1 + len(probes), "n": steps,
-                                     "m": steps, "q": sampled}
+        # one H-product per probe for its ergodic bound, and one per sampled
+        # step, of the M-product, for the step inequality's Q = H M
+        assert Counter(products) == {"h": 2 * steps + 1 + len(probes) + sampled,
+                                     "n": steps, "m": steps}
         assert len(derived) == steps
         assert len(evaluated) == sampled
         # besides the auxiliary points, only the reference and the probes are packed

@@ -26,12 +26,18 @@ def test_dense_map_matches_matrix():
     assert np.allclose(amap.apply(x), matrix @ x)
     assert np.allclose(amap.adjoint(u), matrix.T @ u)
     assert np.allclose(amap.dense(), matrix)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        DenseMap(np.ones(3))
 
 
 def test_block_sign_map_dense_is_kron():
     amap = BlockSignMap((1, -1, 0), block_dim=3)
     signs = np.array([[1.0], [-1.0], [0.0]])
     assert np.array_equal(amap.dense(), np.kron(signs, np.eye(3)))
+    with pytest.raises(ValueError, match="non-empty"):
+        BlockSignMap((), block_dim=3)
+    with pytest.raises(ValueError, match="-1, 0 or \\+1"):
+        BlockSignMap((1, 2), block_dim=3)
 
 
 def test_block_sign_map_apply_matches_dense():
@@ -117,6 +123,9 @@ def test_scaled_identity_operations():
 def test_dense_symmetric_validates_symmetry():
     with pytest.raises(ValueError):
         DenseSymmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    for matrix in (np.ones((2, 3)), np.ones(2)):
+        with pytest.raises(ValueError, match="square"):
+            DenseSymmetric(matrix)
 
 
 def test_dense_symmetric_accepts_roundoff_asymmetry():
@@ -131,6 +140,8 @@ def test_dense_symmetric_accepts_roundoff_asymmetry():
 def test_dense_symmetric_min_eigenvalue():
     metric = DenseSymmetric(np.diag([4.0, -1.0, 2.0]))
     assert metric.min_eigenvalue() == pytest.approx(-1.0)
+    # no eigenvalue at all: an empty metric is taken as zero
+    assert DenseSymmetric(np.zeros((0, 0))).min_eigenvalue() == 0.0
 
 
 def test_linearized_metric_scalar_case():

@@ -242,6 +242,11 @@ def test_check_point_rejects_wrong_shapes(small_problem):
         tuple(np.zeros(d) for d in small_problem.block_dims), np.zeros(2))
     with pytest.raises(DimensionMismatchError):
         check_point(small_problem, wrong_dual)
+    missing_block = PrimalDualPoint(
+        tuple(np.zeros(d) for d in small_problem.block_dims[:-1]),
+        np.zeros(small_problem.constraint_dim))
+    with pytest.raises(DimensionMismatchError, match="point has 2 primal blocks, problem has 3"):
+        check_point(small_problem, missing_block)
 
 
 def test_zeros_point(small_problem):
@@ -314,6 +319,15 @@ def test_block_problem_validates_dimensions():
     with pytest.raises(DimensionMismatchError):
         BlockProblem(blocks=(block, quadratic_spec([[1.0]])),
                      rhs=np.zeros(2), constraint_dim=2)
+    with pytest.raises(DimensionMismatchError, match="rhs has size 3"):
+        BlockProblem(blocks=(block, block), rhs=np.zeros(3), constraint_dim=2)
+    # a block is at least one-dimensional, and its map takes vectors of its size
+    amap = block.linear_map
+    with pytest.raises(DimensionMismatchError, match="block dimension must be positive"):
+        BlockSpec(dim=0, linear_map=amap, subproblem_oracle=None, objective_oracle=None)
+    with pytest.raises(DimensionMismatchError,
+                       match="takes vectors of size 1, block has dimension 2"):
+        BlockSpec(dim=2, linear_map=amap, subproblem_oracle=None, objective_oracle=None)
 
 
 def test_subproblem_oracle_fixed_at_unregularized_minimizer(small_problem):

@@ -31,6 +31,14 @@ def test_atomic_write_text_leaves_no_temp_files(tmp_path):
     target = tmp_path / "note.txt"
     atomic_write_text(str(target), "payload")
     assert sorted(os.listdir(tmp_path)) == ["note.txt"]
+    # a failed write or rename removes its temporary file and re-raises its error
+    with pytest.raises(TypeError):
+        atomic_write_text(str(target), b"bytes")
+    (tmp_path / "folder").mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(str(tmp_path / "folder"), "payload")
+    assert sorted(os.listdir(tmp_path)) == ["folder", "note.txt"]
+    assert target.read_text() == "payload"
 
 
 def test_atomic_write_text_leaves_the_process_umask_alone(tmp_path, monkeypatch):

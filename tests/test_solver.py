@@ -236,8 +236,8 @@ def test_strict_mode_refuses_an_indefinite_metric_above_the_dense_cap(gapped_blo
     with pytest.raises(ConfigError, match="bound"):
         validate_config(gapped_blocks, config)
     report = validate_config(gapped_blocks, replace(config, strict_theory_mode=False))
-    truth = float(np.linalg.eigvalsh(
-        first_phase_dense(gapped_blocks, config.proximal_metrics, config.rho))[0])
+    truth = float(np.linalg.eigvalsh(reference.dense_first_phase(
+        gapped_blocks, config.proximal_metrics, config.rho))[0])
     assert truth < 0.0
     assert report.first_phase_method == "bound"
     assert report.first_phase_min_eig <= truth + 1e-12
@@ -297,6 +297,47 @@ def test_maps_of_unknown_norm_get_trivial_bounds():
     # a zero map couples nothing, even to a map of unknown norm: no NaN
     decoupled = report((opaque, DenseMap(np.zeros((dim, dim)))))
     assert (decoupled.first_phase_min_eig, decoupled.first_phase_method) == (2.0, "bound")
+
+
+class OpaqueMatrix(LinearMap):
+    """A matrix seen only through its products, so ``dense`` is the default
+    that builds it column by column."""
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+        self.out_dim, self.in_dim = matrix.shape
+
+    def apply(self, x, out=None):
+        return np.matmul(self._matrix, x, out=out)
+
+    def adjoint(self, y, out=None):
+        return np.matmul(self._matrix.T, y, out=out)
+
+
+def test_validation_materialises_a_map_that_only_has_products():
+    rng = np.random.default_rng(7)
+    matrices = [rng.standard_normal((4, dim)) for dim in (2, 3, 2)]
+    for matrix in matrices:
+        assert np.array_equal(OpaqueMatrix(matrix).dense(), matrix)
+
+    def problem(wrap):
+        return BlockProblem(
+            blocks=tuple(BlockSpec(dim=matrix.shape[1], linear_map=wrap(matrix),
+                                   subproblem_oracle=None, objective_oracle=None)
+                         for matrix in matrices),
+            rhs=np.zeros(4), constraint_dim=4)
+
+    # under the dense cap, the first-phase metric validation decomposes is
+    # the one the explicit matrices give
+    opaque, explicit = problem(OpaqueMatrix), problem(DenseMap)
+    config = SolverConfig(rho=0.5, gamma=1.0, proximal_metrics=identity_metrics(opaque, 3.0))
+    got, expected = validate_config(opaque, config), validate_config(explicit, config)
+    assert got.first_phase_method == expected.first_phase_method == "dense"
+    assert got.first_phase_min_eig == expected.first_phase_min_eig
+    # with P_m = 0 the last condition of the opaque map takes the dense route
+    value, method = last_condition_min_eig_estimate(opaque, ScaledIdentity(2, 0.0), 0.5, 1.0)
+    assert method == "dense"
+    assert value == pytest.approx(0.5 * gram_min_eigenvalue(DenseMap(matrices[-1])), abs=1e-10)
 
 
 def test_validate_config_gamma_range():
@@ -857,8 +898,16 @@ def test_nan_oracle_raises_divergence_error():
                            rhs=base.rhs, constraint_dim=1)
     config = SolverConfig(rho=1.0, gamma=1.0,
                           proximal_metrics=identity_metrics(problem))
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as info:
         solve(problem, config, zeros_point(problem))
+    assert info.value.component == "block 0"
+    # finite blocks, but the multiplier overflows: three unit first-phase
+    # blocks each take b = 1.5, and rho * (4.5 - 1.5) exceeds the float range
+    problem = chain_problem([[1.0], [1.0], [1.0], [0.0]], [1.5])
+    config = SolverConfig(rho=1e308, gamma=1.0, proximal_metrics=identity_metrics(problem))
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        step(problem, config, IterationState.initial(zeros_point(problem)))
+    assert (info.value.component, info.value.iteration) == ("multiplier", 0)
 
 
 def test_failing_oracle_wrapped_with_block_index():
@@ -874,6 +923,15 @@ def test_failing_oracle_wrapped_with_block_index():
     config = SolverConfig(rho=1.0, gamma=1.0,
                           proximal_metrics=identity_metrics(problem))
     with pytest.raises(OracleError) as info:
+        solve(problem, config, zeros_point(problem))
+    assert info.value.block == 1
+    # a result of the wrong shape is an oracle failure too
+    wrong = BlockSpec(dim=1, linear_map=base.blocks[0].linear_map,
+                      subproblem_oracle=lambda t, c, r, m: np.zeros(2),
+                      objective_oracle=lambda x: 0.0)
+    problem = BlockProblem(blocks=(base.blocks[0], wrong, base.blocks[2]),
+                           rhs=base.rhs, constraint_dim=1)
+    with pytest.raises(OracleError, match=r"returned shape \(2,\), expected \(1,\)") as info:
         solve(problem, config, zeros_point(problem))
     assert info.value.block == 1
 
