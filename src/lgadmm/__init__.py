@@ -20,6 +20,7 @@ from .problem import (
     feasible_probe,
     make_linearized_metric,
     pack_point,
+    splitmix64_uniform,
     unpack_point,
     vi_operator,
     zeros_point,
@@ -60,7 +61,6 @@ from .certificates import (
 )
 from .calibration import (
     CalibrationInstance,
-    StackedMaps,
     build_problem,
     calibration_block_oracle,
     default_metrics,
@@ -69,7 +69,6 @@ from .calibration import (
     load_instance,
     project_box,
     project_psd,
-    splitmix64_uniform,
     stacked_maps,
     verify_stacked_maps,
 )

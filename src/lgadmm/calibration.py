@@ -29,12 +29,14 @@ from .serialization import atomic_write_text, read_matrix, write_matrix
 
 __all__ = [
     "DEFAULT_BOUND",
+    "BENCHMARK_SIGMA",
     "CalibrationInstance",
-    "StackedMaps",
-    "splitmix64_uniform",
     "generate_instance",
     "project_psd",
     "project_box",
+    "block_dim",
+    "to_block",
+    "to_matrix",
     "stacked_maps",
     "verify_stacked_maps",
     "calibration_block_oracle",
@@ -45,6 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_BOUND = 0.1
+
+# per-copy proximal scale sigma in P_i = sigma I that the benchmark runs with
+BENCHMARK_SIGMA = 0.5
 
 # largest probe defect ``verify_stacked_maps`` accepts in a Gram product
 GRAM_PROBE_TOL = 1e-12
@@ -111,9 +116,28 @@ def project_box(a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
     return np.clip(np.asarray(a, dtype=float), lower, upper)
 
 
-@dataclass(frozen=True)
-class StackedMaps:
-    """The three consensus coupling maps and the constraint layout.
+def block_dim(n: int) -> int:
+    """Number of stored entries in one consensus copy of an n x n matrix."""
+    return n * n
+
+
+def to_block(matrix: np.ndarray) -> np.ndarray:
+    """A matrix as a stored copy: its entries in row-major order, a view."""
+    return matrix.reshape(-1)
+
+
+def to_matrix(block: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`to_block`: a stored copy viewed as an n x n matrix."""
+    return block.reshape(n, n)
+
+
+def _on_blocks(projection, n: int):
+    """A projection of n x n matrices, applied to stored copies."""
+    return lambda block: to_block(projection(to_matrix(block, n)))
+
+
+def stacked_maps(n: int) -> tuple[BlockSignMap, BlockSignMap, BlockSignMap]:
+    """The three consensus coupling maps, one per copy of an n x n matrix.
 
     Each map stacks three signed identity slots over the pairwise-equality
     rows (copy1 - copy2, copy1 - copy3, copy2 - copy3):
@@ -121,28 +145,11 @@ class StackedMaps:
     copy 3 with (0, -, -). The Gram products are structural:
     ``A_i'A_i = 2 I`` for every copy and ``A_i'A_j = -I`` for every pair.
     """
-
-    a1: BlockSignMap
-    a2: BlockSignMap
-    a3: BlockSignMap
-    n: int
-
-    @property
-    def constraint_dim(self) -> int:
-        return 3 * self.n * self.n
+    return tuple(BlockSignMap(signs, block_dim(n))
+                 for signs in ((1, 1, 0), (-1, 0, 1), (0, -1, -1)))
 
 
-def stacked_maps(n: int) -> StackedMaps:
-    d = n * n
-    return StackedMaps(
-        a1=BlockSignMap((1, 1, 0), d),
-        a2=BlockSignMap((-1, 0, 1), d),
-        a3=BlockSignMap((0, -1, -1), d),
-        n=n,
-    )
-
-
-def verify_stacked_maps(maps: StackedMaps) -> float:
+def verify_stacked_maps(maps: tuple[BlockSignMap, ...]) -> float:
     """Check the structural Gram products; returns the worst probe defect.
 
     ``A_i.gram(A_j)`` must be 2 for ``i = j`` and -1 otherwise, and must
@@ -151,10 +158,9 @@ def verify_stacked_maps(maps: StackedMaps) -> float:
     The probes are deterministic splitmix draws centred on zero, so building
     a problem never imports ``numpy.random``.
     """
-    trio = (maps.a1, maps.a2, maps.a3)
     worst = 0.0
-    for i, ai in enumerate(trio):
-        for j, aj in enumerate(trio):
+    for i, ai in enumerate(maps):
+        for j, aj in enumerate(maps):
             gram = ai.gram(aj)
             if gram != (2.0 if i == j else -1.0):
                 raise ValueError(f"stacked maps {i + 1} and {j + 1} have "
@@ -180,9 +186,9 @@ def calibration_block_oracle(c: np.ndarray, amap: BlockSignMap, projection):
     Only spherical (scaled-identity) proximal metrics keep that exactness;
     anything else raises, with a pointer at what would be needed instead.
     """
-    n = c.shape[0]
-    c_flat = c.reshape(-1)
+    c_block = to_block(c)
     gram = amap.gram(amap)
+    project = _on_blocks(projection, c.shape[0])
 
     def oracle(target: np.ndarray, center: np.ndarray, rho: float,
                metric: SymmetricOperator) -> np.ndarray:
@@ -193,22 +199,20 @@ def calibration_block_oracle(c: np.ndarray, amap: BlockSignMap, projection):
                 "iterative subproblem solver for general metrics")
         sigma = metric.scale
         pulled = amap.adjoint(target)
-        candidate = (c_flat + sigma * center + rho * pulled) / (1.0 + gram * rho + sigma)
-        return projection(candidate.reshape(n, n)).reshape(-1)
+        candidate = (c_block + sigma * center + rho * pulled) / (1.0 + gram * rho + sigma)
+        return project(candidate)
 
     return oracle
 
 
 def build_problem(instance: CalibrationInstance) -> BlockProblem:
     """Assemble the three-copy consensus problem for an instance."""
-    n = instance.n
-    d = n * n
-    maps = stacked_maps(n)
+    maps = stacked_maps(instance.n)
     verify_stacked_maps(maps)
-    c_flat = instance.c.reshape(-1)
+    c_block = to_block(instance.c)
 
     def objective(x: np.ndarray) -> float:
-        return 0.5 * float(np.sum((x - c_flat) ** 2))
+        return 0.5 * float(np.sum((x - c_block) ** 2))
 
     # looked up at call time, so a wrapped ``project_psd`` is the one called
     def psd_projection(mat: np.ndarray) -> np.ndarray:
@@ -217,25 +221,19 @@ def build_problem(instance: CalibrationInstance) -> BlockProblem:
     def box_projection(mat: np.ndarray) -> np.ndarray:
         return project_box(mat, instance.h_lower, instance.h_upper)
 
-    def flat(projection):
-        return lambda v: projection(v.reshape(n, n)).reshape(-1)
-
-    copies = ((maps.a1, psd_projection), (maps.a2, psd_projection),
-              (maps.a3, box_projection))
     blocks = tuple(
-        BlockSpec(dim=d, linear_map=amap,
+        BlockSpec(dim=amap.in_dim, linear_map=amap,
                   subproblem_oracle=calibration_block_oracle(instance.c, amap, projection),
-                  objective_oracle=objective, projection=flat(projection))
-        for amap, projection in copies)
-    return BlockProblem(blocks=blocks, rhs=np.zeros(maps.constraint_dim),
-                        constraint_dim=maps.constraint_dim)
+                  objective_oracle=objective, projection=_on_blocks(projection, instance.n))
+        for amap, projection in zip(maps, (psd_projection, psd_projection, box_projection)))
+    ell = maps[0].out_dim
+    return BlockProblem(blocks=blocks, rhs=np.zeros(ell), constraint_dim=ell)
 
 
 def default_metrics(instance: CalibrationInstance,
-                    scale: float = 0.5) -> tuple[SymmetricOperator, ...]:
+                    scale: float = BENCHMARK_SIGMA) -> tuple[SymmetricOperator, ...]:
     """The benchmark's spherical proximal metrics, ``scale * I`` per copy."""
-    d = instance.n * instance.n
-    return tuple(ScaledIdentity(d, scale) for _ in range(3))
+    return tuple(ScaledIdentity(block_dim(instance.n), scale) for _ in range(3))
 
 
 def dump_instance(instance: CalibrationInstance, directory: str) -> None:

@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import (
+    BENCHMARK_SIGMA,
     CalibrationInstance,
     build_problem,
     default_metrics,
@@ -105,9 +106,7 @@ _DEFAULTS = {
                     negative_control=False, out="runs/certify"),
 }
 
-# per-block proximal scale sigma in P_i = sigma I: benchmark default and
-# the strict value used for certification
-BENCHMARK_SIGMA = 0.5
+# proximal scale sigma in P_i = sigma I for certify; the rest use BENCHMARK_SIGMA
 CERTIFY_SIGMA = 4.0
 
 # pinned to 1 in sweep workers, so that workers times BLAS threads stays
@@ -128,6 +127,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"bad gamma grid {text!r}: {exc}") from None
     if not values:
         raise ValueError("gamma grid is empty")
+    if len(set(values)) != len(values):
+        raise ValueError(f"gamma grid {text!r} repeats a value")
     return values
 
 
@@ -226,9 +227,9 @@ def _check_settings(settings: dict) -> None:
             raise ConfigError(f"{key} must be at least 1")
 
 
-def _solver_config(settings: dict, gamma: float, sigma: float,
-                   instance: CalibrationInstance, *, strict: bool,
-                   record: bool) -> SolverConfig:
+def _solver_config(settings: dict, gamma: float, instance: CalibrationInstance, *,
+                   strict: bool, record: bool = False,
+                   sigma: float = BENCHMARK_SIGMA) -> SolverConfig:
     return SolverConfig(
         rho=settings["rho"],
         gamma=gamma,
@@ -238,6 +239,16 @@ def _solver_config(settings: dict, gamma: float, sigma: float,
         strict_theory_mode=strict,
         record_trajectory=record,
     )
+
+
+def _output_directory(settings: dict) -> str:
+    """Create the output directory; a path that cannot be one is a ConfigError."""
+    out = settings["out"]
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out!r} as the output directory: {exc}") from None
+    return out
 
 
 def _timed_solve(problem, config, start) -> tuple[SolveResult, float]:
@@ -310,12 +321,11 @@ def run_solve(settings: dict) -> int:
     int
         Process exit code, 0 on success.
     """
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
+    out = _output_directory(settings)
     instance = generate_instance(settings["n"], settings["seed"])
     problem = build_problem(instance)
-    config = _solver_config(settings, settings["gamma"], BENCHMARK_SIGMA,
-                            instance, strict=settings["strict"], record=False)
+    config = _solver_config(settings, settings["gamma"], instance,
+                            strict=settings["strict"])
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     objective = evaluate_objective(problem, result.final)
 
@@ -336,7 +346,7 @@ def _sweep_cell(task: tuple) -> dict:
     instance = generate_instance(n, seed)
     problem = build_problem(instance)
     config = _solver_config(dict(rho=rho, tol=tol, max_iter=max_iter), gamma,
-                            BENCHMARK_SIGMA, instance, strict=False, record=False)
+                            instance, strict=False)
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     return {
         "gamma": gamma,
@@ -350,14 +360,11 @@ def _sweep_cell(task: tuple) -> dict:
 
 def _spearman(xs: list, ys: list) -> float:
     def ranks(values):
-        order = np.argsort(values, kind="stable")
-        out = np.empty(len(values))
-        out[order] = np.arange(1, len(values) + 1)
-        return out
+        # tied values share the mean of the ranks they span
+        _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
-    rx, ry = ranks(xs), ranks(ys)
-    rx -= rx.mean()
-    ry -= ry.mean()
+    rx, ry = (r - r.mean() for r in (ranks(xs), ranks(ys)))
     denom = float(np.sqrt((rx @ rx) * (ry @ ry)))
     return float(rx @ ry) / denom if denom else 0.0
 
@@ -423,10 +430,8 @@ def run_gamma_sweep(settings: dict) -> int:
         instance = generate_instance(settings["n"], settings["seed"])
         problem = build_problem(instance)
         for gamma in grid:
-            validate_config(problem, _solver_config(
-                settings, gamma, BENCHMARK_SIGMA, instance, strict=True, record=False))
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
+            validate_config(problem, _solver_config(settings, gamma, instance, strict=True))
+    out = _output_directory(settings)
     seeds = [settings["seed"] + r for r in range(settings["repeat"])]
     tasks = [
         (settings["n"], seed, settings["rho"], gamma, settings["tol"],
@@ -502,15 +507,13 @@ def run_baseline_compare(settings: dict) -> int:
     int
         Process exit code, 0 on success.
     """
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
+    out = _output_directory(settings)
     instance = generate_instance(settings["n"], settings["seed"])
     problem = build_problem(instance)
 
     runs = []
     for gamma in COMPARE_GAMMAS:
-        config = _solver_config(settings, gamma, BENCHMARK_SIGMA, instance,
-                                strict=settings["strict"], record=False)
+        config = _solver_config(settings, gamma, instance, strict=settings["strict"])
         result, seconds = _timed_solve(problem, config, zeros_point(problem))
         curve = [report.objective for report in result.reports]
         runs.append({
@@ -592,14 +595,13 @@ def run_certify(settings: dict) -> int:
     int
         Process exit code, 0 when every check passes, 4 otherwise.
     """
-    out = settings["out"]
-    os.makedirs(out, exist_ok=True)
+    out = _output_directory(settings)
     instance = generate_instance(settings["n"], settings["seed"])
     problem = build_problem(instance)
     gamma = settings["gamma"]
 
-    config = _solver_config(settings, gamma, CERTIFY_SIGMA, instance,
-                            strict=True, record=True)
+    config = _solver_config(settings, gamma, instance, strict=True, record=True,
+                            sigma=CERTIFY_SIGMA)
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     trajectory = result.trajectory
 

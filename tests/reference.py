@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from lgadmm.calibration import to_block, to_matrix
 from lgadmm.certificates import (
     STEP_SAMPLES,
     MetricMatrices,
@@ -156,16 +157,16 @@ def projected_gradient_oracle(c: np.ndarray, amap: BlockSignMap, projection,
     the unconstrained minimiser.
     """
     n = c.shape[0]
-    c_flat = c.reshape(-1)
+    c_block = to_block(c)
     gram_norm = gram_spectral_norm(amap)
     lipschitz = 1.0 + rho * gram_norm + sigma
     step = 0.5 / lipschitz
     x = np.array(center, dtype=float)
     for _ in range(iterations):
-        gradient = (x - c_flat
+        gradient = (x - c_block
                     + rho * amap.adjoint(amap.apply(x) - target)
                     + sigma * (x - center))
-        x = projection((x - step * gradient).reshape(n, n)).reshape(-1)
+        x = to_block(projection(to_matrix(x - step * gradient, n)))
     return x
 
 

@@ -35,6 +35,7 @@ from lgadmm import (
     stacked_maps,
     zeros_point,
 )
+from lgadmm.calibration import block_dim, to_matrix
 from lgadmm.cli import run_gamma_sweep
 from lgadmm.operators import ScaledIdentity
 from baselines import reduction_equivalence_suite
@@ -256,7 +257,7 @@ def test_criterion_07_feasibility_at_convergence(n100_runs):
     instance, problem, results = n100_runs
     final = results[1.9][0].final
     n = instance.n
-    copies = [x.reshape(n, n) for x in final.primal]
+    copies = [to_matrix(x, n) for x in final.primal]
     worst_pair = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
@@ -297,17 +298,14 @@ def test_criterion_08_projection_properties():
 
 def test_criterion_09_block_oracle_cross_validation():
     instance = generate_instance(4, seed=21)
-    maps = stacked_maps(4)
     rng = np.random.default_rng(22)
-    d = 16
+    d = block_dim(4)
 
     def box(mat):
         return project_box(mat, instance.h_lower, instance.h_upper)
 
     worst = 0.0
-    for amap, projection in ((maps.a1, project_psd),
-                             (maps.a2, project_psd),
-                             (maps.a3, box)):
+    for amap, projection in zip(stacked_maps(4), (project_psd, project_psd, box)):
         oracle = calibration_block_oracle(instance.c, amap, projection)
         for _ in range(20):
             target = rng.standard_normal(3 * d)

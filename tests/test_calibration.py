@@ -1,10 +1,14 @@
 """Calibration benchmark: instances, projections, closed-form oracles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lgadmm.calibration import (
     CalibrationInstance,
+    block_dim,
     build_problem,
     calibration_block_oracle,
     default_metrics,
@@ -13,12 +17,18 @@ from lgadmm.calibration import (
     load_instance,
     project_box,
     project_psd,
-    splitmix64_uniform,
     stacked_maps,
+    to_block,
+    to_matrix,
     verify_stacked_maps,
 )
 from lgadmm.operators import BlockSignMap, DenseSymmetric, ScaledIdentity
-from lgadmm.problem import PrimalDualPoint, evaluate_objective, zeros_point
+from lgadmm.problem import (
+    PrimalDualPoint,
+    evaluate_objective,
+    splitmix64_uniform,
+    zeros_point,
+)
 from lgadmm.solver import SolverConfig, solve
 from reference import primal_feasibility, projected_gradient_oracle
 
@@ -126,13 +136,52 @@ def test_project_box_properties():
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-10
 
 
+def test_the_copy_layout_lives_in_three_helpers():
+    # how a consensus copy is stored is decided by block_dim, to_block and
+    # to_matrix alone; generate_instance draws the data matrix's n^2
+    # entries in matrix order, which no storage format changes
+    import lgadmm.calibration as calibration
+
+    helpers = {"block_dim", "to_block", "to_matrix"}
+    tree = ast.parse(Path(calibration.__file__).read_text())
+    found = []
+    for function in tree.body:
+        if getattr(function, "name", None) in helpers | {"generate_instance"}:
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Attribute) and node.attr == "reshape") or (
+                    isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                    and ast.unparse(node.left) == ast.unparse(node.right)):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    assert not found, found
+
+    def reshapes_to_square(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "reshape"):
+            return False
+        shape = node.args[0].elts if len(node.args) == 1 and isinstance(
+            node.args[0], ast.Tuple) else node.args
+        return len(shape) == 2 and ast.unparse(shape[0]) == ast.unparse(shape[1])
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if reshapes_to_square(node)]
+    assert not found, found
+
+    m = generate_instance(3, seed=0).c
+    assert to_block(m).shape == (block_dim(3),)
+    assert np.array_equal(to_matrix(to_block(m), 3), m)
+    assert np.shares_memory(to_matrix(to_block(m), 3), m)
+
+
 def test_stacked_maps_gram_structure():
     maps = stacked_maps(3)
-    assert maps.constraint_dim == 27
+    d = block_dim(3)
+    assert [m.out_dim for m in maps] == [3 * d] * 3
     assert verify_stacked_maps(maps) <= 1e-12
     # dense realization pins the pairwise products at small order
-    d = 9
-    a1, a2, a3 = (m.dense() for m in (maps.a1, maps.a2, maps.a3))
+    a1, a2, a3 = (m.dense() for m in maps)
     eye = np.eye(d)
     assert np.array_equal(a1.T @ a1, 2 * eye)
     assert np.array_equal(a2.T @ a2, 2 * eye)
@@ -143,9 +192,8 @@ def test_stacked_maps_gram_structure():
 
 
 def test_verify_stacked_maps_catches_tampering():
-    maps = stacked_maps(2)
-    tampered = type(maps)(a1=BlockSignMap((1, 0, 0), 4), a2=maps.a2,
-                          a3=maps.a3, n=2)
+    _, a2, a3 = stacked_maps(2)
+    tampered = (BlockSignMap((1, 0, 0), block_dim(2)), a2, a3)
     with pytest.raises(ValueError):
         verify_stacked_maps(tampered)
 
@@ -160,82 +208,82 @@ class WrongAdjoint(BlockSignMap):
 
 
 def test_verify_stacked_maps_probes_the_adjoint():
-    maps = stacked_maps(2)
-    broken = WrongAdjoint(maps.a2.signs, maps.a2.in_dim)
-    assert broken.gram(maps.a3) == maps.a2.gram(maps.a3)
-    tampered = type(maps)(a1=maps.a1, a2=broken, a3=maps.a3, n=2)
+    a1, a2, a3 = stacked_maps(2)
+    broken = WrongAdjoint(a2.signs, a2.in_dim)
+    assert broken.gram(a3) == a2.gram(a3)
+    tampered = (a1, broken, a3)
     with pytest.raises(ValueError, match="defect"):
         verify_stacked_maps(tampered)
 
 
 def test_oracle_returns_center_when_already_optimal():
     instance = generate_instance(3, seed=5)
-    maps = stacked_maps(3)
+    a1, _, _ = stacked_maps(3)
     rng = np.random.default_rng(6)
     rho, sigma = 1.0, 0.5
-    center_mat = project_psd(rng.standard_normal((3, 3)))
-    center = center_mat.reshape(-1)
-    c_flat = instance.c.reshape(-1)
+    center = to_block(project_psd(rng.standard_normal((3, 3))))
     # choose the target so the unconstrained minimiser is exactly the center
-    w = ((1.0 + 2.0 * rho) * center - c_flat) / (2.0 * rho)
-    target = maps.a1.apply(w)
-    oracle = calibration_block_oracle(instance.c, maps.a1, project_psd)
-    out = oracle(target, center, rho, ScaledIdentity(9, sigma))
+    w = ((1.0 + 2.0 * rho) * center - to_block(instance.c)) / (2.0 * rho)
+    target = a1.apply(w)
+    oracle = calibration_block_oracle(instance.c, a1, project_psd)
+    out = oracle(target, center, rho, ScaledIdentity(block_dim(3), sigma))
     assert np.allclose(out, center, atol=1e-12)
 
 
 def test_oracle_block3_hand_formula():
     instance = generate_instance(2, seed=9)
-    maps = stacked_maps(2)
+    a1, a2, a3 = stacked_maps(2)
+    d = block_dim(2)
     rng = np.random.default_rng(10)
-    x1 = rng.standard_normal(4)
-    x2 = rng.standard_normal(4)
-    y = rng.standard_normal(12)
-    center = rng.standard_normal(4)
+    x1 = rng.standard_normal(d)
+    x2 = rng.standard_normal(d)
+    y = rng.standard_normal(3 * d)
+    center = rng.standard_normal(d)
     rho, sigma = 1.0, 0.5
-    target = y / rho - maps.a1.apply(x1) - maps.a2.apply(x2)
+    target = y / rho - a1.apply(x1) - a2.apply(x2)
 
     def box(mat):
         return project_box(mat, instance.h_lower, instance.h_upper)
 
-    oracle = calibration_block_oracle(instance.c, maps.a3, box)
-    out = oracle(target, center, rho, ScaledIdentity(4, sigma))
+    oracle = calibration_block_oracle(instance.c, a3, box)
+    out = oracle(target, center, rho, ScaledIdentity(d, sigma))
 
-    numerator = (sigma * center + instance.c.reshape(-1)
-                 + maps.a3.adjoint(y)
-                 - rho * maps.a3.adjoint(maps.a1.apply(x1) + maps.a2.apply(x2)))
-    expected = np.clip(numerator / (sigma + 1.0 + 2.0 * rho), -0.1, 0.1)
+    numerator = (sigma * center + to_block(instance.c)
+                 + a3.adjoint(y)
+                 - rho * a3.adjoint(a1.apply(x1) + a2.apply(x2)))
+    expected = to_block(np.clip(to_matrix(numerator / (sigma + 1.0 + 2.0 * rho), 2),
+                                -0.1, 0.1))
     assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_oracle_rejects_general_metrics():
     instance = generate_instance(2, seed=1)
-    maps = stacked_maps(2)
-    oracle = calibration_block_oracle(instance.c, maps.a1, project_psd)
-    target = np.zeros(12)
-    center = np.zeros(4)
+    a1, _, _ = stacked_maps(2)
+    d = block_dim(2)
+    oracle = calibration_block_oracle(instance.c, a1, project_psd)
+    target = np.zeros(3 * d)
+    center = np.zeros(d)
     with pytest.raises(ValueError):
-        oracle(target, center, 1.0, DenseSymmetric(np.eye(4)))
+        oracle(target, center, 1.0, DenseSymmetric(np.eye(d)))
     with pytest.raises(ValueError):
-        oracle(target, center, 1.0, ScaledIdentity(4, -0.5))
+        oracle(target, center, 1.0, ScaledIdentity(d, -0.5))
 
 
 def test_oracle_agrees_with_projected_gradient():
     instance = generate_instance(3, seed=13)
-    maps = stacked_maps(3)
+    d = block_dim(3)
     rng = np.random.default_rng(14)
     rho, sigma = 1.0, 0.5
 
     def box(mat):
         return project_box(mat, instance.h_lower, instance.h_upper)
 
-    cases = [(maps.a1, project_psd), (maps.a2, project_psd), (maps.a3, box)]
-    for amap, projection in cases:
+    for amap, projection in zip(stacked_maps(3), (project_psd, project_psd, box)):
         oracle = calibration_block_oracle(instance.c, amap, projection)
         for _ in range(5):
-            target = rng.standard_normal(27)
-            center = rng.standard_normal(9)
-            closed = oracle(target, center, rho, ScaledIdentity(9, sigma))
+            target = rng.standard_normal(3 * d)
+            center = rng.standard_normal(d)
+            closed = oracle(target, center, rho, ScaledIdentity(d, sigma))
             iterative = projected_gradient_oracle(
                 instance.c, amap, projection, target, center, rho, sigma)
             assert np.linalg.norm(closed - iterative) <= 1e-8
@@ -245,9 +293,11 @@ def test_build_problem_shapes_and_examples():
     instance = generate_instance(4, seed=3)
     problem = build_problem(instance)
     assert problem.num_blocks == 3
-    assert problem.constraint_dim == 48
+    assert problem.block_dims == (block_dim(4),) * 3
+    assert problem.constraint_dim == 3 * block_dim(4)
     assert not problem.rhs.any()
-    copies = PrimalDualPoint((instance.c.reshape(-1),) * 3, np.zeros(48))
+    copies = PrimalDualPoint((to_block(instance.c),) * 3,
+                             np.zeros(problem.constraint_dim))
     assert evaluate_objective(problem, copies) == pytest.approx(0.0)
     assert primal_feasibility(problem, copies) == pytest.approx(0.0, abs=1e-13)
 
@@ -259,7 +309,7 @@ def test_default_metrics_are_spherical():
     for metric in metrics:
         assert isinstance(metric, ScaledIdentity)
         assert metric.scale == 0.5
-        assert metric.dim == 9
+        assert metric.dim == block_dim(3)
     stricter = default_metrics(instance, scale=4.0)
     assert all(m.scale == 4.0 for m in stricter)
 
@@ -273,7 +323,7 @@ def test_converged_copies_agree_and_are_feasible():
     result = solve(problem, config, zeros_point(problem))
     assert result.converged
     n = instance.n
-    mats = [part.reshape(n, n) for part in result.final.primal]
+    mats = [to_matrix(part, n) for part in result.final.primal]
     for i in range(3):
         for j in range(i + 1, 3):
             assert np.linalg.norm(mats[i] - mats[j]) <= 1e-4 * n
@@ -325,7 +375,7 @@ def test_closed_form_oracle_is_the_linearized_prox_step():
     problem = build_problem(instance)
     rho, sigma = 1.0, 4.0
     tau = sigma + 2.0 * rho
-    c = instance.c.reshape(-1)
+    c = to_block(instance.c)
     rng = np.random.default_rng(5)
     for block in problem.blocks:
         amap = block.linear_map

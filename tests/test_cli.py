@@ -261,6 +261,52 @@ def test_gamma_sweep_strict_rejects_benchmark_metrics(tmp_path):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("grid", ["1.0,1.0,1.5", "0.5,1.5,1.50"])
+def test_gamma_sweep_refuses_a_repeated_grid_value_before_any_output(
+        tmp_path, monkeypatch, capsys, grid):
+    def no_pool(*args):
+        raise AssertionError("the sweep started a pool")
+
+    monkeypatch.setattr(cli, "_spawn_map", no_pool)
+    out = tmp_path / "run"
+    assert cli.main(["gamma-sweep", "--n", "8", "--workers", "2",
+                     "--gamma-grid", grid, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --gamma-grid: bad value for gamma_grid: gamma grid {grid!r} "
+        "repeats a value\n")
+    assert not out.exists()
+
+
+def test_spearman_gives_tied_values_their_average_rank():
+    assert cli._spearman([3.0, 2.0, 1.0], [5.0, 5.0, 5.0]) == 0.0
+    assert cli._spearman([1.0, 2.0, 3.0], [5.0, 5.0, 4.0]) == pytest.approx(-np.sqrt(3.0) / 2.0)
+    assert cli._spearman([0.5, 1.0, 1.5], [30.0, 20.0, 10.0]) == -1.0
+    assert cli._spearman([0.5, 1.0, 1.5], [10.0, 30.0, 20.0]) == 0.5
+
+
+def test_a_sweep_capped_in_every_cell_reports_no_trend(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["gamma-sweep", "--n", "6", "--repeat", "1", "--workers", "1",
+                     "--max-iter", "3", "--gamma-grid", "0.5,1.0,1.5",
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["all_converged"] is False
+    assert summary["spearman_gamma_iterations"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["solve", "gamma-sweep", "baseline-compare", "certify"])
+@pytest.mark.parametrize("below", [False, True])
+def test_an_out_that_cannot_be_a_directory_is_a_configuration_error(
+        tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "run" if below else taken
+    assert cli.main([command, "--n", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot use {str(out)!r} as the output directory: ")
+    assert taken.read_text() == "a file\n"
+
+
 def test_baseline_compare_artifacts(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(["baseline-compare", "--n", "10", "--out", str(out)])

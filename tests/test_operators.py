@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lgadmm.calibration import stacked_maps
+from lgadmm.calibration import block_dim, stacked_maps
 from lgadmm.operators import (
     BlockSignMap,
     DenseMap,
@@ -85,16 +85,17 @@ def test_gram_min_eigenvalue_known_matrix():
 
 def test_block_sign_map_gram_matches_dense_products():
     maps = stacked_maps(3)
-    trio = (maps.a1, maps.a2, maps.a3)
-    for ai in trio:
-        for aj in trio:
+    d = block_dim(3)
+    for ai in maps:
+        for aj in maps:
             gram = ai.gram(aj)
-            assert np.array_equal(ai.dense().T @ aj.dense(), gram * np.eye(9))
-    dense = DenseMap(maps.a1.dense())
+            assert np.array_equal(ai.dense().T @ aj.dense(), gram * np.eye(d))
+    a1 = maps[0]
+    dense = DenseMap(a1.dense())
     assert dense.gram(dense) is None
-    assert dense.gram(maps.a1) is None and maps.a1.gram(dense) is None
-    assert maps.a1.gram(BlockSignMap((1, 1, 0), 4)) is None
-    assert maps.a1.gram(BlockSignMap((1, 1), 9)) is None
+    assert dense.gram(a1) is None and a1.gram(dense) is None
+    assert a1.gram(BlockSignMap((1, 1, 0), block_dim(2))) is None
+    assert a1.gram(BlockSignMap((1, 1), d)) is None
 
 
 def test_dense_gram_spectrum_is_exact_across_a_small_gap():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lgadmm.calibration import generate_instance, stacked_maps
+from lgadmm.calibration import block_dim, generate_instance, stacked_maps, to_block
 from lgadmm.operators import (
     BlockSignMap,
     LinearizedMetric,
@@ -33,8 +33,8 @@ from util import chain_problem, gapped_matrix, quadratic_spec, scalar_zero_probl
 
 
 def copies_point(problem, matrix):
-    flat = np.asarray(matrix, dtype=float).ravel()
-    return PrimalDualPoint((flat,) * problem.num_blocks,
+    block = to_block(np.asarray(matrix, dtype=float))
+    return PrimalDualPoint((block,) * problem.num_blocks,
                            np.zeros(problem.constraint_dim))
 
 
@@ -80,12 +80,11 @@ def test_feasibility_zero_on_equal_copies(small_problem, small_instance):
 
 
 def test_feasibility_unit_consensus_gap():
-    maps = stacked_maps(1)
     blocks = tuple(
-        BlockSpec(dim=1, linear_map=amap,
+        BlockSpec(dim=block_dim(1), linear_map=amap,
                   subproblem_oracle=lambda target, center, rho, metric: center,
                   objective_oracle=lambda x: 0.0)
-        for amap in (maps.a1, maps.a2, maps.a3)
+        for amap in stacked_maps(1)
     )
     problem = BlockProblem(blocks=blocks, rhs=np.zeros(3), constraint_dim=3)
     point = PrimalDualPoint(
@@ -148,19 +147,19 @@ def test_make_linearized_metric_scalar():
 
 
 def test_make_linearized_metric_calibration_map():
-    maps = stacked_maps(3)
-    block = BlockSpec(dim=9, linear_map=maps.a1,
+    a1, _, _ = stacked_maps(3)
+    block = BlockSpec(dim=a1.in_dim, linear_map=a1,
                       subproblem_oracle=lambda t, c, r, m: c,
                       objective_oracle=lambda x: 0.0)
     metric = make_linearized_metric(block, rho=1.0, tau=2.5)
-    v = np.arange(9.0)
+    v = np.arange(float(block_dim(3)))
     assert np.allclose(metric.apply(v), 0.5 * v, atol=1e-7)
     assert metric.min_eigenvalue() == pytest.approx(0.5, abs=1e-7)
 
 
 def test_make_linearized_metric_at_threshold_errors():
-    maps = stacked_maps(2)
-    block = BlockSpec(dim=4, linear_map=maps.a1,
+    a1, _, _ = stacked_maps(2)
+    block = BlockSpec(dim=a1.in_dim, linear_map=a1,
                       subproblem_oracle=lambda t, c, r, m: c,
                       objective_oracle=lambda x: 0.0)
     with pytest.raises(SpectralThresholdError):
