@@ -17,6 +17,7 @@ plain projections of a closed-form point; the oracles here exploit that.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -116,19 +117,37 @@ def project_box(a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
     return np.clip(np.asarray(a, dtype=float), lower, upper)
 
 
+@functools.lru_cache(maxsize=None)
+def _svec_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions of the upper triangle and of its mirror, and the svec weights."""
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    return rows * n + cols, cols * n + rows, weights
+
+
 def block_dim(n: int) -> int:
     """Number of stored entries in one consensus copy of an n x n matrix."""
-    return n * n
+    return n * (n + 1) // 2
 
 
 def to_block(matrix: np.ndarray) -> np.ndarray:
-    """A matrix as a stored copy: its entries in row-major order, a view."""
-    return matrix.reshape(-1)
+    """A symmetric matrix as a stored copy: svec, its upper triangle row by row.
+
+    Off-diagonal entries carry a factor sqrt(2), so the Euclidean inner
+    product of two copies is the Frobenius inner product of their matrices.
+    """
+    upper, _, weights = _svec_layout(matrix.shape[0])
+    return np.take(matrix, upper) * weights
 
 
 def to_matrix(block: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`to_block`: a stored copy viewed as an n x n matrix."""
-    return block.reshape(n, n)
+    """Inverse of :func:`to_block` (smat): an exactly symmetric n x n matrix."""
+    upper, lower, weights = _svec_layout(n)
+    values = block / weights
+    matrix = np.empty(n * n)
+    matrix[upper] = values
+    matrix[lower] = values
+    return matrix.reshape(n, n)
 
 
 def _on_blocks(projection, n: int):

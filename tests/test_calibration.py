@@ -169,10 +169,28 @@ def test_the_copy_layout_lives_in_three_helpers():
              if reshapes_to_square(node)]
     assert not found, found
 
-    m = generate_instance(3, seed=0).c
-    assert to_block(m).shape == (block_dim(3),)
-    assert np.array_equal(to_matrix(to_block(m), 3), m)
-    assert np.shares_memory(to_matrix(to_block(m), 3), m)
+    # a copy is svec: the upper triangle, off-diagonals weighted by sqrt(2)
+    for n in (1, 2, 3, 20):
+        assert block_dim(n) == n * (n + 1) // 2
+        x, y = (generate_instance(n, seed).c for seed in (0, 1))
+        assert to_block(x).shape == (block_dim(n),)
+        back = to_matrix(to_block(x), n)
+        assert np.array_equal(back, back.T)
+        # an isometry from S^n with the Frobenius inner product
+        frobenius = float(np.sum(x * y))
+        assert abs(to_block(x) @ to_block(y) - frobenius) <= 1e-12 * (1.0 + abs(frobenius))
+        # the round trip keeps the diagonal exactly and the rest within one ulp
+        assert np.array_equal(np.diag(back), np.diag(x))
+        assert np.all(np.abs(back - x) <= np.spacing(np.abs(x)))
+
+    # a whole solve builds the index arrays once, however many copies it packs
+    calibration._svec_layout.cache_clear()
+    instance = generate_instance(6, seed=0)
+    problem = build_problem(instance)
+    solve(problem, SolverConfig(rho=1.0, gamma=1.5, max_iterations=20,
+                                proximal_metrics=default_metrics(instance)),
+          zeros_point(problem))
+    assert calibration._svec_layout.cache_info().misses <= 1
 
 
 def test_stacked_maps_gram_structure():
@@ -302,6 +320,18 @@ def test_build_problem_shapes_and_examples():
     assert primal_feasibility(problem, copies) == pytest.approx(0.0, abs=1e-13)
 
 
+def test_a_recorded_row_holds_svec_copies():
+    # three copies and three coupling rows of n(n+1)/2 entries each, not n^2:
+    # the recorded trajectory is most of certify's peak memory
+    instance = generate_instance(20, seed=0)
+    problem = build_problem(instance)
+    assert problem.total_dim == 6 * 210
+    config = SolverConfig(rho=1.0, gamma=1.5, max_iterations=2, record_trajectory=True,
+                          proximal_metrics=default_metrics(instance))
+    trajectory = solve(problem, config, zeros_point(problem)).trajectory
+    assert trajectory.row(0).nbytes == 8 * problem.total_dim == 10_080
+
+
 def test_default_metrics_are_spherical():
     instance = generate_instance(3, seed=0)
     metrics = default_metrics(instance)
@@ -352,6 +382,10 @@ def test_instance_dump_roundtrip(tmp_path):
     dump_instance(instance, str(tmp_path))
     assert (tmp_path / "c_matrix.txt").exists()
     assert (tmp_path / "instance.json").exists()
+    # the copies are stored as svec, but the dump holds all of the n x n C
+    header, *rows = (tmp_path / "c_matrix.txt").read_text().splitlines()
+    assert header == "5 5"
+    assert [len(row.split()) for row in rows] == [5] * 5
     loaded = load_instance(str(tmp_path))
     assert loaded.n == 5
     assert loaded.seed == 21
