@@ -30,7 +30,7 @@ from .serialization import atomic_write_text, read_matrix, write_matrix
 
 __all__ = [
     "DEFAULT_BOUND",
-    "BENCHMARK_SIGMA",
+    "proximal_scale",
     "CalibrationInstance",
     "generate_instance",
     "project_psd",
@@ -49,8 +49,8 @@ __all__ = [
 
 DEFAULT_BOUND = 0.1
 
-# per-copy proximal scale sigma in P_i = sigma I that the benchmark runs with
-BENCHMARK_SIGMA = 0.5
+# sigma / rho in P_i = sigma I: the coupled first-phase min eigenvalue sigma - rho > 0
+PROXIMAL_RATIO = 1.05
 
 # largest probe defect ``verify_stacked_maps`` accepts in a Gram product
 GRAM_PROBE_TOL = 1e-12
@@ -249,10 +249,16 @@ def build_problem(instance: CalibrationInstance) -> BlockProblem:
     return BlockProblem(blocks=blocks, rhs=np.zeros(ell), constraint_dim=ell)
 
 
-def default_metrics(instance: CalibrationInstance,
-                    scale: float = BENCHMARK_SIGMA) -> tuple[SymmetricOperator, ...]:
-    """The benchmark's spherical proximal metrics, ``scale * I`` per copy."""
-    return tuple(ScaledIdentity(block_dim(instance.n), scale) for _ in range(3))
+def proximal_scale(rho: float) -> float:
+    """The benchmark's sigma in P_i = sigma I at penalty ``rho``."""
+    return PROXIMAL_RATIO * rho
+
+
+def default_metrics(instance: CalibrationInstance, scale: float | None = None, *,
+                    rho: float = 1.0) -> tuple[SymmetricOperator, ...]:
+    """``scale * I`` per copy; the benchmark's ``proximal_scale(rho) * I`` by default."""
+    sigma = proximal_scale(rho) if scale is None else scale
+    return tuple(ScaledIdentity(block_dim(instance.n), sigma) for _ in range(3))
 
 
 def dump_instance(instance: CalibrationInstance, directory: str) -> None:

@@ -487,17 +487,19 @@ def replay(metrics: MetricMatrices, trajectory: TrajectoryRecord,
                         auxiliary_sum, tuple(probe_terms), sampled, step_terms)
 
 
-def fejer_check(record: ReplayRecord) -> CertificateReport:
+def fejer_check(record: ReplayRecord,
+                unsolved_reference: str | None = None) -> CertificateReport:
     """Per-step contraction toward the reference in the H-norm.
 
     Verifies, for every recorded step, that the squared H-distance to the
     reference point drops by at least the N-weighted squared distance
     between the iterate and its auxiliary companion. Provable only when the
-    coupled first-phase metric is positive definite, so the check is
-    skipped otherwise.
+    coupled first-phase metric is positive definite and the reference
+    solves the problem, so the check is skipped otherwise; a given
+    ``unsolved_reference`` says why the reference may not.
     """
     name = "fejer_contraction"
-    reason = record.metrics.unproven_reason(*_STRICT_CONDITIONS)
+    reason = record.metrics.unproven_reason(*_STRICT_CONDITIONS) or unsolved_reference
     if reason:
         return _skipped(name, reason)
     before, decrease, after = record.ref_dist[:-1], record.gap, record.ref_dist[1:]
@@ -519,17 +521,20 @@ def nonergodic_monotonicity_check(record: ReplayRecord) -> CertificateReport:
     return _finish(name, now - following + inequality_slack(now, following))
 
 
-def nonergodic_rate_check(record: ReplayRecord) -> CertificateReport:
+def nonergodic_rate_check(record: ReplayRecord,
+                          unsolved_reference: str | None = None) -> CertificateReport:
     """O(1/t) bound on the H-weighted squared step length.
 
     For every ``t >= 1``, ``t * ||w^t - w^{t+1}||_H^2`` stays below a
     constant assembled from the initial H-distance to the reference (scaled
     by the relaxation-dependent rate constant) plus the first step's
-    last-block proximal length.
+    last-block proximal length. Skipped, like ``fejer_check``, when the
+    reference may not solve the problem.
     """
     name = "nonergodic_rate"
     metrics = record.metrics
-    reason = metrics.unproven_reason(*_STRICT_CONDITIONS, "last_metric")
+    reason = (metrics.unproven_reason(*_STRICT_CONDITIONS, "last_metric")
+              or unsolved_reference)
     if reason:
         return _skipped(name, reason)
     if record.steps < 1:

@@ -36,12 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import (
-    BENCHMARK_SIGMA,
     CalibrationInstance,
     build_problem,
     default_metrics,
     dump_instance,
     generate_instance,
+    proximal_scale,
 )
 from .certificates import (
     CertificateError,
@@ -105,9 +105,6 @@ _DEFAULTS = {
     "certify": dict(_COMMON_DEFAULTS, n=20, gamma=1.5, tol=1e-8, probes=10,
                     negative_control=False, out="runs/certify"),
 }
-
-# proximal scale sigma in P_i = sigma I for certify; the rest use BENCHMARK_SIGMA
-CERTIFY_SIGMA = 4.0
 
 # pinned to 1 in sweep workers, so that workers times BLAS threads stays
 # within the cores the pool is sized for
@@ -228,12 +225,11 @@ def _check_settings(settings: dict) -> None:
 
 
 def _solver_config(settings: dict, gamma: float, instance: CalibrationInstance, *,
-                   strict: bool, record: bool = False,
-                   sigma: float = BENCHMARK_SIGMA) -> SolverConfig:
+                   strict: bool, record: bool = False) -> SolverConfig:
     return SolverConfig(
         rho=settings["rho"],
         gamma=gamma,
-        proximal_metrics=default_metrics(instance, scale=sigma),
+        proximal_metrics=default_metrics(instance, rho=settings["rho"]),
         max_iterations=settings["max_iter"],
         tolerance=settings["tol"],
         strict_theory_mode=strict,
@@ -257,6 +253,13 @@ def _timed_solve(problem, config, start) -> tuple[SolveResult, float]:
     return result, time.perf_counter() - begin
 
 
+def _proximal(rho: float) -> dict:
+    """The sigma of P_i = sigma I at ``rho``, and the linearized step's
+    tau = sigma + rho ||A_i||^2, where A_i'A_i = 2 I."""
+    sigma = proximal_scale(rho)
+    return {"proximal_scale": sigma, "tau": sigma + 2.0 * rho}
+
+
 def _summary_core(settings: dict, gamma: float, result: SolveResult,
                   objective: float, seconds: float) -> dict:
     return {
@@ -264,6 +267,7 @@ def _summary_core(settings: dict, gamma: float, result: SolveResult,
         "n": settings["n"],
         "seed": settings["seed"],
         "rho": settings["rho"],
+        **_proximal(settings["rho"]),
         "gamma": gamma,
         "tolerance": settings["tol"],
         "max_iterations": settings["max_iter"],
@@ -465,6 +469,7 @@ def run_gamma_sweep(settings: dict) -> int:
         "n": settings["n"],
         "seeds": seeds,
         "rho": settings["rho"],
+        **_proximal(settings["rho"]),
         "tolerance": settings["tol"],
         "max_iterations": settings["max_iter"],
         "gamma_grid": list(grid),
@@ -545,6 +550,7 @@ def run_baseline_compare(settings: dict) -> int:
         "n": settings["n"],
         "seed": settings["seed"],
         "rho": settings["rho"],
+        **_proximal(settings["rho"]),
         "tolerance": settings["tol"],
         "gammas": list(COMPARE_GAMMAS),
         "iteration_ratio": first["iterations"] / second["iterations"],
@@ -572,14 +578,16 @@ def _corrupt_trajectory(trajectory, magnitude: float = 1e3) -> int:
 def run_certify(settings: dict) -> int:
     """Run a strict-mode solve and evaluate every certificate check on it.
 
-    The proximal metrics are fixed at the strict default (4 times the
-    identity per block) so the coupled first-phase metric is positive
-    definite. The reference point comes from a second solve at 100 times
-    tighter tolerance and 10 times the iteration budget; it continues the
-    strict run from its final state instead of starting again from zero,
-    which gives the same reference bit for bit (the strict run is a prefix
-    of the tighter one) after only the steps beyond it; the summary's
-    ``reference`` says how that solve ended. One ``replay`` of the
+    The proximal metrics are those of every subcommand, ``proximal_scale(rho)``
+    times the identity per block, under which the coupled first-phase metric
+    is positive definite. The reference point comes from a second solve at
+    100 times tighter tolerance and 10 times the iteration budget; it
+    continues the strict run from its final state instead of starting again
+    from zero, which gives the same reference bit for bit (the strict run is
+    a prefix of the tighter one) after only the steps beyond it; the
+    summary's ``reference`` says how that solve ended. When it ended short of
+    its tolerance, the Fejer and rate checks, which measure distances to the
+    reference, are skipped with that reason. One ``replay`` of the
     trajectory, which derives each auxiliary point once, feeds all seven
     checks; they are written to ``certificates.json``, and any failed check
     turns into exit code 4. The ``negative_control`` setting corrupts one
@@ -600,8 +608,7 @@ def run_certify(settings: dict) -> int:
     problem = build_problem(instance)
     gamma = settings["gamma"]
 
-    config = _solver_config(settings, gamma, instance, strict=True, record=True,
-                            sigma=CERTIFY_SIGMA)
+    config = _solver_config(settings, gamma, instance, strict=True, record=True)
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     trajectory = result.trajectory
 
@@ -610,6 +617,10 @@ def run_certify(settings: dict) -> int:
         max_iterations=settings["max_iter"] * 10, record_trajectory=False)
     reference_run = solve(problem, reference_config, result.state)
     reference = reference_run.final
+    # the two checks that measure distances to the reference need it to be a solution
+    unsolved_reference = None if reference_run.stop_reason == "tolerance" else (
+        f"the reference solve stopped at {reference_run.stop_reason} with "
+        f"final_epsilon {reference_run.final_epsilon:.6g}, so it may not be a solution")
 
     metrics = assemble_metrics(problem, config)
     probes = [feasible_probe(problem, settings["seed"] + 2_000_000 + j)
@@ -623,9 +634,9 @@ def run_certify(settings: dict) -> int:
     record = replay(metrics, trajectory, reference, probes)
     reports = [
         update_recurrence_check(record),
-        fejer_check(record),
+        fejer_check(record, unsolved_reference),
         nonergodic_monotonicity_check(record),
-        nonergodic_rate_check(record),
+        nonergodic_rate_check(record, unsolved_reference),
         cross_term_check(record),
         ergodic_gap_check(record, ergodic_average(record)),
         step_inequality_check(record),
@@ -637,7 +648,6 @@ def run_certify(settings: dict) -> int:
                             evaluate_objective(problem, result.final), seconds)
     summary.update({
         "sigma_gamma": sigma_gamma(gamma),
-        "proximal_scale": CERTIFY_SIGMA,
         "num_probes": settings["probes"],
         "negative_control": bool(settings["negative_control"]),
         "corrupted_iteration": corrupted_at,

@@ -17,6 +17,7 @@ from lgadmm.calibration import (
     load_instance,
     project_box,
     project_psd,
+    proximal_scale,
     stacked_maps,
     to_block,
     to_matrix,
@@ -338,8 +339,11 @@ def test_default_metrics_are_spherical():
     assert len(metrics) == 3
     for metric in metrics:
         assert isinstance(metric, ScaledIdentity)
-        assert metric.scale == 0.5
+        assert metric.scale == proximal_scale(1.0) == 1.05
         assert metric.dim == block_dim(3)
+    # the scale follows rho by one rule, and an explicit scale overrides it
+    assert all(m.scale == proximal_scale(5.0) == 5.25
+               for m in default_metrics(instance, rho=5.0))
     stricter = default_metrics(instance, scale=4.0)
     assert all(m.scale == 4.0 for m in stricter)
 

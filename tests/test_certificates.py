@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from lgadmm import certificates, solver
-from lgadmm.calibration import build_problem, default_metrics, generate_instance
+from lgadmm.calibration import (
+    build_problem,
+    default_metrics,
+    generate_instance,
+    proximal_scale,
+)
 from lgadmm.certificates import (
     SLACK_COEFF,
     STEP_SAMPLES,
@@ -307,12 +312,20 @@ def test_first_phase_min_eig_paths():
     assert value == pytest.approx(2.0)
     assert method == "operator"
     # calibration: sign maps and scaled identities give sigma - rho exactly,
-    # under the dense cap and above it (n=24: 1152 first-phase rows)
+    # under the dense cap and above it (n=24: 1152 first-phase rows), below
+    # zero and at the benchmark's sigma = 1.05 rho
     for n in (4, 24):
         instance = generate_instance(n, seed=0)
+        problem = build_problem(instance)
         value, method = first_phase_min_eig_estimate(
-            build_problem(instance), default_metrics(instance), 1.0)
+            problem, default_metrics(instance, scale=0.5), 1.0)
         assert (value, method) == (-0.5, "exact")
+        for rho in (1e-9, 1.0, 5.0):
+            value, method = first_phase_min_eig_estimate(
+                problem, default_metrics(instance, rho=rho), rho)
+            assert method == "exact"
+            assert value == pytest.approx(0.05 * rho, rel=1e-12)
+            assert value == proximal_scale(rho) - rho
     # dense maps under the cap: eigendecomposition of the assembled metric,
     # less the backward-error margin
     problem = random_problem(17, num_blocks=4, constraint_dim=5)
@@ -381,7 +394,7 @@ def test_checks_skip_outside_strict_conditions():
     instance = generate_instance(4, seed=6)
     problem = build_problem(instance)
     config = SolverConfig(rho=1.0, gamma=1.0,
-                          proximal_metrics=default_metrics(instance),
+                          proximal_metrics=default_metrics(instance, scale=0.5),
                           max_iterations=5, tolerance=1e-300,
                           record_trajectory=True)
     result = solve(problem, config, zeros_point(problem))

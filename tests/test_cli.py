@@ -34,6 +34,8 @@ def test_solve_writes_artifacts_and_summary(tmp_path):
     assert summary["command"] == "solve"
     assert summary["n"] == 8
     assert summary["gamma"] == 1.0
+    # sigma = 1.05 rho, and the linearized step's tau = sigma + 2 rho
+    assert (summary["proximal_scale"], summary["tau"]) == (1.05, 3.05)
     assert summary["converged"] is True
     assert summary["final_epsilon"] < 1e-6
 
@@ -80,10 +82,24 @@ def test_solve_rejects_gamma_out_of_range(tmp_path):
     assert "gamma" in proc.stderr
 
 
-def test_solve_strict_mode_rejects_benchmark_metrics(tmp_path):
+def test_solve_strict_mode_accepts_the_defaults(tmp_path):
     proc = run_cli(["solve", "--n", "6", "--strict",
                     "--out", str(tmp_path / "run")])
+    assert proc.returncode == 0, proc.stderr
+    validation = json.loads((tmp_path / "run" / "summary.json").read_text())["validation"]
+    assert validation["warnings"] == []
+
+
+@pytest.mark.parametrize("command", ["solve", "gamma-sweep", "baseline-compare"])
+def test_strict_mode_refuses_a_first_phase_margin_below_tolerance(tmp_path, command):
+    # at rho = 1e-9 the first-phase min eigenvalue sigma - rho = 5e-11 is
+    # under validation's 1e-10 tolerance, so nothing is proven
+    out = tmp_path / "run"
+    proc = run_cli([command, "--n", "6", "--rho", "1e-9", "--strict",
+                    "--out", str(out)])
     assert proc.returncode == 2
+    assert "strict theory mode" in proc.stderr and "first-phase" in proc.stderr
+    assert not (out / "summary.json").exists()
 
 
 def test_certify_refuses_a_strict_option(tmp_path, capsys):
@@ -251,14 +267,15 @@ def test_solver_scalars_are_refused_in_solver_config_wording_before_any_output(
     assert not out.exists()
 
 
-def test_gamma_sweep_strict_rejects_benchmark_metrics(tmp_path):
+def test_gamma_sweep_strict_accepts_the_defaults(tmp_path):
     out = tmp_path / "run"
-    proc = run_cli(["gamma-sweep", "--n", "6", "--gamma-grid", "1.0",
+    proc = run_cli(["gamma-sweep", "--n", "6", "--gamma-grid", "1.0,1.9",
                     "--repeat", "1", "--workers", "1", "--strict",
                     "--out", str(out)])
-    assert proc.returncode == 2
-    assert "strict theory mode" in proc.stderr
-    assert not (out / "sweep.csv").exists()
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "sweep.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["proximal_scale"], summary["tau"]) == (1.05, 3.05)
 
 
 @pytest.mark.parametrize("grid", ["1.0,1.0,1.5", "0.5,1.5,1.50"])
@@ -322,6 +339,7 @@ def test_baseline_compare_artifacts(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["iteration_ratio"] > 1.0
     assert summary["all_converged"] is True
+    assert (summary["proximal_scale"], summary["tau"]) == (1.05, 3.05)
 
 
 def test_certify_passes_and_reports_checks(tmp_path):
@@ -346,6 +364,37 @@ def test_certify_records_how_its_reference_ended(tmp_path):
     assert reference["final_epsilon"] < summary["tolerance"] * 1e-2
     assert summary["iterations"] < reference["iterations"] <= 10 * summary["max_iterations"]
     assert json.loads((out / "certificates.json").read_text())["summary"] == summary
+
+
+def test_certify_proximal_scale_follows_rho(tmp_path):
+    # sigma = 1.05 rho keeps every condition proven at any rho; a sigma
+    # fixed apart from rho (4 at rho = 5) left the first phase indefinite
+    out = tmp_path / "run"
+    assert cli.main(["certify", "--n", "8", "--rho", "5", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["proximal_scale"], summary["tau"]) == (5.25, 15.25)
+    assert summary["failed_checks"] == summary["skipped_checks"] == []
+
+
+def test_certify_skips_the_reference_checks_when_the_reference_is_unsolved(tmp_path):
+    # the reference stops at its cap of 200 steps, far from a solution: the
+    # two checks that measure distances to it are skipped, not passed
+    out = tmp_path / "run"
+    assert cli.main(["certify", "--n", "8", "--max-iter", "20", "--out", str(out)]) == 0
+    report = json.loads((out / "certificates.json").read_text())
+    summary = report["summary"]
+    reference = summary["reference"]
+    assert reference["stop_reason"] == "iteration_limit"
+    assert summary["skipped_checks"] == ["fejer_contraction", "nonergodic_rate"]
+    assert summary["failed_checks"] == []
+    for check in report["checks"]:
+        if check["check"] in summary["skipped_checks"]:
+            assert check["passed"] is None
+            assert check["skipped_reason"] == (
+                "the reference solve stopped at iteration_limit with final_epsilon "
+                f"{reference['final_epsilon']:.6g}, so it may not be a solution")
+        else:
+            assert check["passed"] is True, check
 
 
 def test_certify_sigma_gamma_tracks_gamma(tmp_path):

@@ -76,8 +76,9 @@ PRIMAL_GAP = ("M is the identity on the primal rows and the auxiliary point shar
     pytest.param({}, None, set(), id="unpatched"),
     pytest.param({"first_phase_update": gauss_seidel_first_phase}, None, None,
                  marks=near_miss(PRIMAL_GAP), id="gauss-seidel-first-phase"),
-    pytest.param({"last_block_update": last_block_target_at(1.0)}, None, None,
-                 marks=near_miss(PRIMAL_GAP), id="last-block-target-gamma-1.0"),
+    # caught by the cross term alone, by margins of a few 1e-6
+    pytest.param({"last_block_update": last_block_target_at(1.0)}, None,
+                 {"cross_term"}, id="last-block-target-gamma-1.0"),
     pytest.param({"last_block_update": last_block_target_at(1.4)}, None, None,
                  marks=near_miss(PRIMAL_GAP), id="last-block-target-gamma-1.4"),
     pytest.param({"first_phase_update": first_phase_with_shrunk_multiplier}, None, None,
