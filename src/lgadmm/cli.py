@@ -12,9 +12,15 @@ Four subcommands drive the calibration benchmark end to end:
     The same instance solved at relaxation 1.0 and 1.9; writes objective
     curves and a two-row summary table.
 ``certify``
-    A strict-mode run whose recorded trajectory is fed through every
-    certificate check; writes the reports as JSON and fails the process
-    when any check fails.
+    A recorded run whose trajectory is fed through every certificate
+    check; writes the reports as JSON and fails the process when any check
+    fails.
+
+Every subcommand runs only configurations the theory proves: one
+pre-flight builds the config of every relaxation factor the command will
+run and validates each in strict theory mode before any output directory,
+solve or worker pool exists, so a bad scalar or an unprovable
+configuration is refused with exit code 2 and writes nothing.
 
 Options can come from flags or from a ``key=value`` config file; flags
 win. Each option is declared once, in ``_OPTIONS``, and one parser reads
@@ -58,6 +64,7 @@ from .certificates import (
     update_recurrence_check,
 )
 from .problem import (
+    BlockProblem,
     BlockProblemError,
     evaluate_objective,
     feasible_probe,
@@ -93,14 +100,11 @@ _COMMON_DEFAULTS = {
     "max_iter": 10_000,
 }
 
-# certify always solves strict, so it takes no strict option
 _DEFAULTS = {
-    "solve": dict(_COMMON_DEFAULTS, n=50, gamma=1.0, tol=1e-6, strict=False,
-                  out="runs/solve"),
-    "gamma-sweep": dict(_COMMON_DEFAULTS, n=50, tol=1e-6, strict=False, repeat=5,
-                        workers=None, gamma_grid=DEFAULT_GRID,
-                        out="runs/gamma-sweep"),
-    "baseline-compare": dict(_COMMON_DEFAULTS, n=100, tol=1e-6, strict=False,
+    "solve": dict(_COMMON_DEFAULTS, n=50, gamma=1.0, tol=1e-6, out="runs/solve"),
+    "gamma-sweep": dict(_COMMON_DEFAULTS, n=50, tol=1e-6, repeat=5, workers=None,
+                        gamma_grid=DEFAULT_GRID, out="runs/gamma-sweep"),
+    "baseline-compare": dict(_COMMON_DEFAULTS, n=100, tol=1e-6,
                              out="runs/baseline-compare"),
     "certify": dict(_COMMON_DEFAULTS, n=20, gamma=1.5, tol=1e-8, probes=10,
                     negative_control=False, out="runs/certify"),
@@ -145,7 +149,6 @@ _OPTIONS = {
     "gamma": (float, "relaxation factor"),
     "tol": (float, "stopping tolerance"),
     "max_iter": (int, "iteration cap"),
-    "strict": (_parse_bool, "refuse configurations the theory does not cover"),
     "gamma_grid": (_parse_grid, "comma separated relaxation factors"),
     "repeat": (int, "seeds per grid value (seed..seed+repeat-1)"),
     "workers": (int, "worker processes (default: one per core)"),
@@ -209,32 +212,42 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 
 
 def _check_settings(settings: dict) -> None:
-    """Judge the settings before any output directory or pool exists: the
-    solver's scalars by one ``SolverConfig`` per relaxation factor the
-    command will run, then the rules of the command line alone."""
+    """The rules of the command line alone, judged as the settings are
+    merged; the solver's scalars and the theory are the pre-flight's."""
     if settings["n"] < 2:
         raise ConfigError(f"n must be at least 2, got {settings['n']}")
-    gammas = (settings["gamma_grid"] if "gamma_grid" in settings
-              else (settings["gamma"],) if "gamma" in settings else COMPARE_GAMMAS)
-    for gamma in gammas:
-        SolverConfig(rho=settings["rho"], gamma=gamma, proximal_metrics=(),
-                     max_iterations=settings["max_iter"], tolerance=settings["tol"])
     for key in ("repeat", "workers", "probes"):
         if settings.get(key) is not None and settings[key] < 1:
             raise ConfigError(f"{key} must be at least 1")
 
 
 def _solver_config(settings: dict, gamma: float, instance: CalibrationInstance, *,
-                   strict: bool, record: bool = False) -> SolverConfig:
+                   record: bool = False) -> SolverConfig:
     return SolverConfig(
         rho=settings["rho"],
         gamma=gamma,
         proximal_metrics=default_metrics(instance, rho=settings["rho"]),
         max_iterations=settings["max_iter"],
         tolerance=settings["tol"],
-        strict_theory_mode=strict,
+        strict_theory_mode=True,
         record_trajectory=record,
     )
+
+
+def _preflight(settings: dict, gammas: Sequence[float], *, record: bool = False
+               ) -> tuple[CalibrationInstance, BlockProblem, list[SolverConfig]]:
+    """Judge every configuration the command will run before any output
+    directory, solve or worker pool exists: ``SolverConfig`` refuses a bad
+    scalar, and ``validate_config`` what the theory does not prove. The
+    instance is the one at ``seed``; the spectral facts do not depend on
+    the seed, so a sweep's other seeds share them."""
+    instance = generate_instance(settings["n"], settings["seed"])
+    problem = build_problem(instance)
+    configs = [_solver_config(settings, gamma, instance, record=record)
+               for gamma in gammas]
+    for config in configs:
+        validate_config(problem, config)
+    return instance, problem, configs
 
 
 def _output_directory(settings: dict) -> str:
@@ -253,24 +266,30 @@ def _timed_solve(problem, config, start) -> tuple[SolveResult, float]:
     return result, time.perf_counter() - begin
 
 
-def _proximal(rho: float) -> dict:
-    """The sigma of P_i = sigma I at ``rho``, and the linearized step's
-    tau = sigma + rho ||A_i||^2, where A_i'A_i = 2 I."""
+def _summary_head(settings: dict) -> dict:
+    """The fields every ``summary.json`` opens with: the command, the
+    instance, and the solver's scalars, with the sigma of P_i = sigma I at
+    ``rho`` and the linearized step's tau = sigma + rho ||A_i||^2, where
+    A_i'A_i = 2 I."""
+    rho = settings["rho"]
     sigma = proximal_scale(rho)
-    return {"proximal_scale": sigma, "tau": sigma + 2.0 * rho}
+    return {
+        "command": settings["command"],
+        "n": settings["n"],
+        "seed": settings["seed"],
+        "rho": rho,
+        "proximal_scale": sigma,
+        "tau": sigma + 2.0 * rho,
+        "tolerance": settings["tol"],
+        "max_iterations": settings["max_iter"],
+    }
 
 
 def _summary_core(settings: dict, gamma: float, result: SolveResult,
                   objective: float, seconds: float) -> dict:
     return {
-        "command": settings["command"],
-        "n": settings["n"],
-        "seed": settings["seed"],
-        "rho": settings["rho"],
-        **_proximal(settings["rho"]),
+        **_summary_head(settings),
         "gamma": gamma,
-        "tolerance": settings["tol"],
-        "max_iterations": settings["max_iter"],
         "iterations": result.iterations,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
@@ -325,11 +344,8 @@ def run_solve(settings: dict) -> int:
     int
         Process exit code, 0 on success.
     """
+    instance, problem, (config,) = _preflight(settings, (settings["gamma"],))
     out = _output_directory(settings)
-    instance = generate_instance(settings["n"], settings["seed"])
-    problem = build_problem(instance)
-    config = _solver_config(settings, settings["gamma"], instance,
-                            strict=settings["strict"])
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     objective = evaluate_objective(problem, result.final)
 
@@ -349,8 +365,7 @@ def _sweep_cell(task: tuple) -> dict:
     n, seed, rho, gamma, tol, max_iter = task
     instance = generate_instance(n, seed)
     problem = build_problem(instance)
-    config = _solver_config(dict(rho=rho, tol=tol, max_iter=max_iter), gamma,
-                            instance, strict=False)
+    config = _solver_config(dict(rho=rho, tol=tol, max_iter=max_iter), gamma, instance)
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     return {
         "gamma": gamma,
@@ -415,8 +430,8 @@ def run_gamma_sweep(settings: dict) -> int:
     the rank correlation between the grid and the mean iteration counts
     land in ``summary.json``. A script that calls this must guard its own
     entry point with ``if __name__ == "__main__"``, because spawned workers
-    import the main module. Under ``strict`` every grid value is validated
-    before any cell runs.
+    import the main module. Every grid value is validated, on the instance
+    at ``seed``, before the output directory or any cell exists.
 
     Parameters
     ----------
@@ -429,12 +444,7 @@ def run_gamma_sweep(settings: dict) -> int:
         Process exit code, 0 on success.
     """
     grid = tuple(settings["gamma_grid"])
-    if settings["strict"]:
-        # the spectral facts depend on n, rho, gamma and the metrics, not the seed
-        instance = generate_instance(settings["n"], settings["seed"])
-        problem = build_problem(instance)
-        for gamma in grid:
-            validate_config(problem, _solver_config(settings, gamma, instance, strict=True))
+    _preflight(settings, grid)
     out = _output_directory(settings)
     seeds = [settings["seed"] + r for r in range(settings["repeat"])]
     tasks = [
@@ -465,13 +475,8 @@ def run_gamma_sweep(settings: dict) -> int:
     spearman = _spearman([row["gamma"] for row in per_gamma],
                          [row["mean_iterations"] for row in per_gamma])
     summary = {
-        "command": "gamma-sweep",
-        "n": settings["n"],
+        **_summary_head(settings),
         "seeds": seeds,
-        "rho": settings["rho"],
-        **_proximal(settings["rho"]),
-        "tolerance": settings["tol"],
-        "max_iterations": settings["max_iter"],
         "gamma_grid": list(grid),
         "spearman_gamma_iterations": spearman,
         "all_converged": all(c["converged"] for c in cells),
@@ -512,17 +517,15 @@ def run_baseline_compare(settings: dict) -> int:
     int
         Process exit code, 0 on success.
     """
+    _, problem, configs = _preflight(settings, COMPARE_GAMMAS)
     out = _output_directory(settings)
-    instance = generate_instance(settings["n"], settings["seed"])
-    problem = build_problem(instance)
 
     runs = []
-    for gamma in COMPARE_GAMMAS:
-        config = _solver_config(settings, gamma, instance, strict=settings["strict"])
+    for config in configs:
         result, seconds = _timed_solve(problem, config, zeros_point(problem))
         curve = [report.objective for report in result.reports]
         runs.append({
-            "gamma": gamma,
+            "gamma": config.gamma,
             "iterations": result.iterations,
             "seconds": seconds,
             "objective": evaluate_objective(problem, result.final),
@@ -546,12 +549,7 @@ def run_baseline_compare(settings: dict) -> int:
     first, second = runs
     gap_scale = max(abs(first["objective"]), abs(second["objective"]), 1e-30)
     summary = {
-        "command": "baseline-compare",
-        "n": settings["n"],
-        "seed": settings["seed"],
-        "rho": settings["rho"],
-        **_proximal(settings["rho"]),
-        "tolerance": settings["tol"],
+        **_summary_head(settings),
         "gammas": list(COMPARE_GAMMAS),
         "iteration_ratio": first["iterations"] / second["iterations"],
         "objective_relative_gap":
@@ -576,14 +574,14 @@ def _corrupt_trajectory(trajectory, magnitude: float = 1e3) -> int:
 
 
 def run_certify(settings: dict) -> int:
-    """Run a strict-mode solve and evaluate every certificate check on it.
+    """Run a recorded solve and evaluate every certificate check on it.
 
     The proximal metrics are those of every subcommand, ``proximal_scale(rho)``
     times the identity per block, under which the coupled first-phase metric
     is positive definite. The reference point comes from a second solve at
     100 times tighter tolerance and 10 times the iteration budget; it
-    continues the strict run from its final state instead of starting again
-    from zero, which gives the same reference bit for bit (the strict run is
+    continues the recorded run from its final state instead of starting again
+    from zero, which gives the same reference bit for bit (the recorded run is
     a prefix of the tighter one) after only the steps beyond it; the
     summary's ``reference`` says how that solve ended. When it ended short of
     its tolerance, the Fejer and rate checks, which measure distances to the
@@ -603,12 +601,9 @@ def run_certify(settings: dict) -> int:
     int
         Process exit code, 0 when every check passes, 4 otherwise.
     """
-    out = _output_directory(settings)
-    instance = generate_instance(settings["n"], settings["seed"])
-    problem = build_problem(instance)
     gamma = settings["gamma"]
-
-    config = _solver_config(settings, gamma, instance, strict=True, record=True)
+    instance, problem, (config,) = _preflight(settings, (gamma,), record=True)
+    out = _output_directory(settings)
     result, seconds = _timed_solve(problem, config, zeros_point(problem))
     trajectory = result.trajectory
 
@@ -676,7 +671,7 @@ _COMMANDS = {
     "gamma-sweep": (run_gamma_sweep, "sweep the relaxation factor"),
     "baseline-compare": (run_baseline_compare,
                          "same instance at relaxation 1.0 and 1.9"),
-    "certify": (run_certify, "strict run plus every certificate check"),
+    "certify": (run_certify, "recorded run plus every certificate check"),
 }
 
 

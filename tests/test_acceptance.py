@@ -214,8 +214,8 @@ def test_criterion_04_trajectory_certificates_strict_run(n20_strict_run):
 
 def test_criterion_05_relaxation_sweep_trend(tmp_path):
     started = time.perf_counter()
-    settings = dict(n=50, seed=0, rho=1.0, tol=1e-6, max_iter=10000,
-                    strict=False, repeat=5, workers=None,
+    settings = dict(command="gamma-sweep", n=50, seed=0, rho=1.0, tol=1e-6,
+                    max_iter=10000, repeat=5, workers=None,
                     gamma_grid=tuple(round(0.2 * i, 1) for i in range(1, 10)),
                     out=str(tmp_path))
     assert run_gamma_sweep(settings) == 0

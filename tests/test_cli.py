@@ -38,6 +38,9 @@ def test_solve_writes_artifacts_and_summary(tmp_path):
     assert (summary["proximal_scale"], summary["tau"]) == (1.05, 3.05)
     assert summary["converged"] is True
     assert summary["final_epsilon"] < 1e-6
+    # every run is strict, and the defaults are provable
+    assert summary["validation"]["strict"] is True
+    assert summary["validation"]["warnings"] == []
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
@@ -82,39 +85,32 @@ def test_solve_rejects_gamma_out_of_range(tmp_path):
     assert "gamma" in proc.stderr
 
 
-def test_solve_strict_mode_accepts_the_defaults(tmp_path):
-    proc = run_cli(["solve", "--n", "6", "--strict",
-                    "--out", str(tmp_path / "run")])
-    assert proc.returncode == 0, proc.stderr
-    validation = json.loads((tmp_path / "run" / "summary.json").read_text())["validation"]
-    assert validation["warnings"] == []
-
-
-@pytest.mark.parametrize("command", ["solve", "gamma-sweep", "baseline-compare"])
+@pytest.mark.parametrize("command", ["solve", "gamma-sweep", "baseline-compare", "certify"])
 def test_strict_mode_refuses_a_first_phase_margin_below_tolerance(tmp_path, command):
     # at rho = 1e-9 the first-phase min eigenvalue sigma - rho = 5e-11 is
     # under validation's 1e-10 tolerance, so nothing is proven
     out = tmp_path / "run"
-    proc = run_cli([command, "--n", "6", "--rho", "1e-9", "--strict",
-                    "--out", str(out)])
+    proc = run_cli([command, "--n", "6", "--rho", "1e-9", "--out", str(out)])
     assert proc.returncode == 2
     assert "strict theory mode" in proc.stderr and "first-phase" in proc.stderr
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 def test_certify_refuses_a_strict_option(tmp_path, capsys):
-    # certify always solves strict: a strict flag or key is an error, not a no-op
+    # every subcommand runs strict: a strict flag or key is an error, not a no-op
     out = str(tmp_path / "run")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["certify", "--n", "6", "--strict", "--out", out])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --strict" in capsys.readouterr().err
     config_file = tmp_path / "run.conf"
     config_file.write_text("strict = no\n")
-    assert cli.main(["certify", "--n", "6", "--config", str(config_file),
-                     "--out", out]) == 2
-    assert "not used by certify: ['strict']" in capsys.readouterr().err
-    assert not os.path.exists(out)
+    for command in ("solve", "gamma-sweep", "baseline-compare", "certify"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--n", "6", "--strict", "--out", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+        assert cli.main([command, "--n", "6", "--config", str(config_file),
+                         "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_file}:1: unknown config key 'strict'\n")
+        assert not os.path.exists(out)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -157,6 +153,7 @@ def test_gamma_sweep_single_cell_matches_solve(tmp_path):
     assert float(cells[1]) == solve_iters
     summary = json.loads((sweep_out / "summary.json").read_text())
     assert summary["all_converged"] is True
+    assert (summary["proximal_scale"], summary["tau"]) == (1.05, 3.05)
 
 
 def test_sweep_pool_workers_start_with_single_threaded_blas(monkeypatch):
@@ -267,17 +264,6 @@ def test_solver_scalars_are_refused_in_solver_config_wording_before_any_output(
     assert not out.exists()
 
 
-def test_gamma_sweep_strict_accepts_the_defaults(tmp_path):
-    out = tmp_path / "run"
-    proc = run_cli(["gamma-sweep", "--n", "6", "--gamma-grid", "1.0,1.9",
-                    "--repeat", "1", "--workers", "1", "--strict",
-                    "--out", str(out)])
-    assert proc.returncode == 0, proc.stderr
-    assert (out / "sweep.csv").exists()
-    summary = json.loads((out / "summary.json").read_text())
-    assert (summary["proximal_scale"], summary["tau"]) == (1.05, 3.05)
-
-
 @pytest.mark.parametrize("grid", ["1.0,1.0,1.5", "0.5,1.5,1.50"])
 def test_gamma_sweep_refuses_a_repeated_grid_value_before_any_output(
         tmp_path, monkeypatch, capsys, grid):
@@ -322,6 +308,28 @@ def test_an_out_that_cannot_be_a_directory_is_a_configuration_error(
     assert capsys.readouterr().err.startswith(
         f"error: cannot use {str(out)!r} as the output directory: ")
     assert taken.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", []),
+    ("gamma-sweep", ["--gamma-grid", "1.0", "--repeat", "1", "--workers", "1"]),
+    ("baseline-compare", []),
+    ("certify", []),
+])
+def test_every_summary_opens_with_the_same_head(tmp_path, command, flags):
+    # a capped run can be read from any summary: each records its cap
+    out = tmp_path / "run"
+    assert cli.main([command, "--n", "6", "--seed", "3", "--rho", "2", "--tol", "1e-5",
+                     "--max-iter", "7", *flags, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    sigma = 1.05 * 2.0
+    assert {key: summary[key] for key in (
+        "command", "n", "seed", "rho", "proximal_scale", "tau", "tolerance",
+        "max_iterations")} == dict(
+        command=command, n=6, seed=3, rho=2.0, proximal_scale=sigma,
+        tau=sigma + 2.0 * 2.0, tolerance=1e-5, max_iterations=7)
+    if command == "gamma-sweep":
+        assert summary["seeds"] == [3]
 
 
 def test_baseline_compare_artifacts(tmp_path):
@@ -520,7 +528,6 @@ OPTION_TEXTS = {
     "gamma": ("1.25", 1.25),
     "tol": ("1e-5", 1e-5),
     "max_iter": ("42", 42),
-    "strict": ("yes", True),
     "gamma_grid": ("0.5,1.5", (0.5, 1.5)),
     "repeat": ("3", 3),
     "workers": ("2", 2),
